@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 
 from . import constants, counting, groups, lattice
-from .arith import default_sieve_limit, shared_sieve
 from .errbound import ErrBoundedReal, format_errbounded
 from .errors import CapExceededError, PrecisionError
 from .verifysuite import SUITES, CheckFailure, run_suite
@@ -54,8 +53,6 @@ def cmd_count(args) -> int:
         raise ValueError("--mode rank requires --rank")
     if args.mode == "rank" and args.method == "formula":
         raise ValueError("--mode rank has no closed form; use --method bruteforce or both")
-    shared_sieve(max(2, min(V, default_sieve_limit())))
-    workers = args.threads
 
     if args.mode == "rank":
         count = counting.count_by_rank_bruteforce(n, args.rank, V, args.enum_cap)
@@ -97,14 +94,10 @@ def cmd_count(args) -> int:
     }[args.mode]
 
     if args.format == "csv":
-        return _count_csv(args, count_fn, pred_fn, workers)
+        return _count_csv(args, count_fn, pred_fn)
 
     doc = {"n": n, "V": V, "mode": args.mode, "method": args.method}
-    count = (
-        count_fn(n, V, workers)
-        if args.method != "bruteforce"
-        else oracle_fn(n, V, args.enum_cap)
-    )
+    count = count_fn(n, V) if args.method != "bruteforce" else oracle_fn(n, V, args.enum_cap)
     doc["count"] = str(count)
     if args.method == "both":
         oracle = oracle_fn(n, V, args.enum_cap)
@@ -123,7 +116,7 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _count_csv(args, count_fn, pred_fn, workers) -> int:
+def _count_csv(args, count_fn, pred_fn) -> int:
     n, V = args.n, args.V
     steps = args.ladder if args.ladder else 1
     rows = []
@@ -132,7 +125,7 @@ def _count_csv(args, count_fn, pred_fn, workers) -> int:
         Vi = V * i // steps
         if Vi < 1:
             continue
-        count = count_fn(n, Vi, workers)
+        count = count_fn(n, Vi)
         if const_pred is not None:
             pred = const_pred * ErrBoundedReal.exact(Vi**n)
             rows.append((Vi, count, float(pred.value), count / float(pred.value)))
@@ -283,7 +276,6 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--ladder", type=int, help="emit a CSV ladder with this many rungs")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--threads", type=int, default=os.cpu_count())
     p.add_argument("--enum-cap", type=int, default=counting.DEFAULT_ENUM_CAP)
     p.set_defaults(func=cmd_count)
 

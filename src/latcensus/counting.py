@@ -3,22 +3,32 @@
 Two independent routes are kept for every headline count:
 
 * closed-form/multiplicative evaluation (`count_primitive_classes`,
-  `count_cocyclic`, `total_count`), used at scale;
+  `count_cocyclic`, `count_squarefree`, `total_count`), used at scale;
 * literal enumeration oracles (`count_primitive_classes_bruteforce`,
   `census_cocyclic_bruteforce`, `count_by_rank_bruteforce`), used to verify
   the formulas exactly on the desk-scale grids.
 
-All counts are arbitrary-precision integers end to end.  Range sums expose
-the partitioned-accumulation contract: split [1, V], sum ranges
-independently, combine exactly; results are independent of worker count.
-"""
+The cumulative censuses up to index V take the fast route: a Dirichlet-series
+floor-value evaluation of the total census T_n on the ~2 sqrt(V) values
+V//j, corrected by a sum over powerful numbers, in O(n V^(3/4)) time and
+O(sqrt(V)) memory (no sieve beyond sqrt(V)).  Its estimated work,
+(n-1) V^(3/4) steps, is checked against DEFAULT_FLOOR_VALUE_CAP before
+anything is allocated, and CapExceededError is raised above it.  The second
+route, `_multiplicative_sum`, sieves [1, V] and sums the multiplicative
+count from its prime-power local factors in O(V) time and memory; it is
+never the default and serves the tests and `verify` as an exact cross-check.
 
+All counts are arbitrary-precision integers end to end.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import cache
+from itertools import accumulate
+from operator import mul
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -26,11 +36,11 @@ from . import lattice
 from .arith import ensure_factored, euler_phi, shared_sieve
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
-from .parallel import partitioned_sum
 
 DEFAULT_VECTOR_CAP = 10**9
 DEFAULT_MATERIALIZE_CAP = 300_000
 DEFAULT_ENUM_CAP = 10**8
+DEFAULT_FLOOR_VALUE_CAP = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -155,85 +165,202 @@ def primitive_class_representatives(n: int, q: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def count_cocyclic(n: int, V: int, workers: Optional[int] = None) -> int:
-    """Number of co-cyclic sublattices of Z^n of index <= V: the sum of
-    count_primitive_classes(n, q) over q <= V, via one sieve pass."""
-    if n < 2:
-        raise ValueError("count_cocyclic requires n >= 2")
-    if V < 1:
-        raise ValueError("V must be >= 1")
+# Fast route.  The index-q census c_n(q) of all sublattices has Dirichlet
+# series zeta(s) zeta(s-1) ... zeta(s-n+1), so c_n = c_(n-1) * Id^(n-1) and
+#     T_n(x) = sum_{d<=x} d^(n-1) T_(n-1)(x//d),    T_1(x) = x,
+# for the summatory T_n(x) = sum_{q<=x} c_n(q).  Every x//d reached from
+# x = V is again some V//j, so T_n is built level by level on the floor
+# values {V//j} by the hyperbola method, O(V^(3/4)) per level.  A census
+# whose local series at p is F_p(X) = sum_e f(p^e) X^e factors as T_n * H,
+# H_p(X) = F_p(X) prod_{i<n} (1 - p^i X).  Co-cyclic and all lattices agree
+# at prime index, so H(p) = 0, H lives on powerful numbers, and
+#     sum_{q<=V} f(q) = sum_{h powerful <= V} H(h) T_n(V//h).
+#
+# Second route.  `_multiplicative_sum` factors every q <= V with the shared
+# sieve and sums f(q) from the same local factors, O(V) time and memory.
+# Tests and `verify` compare the two routes exactly; it is never the default.
+
+
+def _local_factor(mode: str, n: int) -> Callable[[int, int], int]:
+    """f(p^e), e >= 1, of the census `mode` ("cyclic", "squarefree", "all")."""
+    if mode == "cyclic":
+        return lambda p, e: _prime_power_class_count(n, p, e)
+    if mode == "squarefree":
+        return lambda p, e: _prime_power_class_count(n, p, 1) if e == 1 else 0
+    if mode == "all":
+        return lambda p, e: lattice._count_prime_power(n, p, e)
+    raise ValueError(f"unknown census mode {mode!r}")
+
+
+def _multiplicative_sum(V: int, local: Callable[[int, int], int]) -> int:
+    """Second route: sum of f(q) over q <= V for the multiplicative f with
+    f(p^e) = local(p, e), factoring each q with the shared sieve."""
     spf = shared_sieve(max(V, 2)).spf
-
-    def range_sum(lo: int, hi: int) -> int:
-        total = 0
-        for q in range(lo, hi + 1):
-            k = q
-            a = 1
-            while k > 1:
-                p = int(spf[k])
-                e = 0
-                while k % p == 0:
-                    k //= p
-                    e += 1
-                a *= _prime_power_class_count(n, p, e)
-            total += a
-        return total
-
-    return partitioned_sum(range_sum, 1, V, workers)
-
-
-def count_squarefree(n: int, V: int, workers: Optional[int] = None) -> int:
-    """Co-cyclic census restricted to squarefree index q <= V."""
-    if n < 2:
-        raise ValueError("count_squarefree requires n >= 2")
-    if V < 1:
-        raise ValueError("V must be >= 1")
-    spf = shared_sieve(max(V, 2)).spf
-
-    def range_sum(lo: int, hi: int) -> int:
-        total = 0
-        for q in range(lo, hi + 1):
-            k = q
-            a = 1
-            while k > 1:
-                p = int(spf[k])
+    total = 0
+    for q in range(1, V + 1):
+        k = q
+        a = 1
+        while k > 1 and a:
+            p = int(spf[k])
+            e = 0
+            while k % p == 0:
                 k //= p
-                if k % p == 0:
-                    a = 0
-                    break
-                a *= _prime_power_class_count(n, p, 1)
-            total += a
-        return total
-
-    return partitioned_sum(range_sum, 1, V, workers)
+                e += 1
+            a *= local(p, e)
+        total += a
+    return total
 
 
-def total_count(n: int, V: int, workers: Optional[int] = None) -> int:
-    """All full-rank sublattices of Z^n of index <= V, exactly."""
-    if n < 1:
-        raise ValueError("total_count requires n >= 1")
+@cache
+def _faulhaber(j: int) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients a_0..a_(j+1) and denominator D such that
+    sum_{i<=m} i^j == (sum_k a_k m^k) // D, from the Bernoulli numbers."""
+    bern = [Fraction(1)]
+    for m in range(1, j + 1):
+        bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    if j >= 1:
+        bern[1] = -bern[1]  # B_1 = +1/2 sums over 1..m rather than 0..m-1
+    coeffs = [Fraction(0)] * (j + 2)
+    for k in range(j + 1):
+        coeffs[j + 1 - k] = math.comb(j + 1, k) * bern[k] / (j + 1)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * den) for c in coeffs), den
+
+
+def _power_sum(j: int, m: int) -> int:
+    """1^j + 2^j + ... + m^j, exactly."""
+    coeffs, den = _faulhaber(j)
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * m + c
+    return acc // den
+
+
+def _check_census(name: str, n: int, V: int, n_min: int) -> None:
+    if n < n_min:
+        raise ValueError(f"{name} requires n >= {n_min}")
     if V < 1:
         raise ValueError("V must be >= 1")
-    if n == 1:
-        return V
-    spf = shared_sieve(max(V, 2)).spf
+    work = (n - 1) * math.isqrt(V) * math.isqrt(math.isqrt(V))  # ~V^(3/4) per level
+    if work > DEFAULT_FLOOR_VALUE_CAP:
+        raise CapExceededError(
+            f"census at n={n}, V={V} needs about {work} floor-value steps, "
+            f"over cap {DEFAULT_FLOOR_VALUE_CAP}"
+        )
 
-    def range_sum(lo: int, hi: int) -> int:
-        total = 0
-        for q in range(lo, hi + 1):
-            k = q
-            c = 1
-            while k > 1:
-                p = int(spf[k])
-                e = 0
-                while k % p == 0:
-                    k //= p
-                    e += 1
-                c *= lattice._count_prime_power(n, p, e)
-            total += c
-        return total
 
-    return partitioned_sum(range_sum, 1, V, workers)
+def _census_table(n: int, V: int) -> Callable[[int], int]:
+    """T_n(V//h) as a function of h, for every h in 1..V (n >= 2).
+
+    T_k is kept at y <= s = isqrt(V) (`small`, with c_k pointwise in
+    `point`) and at V//j for j <= s (`large`).  Level k follows from level
+    k-1 by the hyperbola method,
+        T_k(x) = sum_{d<=r} d^(k-1) T_(k-1)(x//d)
+               + sum_{m<=r} c_(k-1)(m) P_(k-1)(x//m) - P_(k-1)(r) T_(k-1)(r),
+    r = isqrt(x), P_j(y) = sum_{i<=y} i^j.  The top level's `large` values
+    are computed only when asked for.
+    """
+    s = math.isqrt(V)
+    point = [0] + [1] * s
+    small = list(range(s + 1))
+    large = [0] + [V // j for j in range(1, s + 1)]
+    for k in range(2, n + 1):
+        pw = [d ** (k - 1) for d in range(s + 1)]
+        p_small = list(accumulate(pw))
+        p_large = [0] + [_power_sum(k - 1, V // j) for j in range(1, s + 1)]
+        top = _hyperbola(V, pw, p_small, p_large, point, small, large)
+        if k < n:
+            large = [0] + [top(j) for j in range(1, s + 1)]
+        # c_k = c_(k-1) * Id^(k-1) pointwise on [1, s]
+        conv = np.zeros(s + 1, dtype=object)
+        prev = np.array(point, dtype=object)
+        for d in range(1, s + 1):
+            conv[d::d] += pw[d] * prev[1 : s // d + 1]
+        point = conv.tolist()
+        small = list(accumulate(point))
+    return lambda h: small[V // h] if V // h <= s else top(h)
+
+
+def _hyperbola(V, pw, p_small, p_large, point, small, large) -> Callable[[int], int]:
+    """T_k(V//j) for j <= isqrt(V), from the level k-1 tables."""
+    s = len(small) - 1
+
+    def value(j: int) -> int:
+        x = V // j
+        r = math.isqrt(x)
+        cut = min(r, s // j)  # d <= cut: x//d = V//(jd) with jd <= s
+        acc = sum(map(mul, pw[1 : cut + 1], large[j : j * cut + 1 : j]))
+        acc += sum(map(mul, point[1 : cut + 1], p_large[j : j * cut + 1 : j]))
+        for d in range(cut + 1, r + 1):
+            y = x // d
+            acc += pw[d] * small[y] + point[d] * p_small[y]
+        return acc - p_small[r] * small[r]
+
+    return value
+
+
+def _powerful_sum(n: int, V: int, local: Callable[[int, int], int]) -> int:
+    """Fast route: sum of f(q) over q <= V, f multiplicative with
+    f(p^e) = local(p, e), as sum_{h powerful <= V} H(h) T_n(V//h)."""
+    census = _census_table(n, V)
+    s = math.isqrt(V)
+    primes = shared_sieve(max(s, 2)).primes()
+    primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
+    h_cache: dict[int, list[int]] = {}
+
+    def h_series(p: int) -> list[int]:
+        # H(p^e) for p^e <= V: coefficients of F_p(X) * prod_{i<n} (1 - p^i X)
+        if p not in h_cache:
+            top = 1
+            while p ** (top + 1) <= V:
+                top += 1
+            f = [1] + [local(p, e) for e in range(1, top + 1)]
+            b = [1]
+            for i in range(n):
+                b = [x - p**i * y for x, y in zip(b + [0], [0] + b)]
+            h = [sum(b[t] * f[e - t] for t in range(min(e, n) + 1)) for e in range(top + 1)]
+            if h[1]:
+                raise RuntimeError(f"local factor at p={p} differs from the total census")
+            h_cache[p] = h
+        return h_cache[p]
+
+    total = 0
+    stack = [(0, 1, 1)]  # (first prime index still free, h, H(h))
+    while stack:
+        i, h, coef = stack.pop()
+        total += coef * census(h)
+        for j in range(i, len(primes)):
+            p = primes[j]
+            hp = h * p * p
+            if hp > V:
+                break
+            hs = h_series(p)
+            e = 2
+            while hp <= V:
+                if hs[e]:
+                    stack.append((j + 1, hp, coef * hs[e]))
+                hp *= p
+                e += 1
+    return total
+
+
+def count_cocyclic(n: int, V: int) -> int:
+    """Number of co-cyclic sublattices of Z^n of index <= V: the sum of
+    count_primitive_classes(n, q) over q <= V (fast route)."""
+    _check_census("count_cocyclic", n, V, 2)
+    return _powerful_sum(n, V, _local_factor("cyclic", n))
+
+
+def count_squarefree(n: int, V: int) -> int:
+    """Co-cyclic census restricted to squarefree index q <= V (fast route)."""
+    _check_census("count_squarefree", n, V, 2)
+    return _powerful_sum(n, V, _local_factor("squarefree", n))
+
+
+def total_count(n: int, V: int) -> int:
+    """All full-rank sublattices of Z^n of index <= V, exactly (fast route)."""
+    _check_census("total_count", n, V, 1)
+    return V if n == 1 else _census_table(n, V)(1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +560,6 @@ def density_report(
     with_oracle: bool = False,
     with_predictions: bool = True,
     tol: float = 1e-10,
-    workers: Optional[int] = None,
     enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> DensityReport:
     """Assemble exact counts (formula route) with optional enumeration
@@ -443,9 +569,9 @@ def density_report(
     report = DensityReport(
         n=n,
         V=V,
-        count_cocyclic=count_cocyclic(n, V, workers),
-        count_squarefree=count_squarefree(n, V, workers),
-        count_total=total_count(n, V, workers),
+        count_cocyclic=count_cocyclic(n, V),
+        count_squarefree=count_squarefree(n, V),
+        count_total=total_count(n, V),
     )
     if with_predictions:
         report.predicted_cocyclic = cocyclic_leading_term(n, V, tol)
@@ -461,7 +587,7 @@ def density_report(
 
 
 def density_ladder_rows(
-    n: int, V: int, steps: int, tol: float = 1e-10, workers: Optional[int] = None
+    n: int, V: int, steps: int, tol: float = 1e-10
 ) -> Iterable[tuple[int, int, float, float]]:
     """(V_i, count_cocyclic, prediction, ratio) rows for a ladder of bounds."""
     from .constants import theta_n
@@ -471,6 +597,6 @@ def density_ladder_rows(
         Vi = V * i // steps
         if Vi < 1:
             continue
-        count = count_cocyclic(n, Vi, workers)
+        count = count_cocyclic(n, Vi)
         pred = const * ErrBoundedReal.exact(Vi**n) / n
         yield Vi, count, float(pred.value), count / float(pred.value)

@@ -442,12 +442,22 @@ def check_count_monotonicity(v_max: int = 120):
             prev = cur
 
 
-def check_partitioned_sum_consistency():
-    for workers in (1, 2, 7):
-        if counting.count_cocyclic(2, 2000, workers=workers) != counting.count_cocyclic(
-            2, 2000
-        ):
-            _fail("counting.partitioned-consistency", f"workers={workers}")
+def check_dirichlet_vs_sieve():
+    """Fast floor-value route equals the sieve route, every mode, n in 2..6."""
+    rng = SplitMix64(29)
+    bounds = [1, 2, 16, 997, 3000, 10**5] + [1 + rng.randbelow(20000) for _ in range(3)]
+    fast = {
+        "cyclic": counting.count_cocyclic,
+        "squarefree": counting.count_squarefree,
+        "all": counting.total_count,
+    }
+    for n in range(2, 7):
+        for mode, fn in fast.items():
+            local = counting._local_factor(mode, n)
+            for v in bounds:
+                lhs, rhs = fn(n, v), counting._multiplicative_sum(v, local)
+                if lhs != rhs:
+                    _fail("counting.dirichlet-vs-sieve", f"{mode} n={n} V={v}: {lhs} != {rhs}")
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +662,7 @@ CHECKS: dict[str, tuple[str, object]] = {
     "counting.class-multiplicativity": ("formulas", check_class_count_multiplicativity),
     "counting.divisor-resummation": ("formulas", check_divisor_resummation),
     "counting.monotonicity": ("formulas", check_count_monotonicity),
-    "counting.partitioned-consistency": ("formulas", check_partitioned_sum_consistency),
+    "counting.dirichlet-vs-sieve": ("formulas", check_dirichlet_vs_sieve),
     "counting.census-equality": ("census", check_census_equality),
     "lattice.enumeration-counts": ("census", check_enumeration_counts),
     "lattice.enumeration-no-duplicates": ("census", check_enumeration_no_duplicates),

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -202,6 +203,13 @@ def test_count_cap_exit_code(capsys):
         "--method", "bruteforce",
     )
     assert code == 2 and "cap" in err
+
+
+def test_count_huge_v_hits_cap_quickly(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "count", "--n", "2", "--V", str(10**30))
+    assert code == 2 and "cap" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_determinism_across_runs(capsys):

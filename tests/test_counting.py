@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcensus import arith, counting, lattice
 from latcensus.errors import CapExceededError
@@ -136,11 +138,55 @@ def test_cocyclic_share_at_desk_scale():
     assert abs(share - limit) <= 0.02 * limit
 
 
-def test_workers_do_not_change_results():
-    for workers in (None, 1, 2, 5):
-        assert counting.count_cocyclic(2, 800, workers=workers) == counting.count_cocyclic(2, 800)
-        assert counting.count_squarefree(2, 500, workers=workers) == counting.count_squarefree(2, 500)
-        assert counting.total_count(3, 200, workers=workers) == counting.total_count(3, 200)
+FAST_ROUTE = {
+    "cyclic": counting.count_cocyclic,
+    "squarefree": counting.count_squarefree,
+    "all": counting.total_count,
+}
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(2, 6),
+    mode=st.sampled_from(sorted(FAST_ROUTE)),
+    V=st.integers(1, 2 * 10**4),
+)
+def test_dirichlet_route_matches_sieve_route(n, mode, V):
+    sieve_route = counting._multiplicative_sum(V, counting._local_factor(mode, n))
+    assert FAST_ROUTE[mode](n, V) == sieve_route
+
+
+def test_census_spot_values_at_one_million():
+    # values of the sieve route, which summed every q <= 10^6
+    assert counting.count_cocyclic(2, 10**6) == 759909706088
+    assert counting.count_squarefree(2, 10**6) == 415948408576
+    assert counting.total_count(2, 10**6) == 822468118437
+
+
+def test_cocyclic_census_at_ten_to_the_ten():
+    assert counting.count_cocyclic(2, 10**10) == 75990887739024147984
+
+
+def test_power_sum_matches_direct_sum():
+    for j in range(9):
+        for m in range(40):
+            assert counting._power_sum(j, m) == sum(i**j for i in range(1, m + 1))
+
+
+def test_census_cap_checked_before_work(monkeypatch):
+    for fn in FAST_ROUTE.values():
+        with pytest.raises(CapExceededError):
+            fn(2, 10**30)
+    assert counting.total_count(1, 10**30) == 10**30  # no floor-value work
+    monkeypatch.setattr(counting, "DEFAULT_FLOOR_VALUE_CAP", 100)
+    with pytest.raises(CapExceededError):
+        counting.total_count(3, 1000)
+
+
+def test_correction_must_vanish_at_primes():
+    # a local factor that disagrees with the total census at p breaks H(p) = 0
+    with pytest.raises(RuntimeError):
+        counting._powerful_sum(2, 100, lambda p, e: 1)
 
 
 def test_density_report():

@@ -1,8 +1,5 @@
-from fractions import Fraction
-
 import pytest
 
-from latcensus.parallel import partitioned_sum, split_range
 from latcensus.rng import SplitMix64
 
 
@@ -47,27 +44,3 @@ def test_split_streams_differ():
     assert [base.split(0).next_u64() for _ in range(1)] == a[:1]
     with pytest.raises(ValueError):
         base.split(-1)
-
-
-def test_split_range_covers_exactly():
-    for lo, hi, parts in ((1, 10, 3), (1, 10, 20), (5, 5, 4), (1, 100, 7)):
-        chunks = split_range(lo, hi, parts)
-        flat = [x for a, b in chunks for x in range(a, b + 1)]
-        assert flat == list(range(lo, hi + 1))
-    assert split_range(3, 2, 4) == []
-
-
-def test_partitioned_sum_matches_serial():
-    def rsum(a, b):
-        return sum(k * k for k in range(a, b + 1))
-
-    expected = rsum(1, 5000)
-    for workers in (None, 1, 2, 3, 8):
-        assert partitioned_sum(rsum, 1, 5000, workers=workers) == expected
-
-
-def test_partitioned_sum_fractions():
-    def rsum(a, b):
-        return sum(Fraction(1, k) for k in range(a, b + 1))
-
-    assert partitioned_sum(rsum, 1, 60, workers=4, zero=Fraction(0)) == rsum(1, 60)
