@@ -233,6 +233,28 @@ def fn_weight(n: int, d) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Bernoulli numbers (Faulhaber sums, Euler-Maclaurin zeta)
+# ---------------------------------------------------------------------------
+
+_bernoulli_memo = [Fraction(1)]
+
+
+def bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m (B_1 = -1/2) as an exact rational, from the
+    recurrence sum_{k<=m} C(m+1, k) B_k = 0 (memoized, O(m^2) operations)."""
+    if m < 0:
+        raise ValueError("bernoulli requires m >= 0")
+    memo = _bernoulli_memo
+    while len(memo) <= m:
+        j = len(memo)
+        if j > 1 and j % 2:
+            memo.append(Fraction(0))
+        else:
+            memo.append(-sum(math.comb(j + 1, k) * memo[k] for k in range(j) if memo[k]) / (j + 1))
+    return memo[m]
+
+
+# ---------------------------------------------------------------------------
 # partitions and the abelian-group counting function
 # ---------------------------------------------------------------------------
 

@@ -1,20 +1,37 @@
 """Error-bounded evaluation of the real constants used by the census.
 
 Every routine returns an :class:`ErrBoundedReal` whose interval rigorously
-contains the exact constant: partial sums and truncated Euler products are
-paired with explicit tail bounds, never heuristics.
+contains the exact constant: every truncation is paired with an explicit
+remainder bound, never a heuristic.  All evaluation runs in the package's
+private 120-bit mpmath context (see errbound).
 
-Two evaluation devices are used throughout:
+Zeta values.  ``zeta(k, tol)`` is Euler-Maclaurin summation: the terms
+j < N, the integral and half-term at N, and M Bernoulli corrections, summed
+as one exact rational, with the remainder bounded by
+2 zeta(2M+1) (2 pi)^-(2M+1) |f^(2M)(N)| for f(x) = x^-k.  (N, M) is the
+first pair, on a doubling ladder of N, whose remainder is below tol/2.  The
+only rounding is the final conversion to 120 bits (~1e-36 relative), so a
+tolerance below that raises PrecisionError.
 
-* zeta values come from a partial sum plus a midpoint-corrected integral
-  bracket of the tail, so modest term counts reach 1e-13 error even at k=2;
-* Euler products are truncated at an adaptively chosen prime cutoff after
-  one level of zeta acceleration (multiply each local factor by 1 - p^-2
-  and compensate with an explicit zeta value), which turns O(p^-2) local
-  factors into O(p^-3) ones and makes the prime tail O(cutoff^-2).
+Euler products.  ``euler_product(N, D, tol)`` takes the local factor
+f = N/D as two integer polynomials in x = 1/p with N(0) = D(0) = 1.  With
+log f = sum_m (c_m / m) x^m (integer c_m, Newton's identities), solving
+c_m = sum_{k|m} k b_k (Moebius inversion) gives integer exponents b_k such
+that f(x) = prod_{k<=K} (1 - x^k)^(-b_k) * r(x) with log r(x) = O(x^(K+1)),
+hence
 
-The cutoff ladder is capped at 1e8; a tolerance unreachable below the cap
-raises PrecisionError.
+    prod_p f(1/p) = prod_{p<=P0} f(1/p) * prod_{k=2}^K zeta_{>P0}(k)^(b_k)
+                    * prod_{p>P0} r(1/p),
+
+where zeta_{>P0}(k) = zeta(k) prod_{p<=P0} (1 - p^-k).  The products over
+p <= P0 are exact integer products.  For 0 < x <= 1/P0, |log r(x)| <= C x^(K+1):
+a Cauchy estimate bounds the coefficients of log N - log D on a disc
+|x| <= 1/q on which both polynomials stay within 1/2 of 1, and the
+harmonics beyond x^K of the extracted zeta factors are summed explicitly.
+The product over p > P0 then lies in exp([-S, S]) with S = C P0^-K / K, so
+the tail converges like P0^-K.  P0 and K follow from tol: P0 = 97 (25
+primes) while K <= 16 suffices, else 997; no sieve beyond P0 is built.  A
+tolerance the 120-bit zeta values cannot certify raises PrecisionError.
 """
 
 from __future__ import annotations
@@ -22,26 +39,19 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-from mpmath import mpf, pi as _mp_pi
 
-from .errbound import ErrBoundedReal, _EPS
+from .arith import bernoulli, shared_sieve
+from .errbound import CTX, ErrBoundedReal, _EPS
 from .errors import PrecisionError
 
 DEFAULT_TOL = 1e-10
 
-_CUTOFF_LADDER = (
-    1_000, 2_000, 5_000, 10_000, 20_000, 50_000,
-    100_000, 200_000, 500_000, 1_000_000, 2_000_000, 5_000_000,
-    10_000_000, 100_000_000,
-)
+Poly = tuple[int, ...]  # integer coefficients of 1, x, x^2, ... with x = 1/p
 
 
 def _primes_upto(limit: int) -> list[int]:
-    from .arith import shared_sieve
-
     prm = shared_sieve(limit).primes()
     return [int(p) for p in prm[prm <= limit]]
 
@@ -50,32 +60,62 @@ def _primes_upto(limit: int) -> list[int]:
 # zeta and finite/infinite products of zeta values
 # ---------------------------------------------------------------------------
 
+_PI_LOWER = Fraction(314159, 100000)
+_TWO_ZETA3_UPPER = Fraction(121, 50)  # 2 zeta(3) = 2.4041...; zeta(2M+1) <= zeta(3)
+_EM_LADDER = tuple(2**i for i in range(1, 11))
+
+
+def _euler_maclaurin_plan(k: int, target: float) -> tuple[int, int]:
+    """First (N, M) on the N ladder whose remainder bound is below target.
+
+    log10 of the bound is estimated in floats with a margin; the exact bound
+    is recomputed by the caller.  M stops growing once s + 2M > 2 pi N, where
+    the remainder starts to increase.
+    """
+    log_target = math.log(target) - 0.05
+    log_two_pi = math.log(2 * math.pi)
+    base = math.log(float(_TWO_ZETA3_UPPER)) - math.lgamma(k)
+    for N in _EM_LADDER:
+        M = 1
+        while k + 2 * M <= 2 * math.pi * N + 2:
+            log_rem = base + math.lgamma(k + 2 * M) - (2 * M + 1) * log_two_pi - (k + 2 * M) * math.log(N)
+            if log_rem <= log_target:
+                return N, M
+            M += 1
+    raise PrecisionError(f"zeta({k}) tolerance {target} beyond the Euler-Maclaurin ladder")
+
 
 @lru_cache(maxsize=None)
 def zeta(k: int, tol: float = 1e-12) -> ErrBoundedReal:
     """zeta(k) for integer k >= 2 with err <= tol.
 
-    Partial sum over j <= J plus the tail bracketed by integrals: the tail
-    T = sum_{j>J} j^-k satisfies M - d <= T <= M with
-    M = (J+1/2)^(1-k)/(k-1) and d = (k/24)(J-1/2)^(-k-1), so returning
-    partial + M - d/2 with error d/2 keeps the interval rigorous.
+    Euler-Maclaurin summation with N - 1 terms and M Bernoulli corrections:
+    zeta(k) = sum_{j<N} j^-k + N^(1-k)/(k-1) + N^-k/2
+              + sum_{i<=M} B_2i/(2i)! k(k+1)...(k+2i-2) N^(-k-2i+1) + R,
+    |R| <= 2 zeta(3) (2 pi)^-(2M+1) k(k+1)...(k+2M-1) N^(-k-2M).
     """
     if k < 2:
         raise ValueError("zeta requires k >= 2")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    J = max(2, math.ceil((k / (21.6 * tol)) ** (1.0 / (k + 1)) + 0.5))
-    partial = mpf(0)
-    for j in range(1, J + 1):
-        partial += mpf(1) / mpf(j) ** k
-    mid = mpf(2 * J + 1) / 2
-    tail_main = mid ** (1 - k) / (k - 1)
-    delta = mpf(k) / 24 * (mpf(2 * J - 1) / 2) ** (-(k + 1))
-    value = partial + tail_main - delta / 2
-    err = delta / 2 + (J + 8) * _EPS * value
-    if err > tol:
+    N, M = _euler_maclaurin_plan(k, tol / 2)
+    total = sum(Fraction(1, j**k) for j in range(2, N)) + 1
+    total += Fraction(1, (k - 1) * N ** (k - 1)) + Fraction(1, 2 * N**k)
+    rising = k  # k (k+1) ... (k+2i-2)
+    for i in range(1, M + 1):
+        total += bernoulli(2 * i) * rising / (math.factorial(2 * i) * N ** (k + 2 * i - 1))
+        rising *= (k + 2 * i - 1) * (k + 2 * i)
+    rising //= k + 2 * M  # k (k+1) ... (k+2M-1)
+    remainder = _TWO_ZETA3_UPPER * rising / ((2 * _PI_LOWER) ** (2 * M + 1) * N ** (k + 2 * M))
+    value = ErrBoundedReal(total, remainder)
+    if value.err > tol:
         raise PrecisionError(f"zeta({k}) did not reach tol={tol}")
-    return ErrBoundedReal(value, err)
+    return value
+
+
+def _power_of_ten_below(x: float) -> float:
+    """10^floor(log10 x): zeta tolerances on a coarse grid share cache entries."""
+    return 10.0 ** math.floor(math.log10(x))
 
 
 def xi(m: int, n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
@@ -84,7 +124,7 @@ def xi(m: int, n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
         raise ValueError("xi requires m >= 2")
     if n < m:
         raise ValueError("xi requires n >= m")
-    each = tol / (4 * (n - m + 1))
+    each = _power_of_ten_below(tol / (4 * (n - m + 1)))
     out = ErrBoundedReal(1, 0)
     for k in range(m, n + 1):
         out = out * zeta(k, each)
@@ -99,55 +139,183 @@ def xi_inf(m: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
         raise ValueError("xi_inf requires m >= 2")
     K = max(m + 1, math.ceil(math.log2(16.0 / tol)))
     finite = xi(m, K, tol / 4)
-    bound = mpf(2) ** (1 - K)
-    tail = ErrBoundedReal.from_interval(mpf(1), 1 + 2 * bound)  # e^x <= 1+2x, x<=1
+    bound = CTX.mpf(2) ** (1 - K)
+    tail = ErrBoundedReal.from_interval(CTX.mpf(1), 1 + 2 * bound)  # e^x <= 1+2x, x<=1
     return finite * tail
 
 
 # ---------------------------------------------------------------------------
-# generic accelerated Euler products
+# generic zeta-accelerated Euler products
 # ---------------------------------------------------------------------------
 
-
-def euler_cutoff(tail_coeff: float, tail_exp: int, tol: float) -> int:
-    """Smallest ladder cutoff P with tail_coeff * P^(1-s)/(s-1) <= tol/4."""
-    if tail_exp < 2:
-        raise ValueError("tail exponent must be >= 2")
-    for P in _CUTOFF_LADDER:
-        s_bound = tail_coeff * P ** (1 - tail_exp) / (tail_exp - 1)
-        if s_bound <= tol / 4 and tail_coeff * P ** (-tail_exp) <= 0.5:
-            return P
-    raise PrecisionError(
-        f"Euler-product tolerance {tol} unreachable below cutoff {_CUTOFF_LADDER[-1]}"
-    )
+_P0_LADDER = ((97, 16), (997, 40))  # (P0, largest K tried with it)
 
 
-def euler_product(
-    local: Callable[[int], Fraction],
-    tol: float,
-    tail_coeff: float,
-    tail_exp: int,
-) -> tuple[ErrBoundedReal, int]:
-    """prod_p local(p) with a rigorous tail interval, as (value, cutoff).
+def _poly_mul(a: Poly, b: Poly) -> Poly:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
-    Analytic premise (checked by the caller's derivation, not at runtime):
-    |local(p) - 1| <= tail_coeff * p^(-tail_exp) for every prime p beyond
-    the cutoff.  The tail of the product then lies in
-    [exp(-S - S^2), exp(S)] for S = sum_{m>P} tail_coeff * m^(-tail_exp).
+
+def _power_sums(poly: Poly, K: int) -> list[int]:
+    """[0, c_1, ..., c_K] with log poly(x) = sum_m c_m x^m / m, from Newton's
+    identities m p_m = sum_{j=1}^m c_j p_(m-j) (p_0 = 1)."""
+    p = list(poly) + [0] * K
+    c = [0] * (K + 1)
+    for m in range(1, K + 1):
+        c[m] = m * p[m] - sum(c[j] * p[m - j] for j in range(1, m))
+    return c
+
+
+@lru_cache(maxsize=None)
+def _zeta_exponents(N: Poly, D: Poly, K: int) -> tuple[int, ...]:
+    """(b_0, ..., b_K) with N/D = prod_{k<=K} (1 - x^k)^(-b_k) (1 + O(x^(K+1))).
+
+    Solves c_m = sum_{k|m} k b_k for the c_m of log(N/D), smallest m first.
     """
-    P = euler_cutoff(tail_coeff, tail_exp, tol)
-    acc = mpf(1)
-    count = 0
-    for p in _primes_upto(P):
-        f = local(p)
-        acc = acc * mpf(f.numerator) / mpf(f.denominator)
-        count += 1
-    partial = ErrBoundedReal(acc, 3 * count * _EPS * abs(acc))
-    S = mpf(tail_coeff) * mpf(P) ** (1 - tail_exp) / (tail_exp - 1)
-    S = S * (1 + mpf("1e-30"))
-    lo = 1 - (S + S * S)  # exp(-x) >= 1-x
-    hi = 1 + 2 * S  # exp(x) <= 1+2x for x <= 1
-    return partial * ErrBoundedReal.from_interval(lo, hi), P
+    c = [a - b for a, b in zip(_power_sums(N, K), _power_sums(D, K))]
+    b = [0] * (K + 1)
+    for m in range(1, K + 1):
+        rest = c[m] - sum(k * b[k] for k in range(1, m // 2 + 1) if m % k == 0)
+        if rest % m:
+            raise RuntimeError(f"zeta exponent b_{m} = {rest}/{m} is not an integer")
+        b[m] = rest // m
+    return tuple(b)
+
+
+def _abs_tail(poly: Poly, q: int) -> Fraction:
+    """sum_{i>=1} |a_i| q^-i, the largest |poly(x) - 1| on the disc |x| <= 1/q."""
+    return sum(Fraction(abs(a), q**i) for i, a in enumerate(poly) if i and a)
+
+
+@lru_cache(maxsize=None)
+def _log_disc(N: Poly, D: Poly) -> tuple[int, Fraction]:
+    """(q, M): on |x| <= 1/q both N and D stay within 1/2 of 1, so
+    |log N - log D| <= M there, and Cauchy's estimate bounds the x^m
+    coefficient of log(N/D) by M q^m."""
+    q = 2
+    while max(_abs_tail(N, q), _abs_tail(D, q)) > Fraction(1, 2):
+        q += 1
+    u, v = _abs_tail(N, q), _abs_tail(D, q)
+    return q, u / (1 - u) + v / (1 - v)  # |log(1 + w)| <= |w| / (1 - |w|)
+
+
+def _tail_bound(N: Poly, D: Poly, b: tuple[int, ...], P0: int) -> Fraction:
+    """S >= |sum_{p>P0} log r(1/p)| for the residual r left after the zeta
+    factors (1 - x^k)^(-b_k), k <= K = len(b) - 1, are taken out of N/D.
+
+    log r(x) = sum_{m>K} a_m x^m - sum_{k<=K} b_k sum_{j>K/k} x^(kj)/j, with
+    |a_m| <= M q^m; for x <= 1/P0 both sums are at most a constant times
+    x^(K+1), and sum_{p>P0} p^-(K+1) <= P0^-K / K.
+    """
+    K = len(b) - 1
+    q, M = _log_disc(N, D)
+    C = M * Fraction(q) ** (K + 1) / (1 - Fraction(q, P0))
+    for k in range(2, K + 1):
+        if b[k]:
+            j = K // k + 1
+            C += Fraction(abs(b[k]), j * P0 ** (k * j - K - 1)) / (1 - Fraction(1, P0**k))
+    return C / (K * Fraction(P0) ** K)
+
+
+def _at_prime(poly: Poly, p: int) -> int:
+    """p^deg * poly(1/p), an integer."""
+    acc = 0
+    for a in poly:
+        acc = acc * p + a
+    return acc
+
+
+def _ratio(num: int, den: int) -> ErrBoundedReal:
+    v = CTX.fdiv(num, den)  # one rounding of the exact quotient
+    return ErrBoundedReal(v, abs(v) * _EPS)
+
+
+@lru_cache(maxsize=None)
+def _explicit_product(N: Poly, D: Poly, P0: int) -> ErrBoundedReal:
+    """prod_{p<=P0} N(1/p)/D(1/p), from exact integer products."""
+    num = den = 1
+    shift = len(D) - len(N)  # p^deg N(1/p) / p^deg D(1/p) needs p^(deg D - deg N)
+    for p in _primes_upto(P0):
+        num *= _at_prime(N, p)
+        den *= _at_prime(D, p)
+        if shift > 0:
+            num *= p**shift
+        elif shift < 0:
+            den *= p**-shift
+    return _ratio(num, den)
+
+
+def euler_product(N: Poly, D: Poly, tol: float) -> tuple[ErrBoundedReal, int]:
+    """prod_p N(1/p)/D(1/p) with err <= tol, as (value, P0).
+
+    N and D are integer coefficient sequences (constant term first) with
+    N(0) = D(0) = 1 and equal x-coefficients (else the product diverges).
+    P0 is the largest prime multiplied explicitly; the rest comes from
+    zeta(2..K) and a rigorous tail bound (see the module docstring).
+    """
+    N, D = tuple(N), tuple(D)
+    if not N or not D or N[0] != 1 or D[0] != 1:
+        raise ValueError("local factor polynomials need constant term 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if _zeta_exponents(N, D, 1)[1]:
+        raise ValueError("local factor is 1 + c/p + O(p^-2) with c != 0: the product diverges")
+    for P0, k_max in _P0_LADDER:
+        if _log_disc(N, D)[0] >= P0:
+            continue
+        explicit = _explicit_product(N, D, P0)
+        # Relative budget: the zeta factors are 1 + O(P0^-2), so |value| < 2 |explicit|;
+        # the tail takes rel/2 (S <= rel/4), the zeta values rel/4.
+        rel = tol / (2 * abs(float(explicit.value)))
+        for K in range(2, k_max + 1):
+            b = _zeta_exponents(N, D, K)
+            S = _tail_bound(N, D, b, P0)
+            if S <= rel / 4:
+                break
+        else:
+            continue
+        t = _power_of_ten_below(rel / (4 * max(1, sum(map(abs, b)))))
+        value = explicit
+        for k in range(2, K + 1):
+            if b[k]:
+                removed = _explicit_product((1,) + (0,) * (k - 1) + (-1,), (1,), P0)
+                z = (zeta(k, t) * removed) ** abs(b[k])  # zeta_{>P0}(k)^|b_k|
+                value = value * z if b[k] > 0 else value / z
+        value = value * ErrBoundedReal.from_interval(1 - S, 1 + 2 * S)  # exp(+-S), S <= 1
+        if value.err > tol:
+            raise PrecisionError(f"Euler product tolerance {tol} unreachable at 120 bits")
+        return value, P0
+    raise PrecisionError(f"Euler product tolerance {tol} unreachable within P0, K <= {_P0_LADDER[-1]}")
+
+
+# ---------------------------------------------------------------------------
+# local factors N(x)/D(x), x = 1/p
+# ---------------------------------------------------------------------------
+
+# 1 + 1/(p^2 - p) = (1 - x + x^2) / (1 - x)
+THETA_FACTOR: tuple[Poly, Poly] = ((1, -1, 1), (1, -1))
+# 1 - 1/((p^2-1) p (p-1)) = 1 - x^4 / ((1 - x^2)(1 - x))
+GEKELER_CYCLIC_FACTOR: tuple[Poly, Poly] = ((1, -1, -1, 1, -1), (1, -1, -1, 1))
+# 1 - (p^3-p-1)/((p^2-1) p^2 (p-1)) = 1 - (x^2 - x^4 - x^5) / ((1 - x^2)(1 - x))
+GEKELER_SQUAREFREE_FACTOR: tuple[Poly, Poly] = ((1, -1, -2, 1, 1, 1), (1, -1, -1, 1))
+
+
+def theta_n_factor(n: int) -> tuple[Poly, Poly]:
+    """1 + (p^(n-1) - 1)/(p^(n+1) - p^n) = (1 - x + x^2 - x^(n+1)) / (1 - x)."""
+    if n < 2:
+        raise ValueError("theta_n requires n >= 2")
+    return (1, -1, 1) + (0,) * (n - 2) + (-1,), (1, -1)
+
+
+def rho_n_factor(n: int) -> tuple[Poly, Poly]:
+    """1 + (p^(n-1) - 1)/(p^(n+1) - p^(n-1)) = (1 - x^(n+1)) / (1 - x^2)."""
+    if n < 2:
+        raise ValueError("rho_n_product requires n >= 2")
+    return (1,) + (0,) * n + (-1,), (1, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,38 +334,20 @@ def theta() -> ErrBoundedReal:
 
 
 def theta_product(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
-    """theta evaluated as its Euler product prod_p (1 + 1/(p^2 - p)),
-    zeta(2)-accelerated; cross-checks the closed form."""
-    value, _ = _theta_product(tol)
-    return value
-
-
-def _theta_product(tol: float) -> tuple[ErrBoundedReal, int]:
-    def local(p: int) -> Fraction:
-        return (1 + Fraction(1, p * p - p)) * (1 - Fraction(1, p * p))
-
-    prod, P = euler_product(local, tol / 2, tail_coeff=1.0, tail_exp=3)
-    return zeta(2, tol / 8) * prod, P
+    """theta evaluated as its Euler product prod_p (1 + 1/(p^2 - p));
+    cross-checks the closed form."""
+    return euler_product(*THETA_FACTOR, tol)[0]
 
 
 def theta_n(n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Dimension-n co-cyclic density constant
     prod_p (1 + (p^(n-1) - 1)/(p^(n+1) - p^n)), with err <= tol."""
-    value, _ = _theta_n(n, tol)
-    return value
+    return _theta_n(n, tol)[0]
 
 
 @lru_cache(maxsize=None)
 def _theta_n(n: int, tol: float) -> tuple[ErrBoundedReal, int]:
-    if n < 2:
-        raise ValueError("theta_n requires n >= 2")
-
-    def local(p: int) -> Fraction:
-        pn1 = p ** (n - 1)
-        return (1 + Fraction(pn1 - 1, p * pn1 * (p - 1))) * (1 - Fraction(1, p * p))
-
-    prod, P = euler_product(local, tol / 2, tail_coeff=2.0, tail_exp=3)
-    return zeta(2, tol / 8) * prod, P
+    return euler_product(*theta_n_factor(n), tol)
 
 
 def theta_sandwich(n: int) -> tuple[ErrBoundedReal, ErrBoundedReal]:
@@ -228,7 +378,7 @@ def rho() -> ErrBoundedReal:
 @lru_cache(maxsize=None)
 def inv_zeta2() -> ErrBoundedReal:
     """6/pi^2, the density of squarefree integers."""
-    v = 6 / (_mp_pi * _mp_pi)
+    v = 6 / (CTX.pi * CTX.pi)
     return ErrBoundedReal(v, 6 * _EPS * v)
 
 
@@ -239,21 +389,12 @@ def rho_n_product(n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     This is the quantity whose ratio to rho() is exactly 1/zeta(n+1)
     (each local factor equals (1 - p^-(n+1))/(1 - p^-2)).
     """
-    value, _ = _rho_n_product(n, tol)
-    return value
+    return _rho_n_product(n, tol)[0]
 
 
 @lru_cache(maxsize=None)
 def _rho_n_product(n: int, tol: float) -> tuple[ErrBoundedReal, int]:
-    if n < 2:
-        raise ValueError("rho_n_product requires n >= 2")
-
-    def local(p: int) -> Fraction:
-        pn1 = p ** (n - 1)
-        return (1 + Fraction(pn1 - 1, pn1 * p * p - pn1)) * (1 - Fraction(1, p * p))
-
-    prod, P = euler_product(local, tol / 2, tail_coeff=1.0, tail_exp=3)
-    return zeta(2, tol / 8) * prod, P
+    return euler_product(*rho_n_factor(n), tol)
 
 
 def rho_n(n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
@@ -286,28 +427,18 @@ def gekeler_cyclic(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
 
 @lru_cache(maxsize=None)
 def _gekeler_cyclic(tol: float) -> tuple[ErrBoundedReal, int]:
-    def local(p: int) -> Fraction:
-        return 1 - Fraction(1, (p * p - 1) * p * (p - 1))
-
-    return euler_product(local, tol, tail_coeff=3.0, tail_exp=4)
+    return euler_product(*GEKELER_CYCLIC_FACTOR, tol)
 
 
 def gekeler_squarefree(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """prod_p (1 - (p^3-p-1)/((p^2-1) p^2 (p-1))) ~ 0.4401 (squarefree curve
-    group orders); local factors are 1 - O(p^-2), so the product is
-    accelerated by (1-p^-2)(1-p^-3) and compensated with zeta(2) zeta(3)."""
+    group orders)."""
     return _gekeler_squarefree(tol)[0]
 
 
 @lru_cache(maxsize=None)
 def _gekeler_squarefree(tol: float) -> tuple[ErrBoundedReal, int]:
-    def local(p: int) -> Fraction:
-        p2, p3 = p * p, p * p * p
-        raw = 1 - Fraction(p3 - p - 1, (p2 - 1) * p2 * (p - 1))
-        return raw / ((1 - Fraction(1, p2)) * (1 - Fraction(1, p3)))
-
-    prod, P = euler_product(local, tol / 2, tail_coeff=5.0, tail_exp=4)
-    return prod / (zeta(2, tol / 16) * zeta(3, tol / 16)), P
+    return euler_product(*GEKELER_SQUAREFREE_FACTOR, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +491,7 @@ def evaluate_constant(name: str, *, k=None, n=None, m=None, r=None, p=None,
     if key == "theta":
         return theta(), None
     if key == "theta-product":
-        return _theta_product(tol)
+        return euler_product(*THETA_FACTOR, tol)
     if key == "theta-n":
         _req(n is not None, "theta-n needs --n")
         return _theta_n(n, tol)

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import lattice
-from .arith import ensure_factored, euler_phi, shared_sieve
+from .arith import bernoulli, ensure_factored, euler_phi, shared_sieve
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
 
@@ -215,9 +215,7 @@ def _multiplicative_sum(V: int, local: Callable[[int, int], int]) -> int:
 def _faulhaber(j: int) -> tuple[tuple[int, ...], int]:
     """Integer coefficients a_0..a_(j+1) and denominator D such that
     sum_{i<=m} i^j == (sum_k a_k m^k) // D, from the Bernoulli numbers."""
-    bern = [Fraction(1)]
-    for m in range(1, j + 1):
-        bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    bern = [bernoulli(m) for m in range(j + 1)]
     if j >= 1:
         bern[1] = -bern[1]  # B_1 = +1/2 sums over 1..m rather than 0..m-1
     coeffs = [Fraction(0)] * (j + 2)
@@ -461,7 +459,7 @@ def counts_by_rank_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> di
 def _guard_enumeration(n: int, V: int, cap: int) -> None:
     if n < 1 or V < 1:
         raise ValueError("need n >= 1 and V >= 1")
-    total = sum(lattice.count_sublattices_upto(n, V))
+    total = total_count(n, V)  # O(V^(3/4)) under its own cap; no (V+1)-entry table
     if total > cap:
         raise CapExceededError(f"enumerating {total} lattices exceeds cap {cap}")
 

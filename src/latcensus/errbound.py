@@ -10,17 +10,23 @@ floating operation.  The backing float is an mpmath ``mpf`` at 120 bits of
 significand, so the per-operation rounding slack (~1e-36 relative) is far
 below every tolerance used in practice, but it is tracked anyway to keep
 the interval contract honest.
+
+All evaluation runs in the private mpmath context ``CTX``: the package
+neither reads nor writes the caller's global ``mpmath.mp`` precision, so a
+caller lowering ``mp.prec`` cannot make a bound unsound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import mp, mpf, exp as _mp_exp, log as _mp_log
+from mpmath import MPContext
 
 # Working precision for all error-bounded evaluation in the package.
 PRECISION_BITS = 120
-mp.prec = PRECISION_BITS
+CTX = MPContext()
+CTX.prec = PRECISION_BITS
+mpf = CTX.mpf
 
 # Conservative relative rounding slack per basic operation (2 ulp).
 _EPS = mpf(2) ** (1 - PRECISION_BITS)
@@ -32,6 +38,9 @@ def _to_mpf(x) -> tuple[mpf, mpf]:
     """Convert x to (mpf value, conversion error bound)."""
     if isinstance(x, mpf_type):
         return x, mpf(0)
+    if hasattr(x, "_mpf_"):  # an mpf of another context, at any precision
+        v = mpf(x)
+        return v, abs(v) * _EPS
     if isinstance(x, int):
         v = mpf(x)
         if x.bit_length() <= PRECISION_BITS:
@@ -39,7 +48,7 @@ def _to_mpf(x) -> tuple[mpf, mpf]:
         return v, abs(v) * _EPS
     if isinstance(x, Fraction):
         num, den = x.numerator, x.denominator
-        v = mpf(num) / mpf(den)
+        v = CTX.fdiv(num, den)  # one rounding of the exact quotient
         exact = (
             num.bit_length() <= PRECISION_BITS
             and den.bit_length() <= PRECISION_BITS
@@ -177,15 +186,15 @@ class ErrBoundedReal:
         return out
 
     def exp(self) -> "ErrBoundedReal":
-        v = _mp_exp(self.value)
+        v = CTX.exp(self.value)
         # exp is increasing and convex: worst deviation is at the upper end
-        e = _mp_exp(self.value + self.err) - v + abs(v) * _TRANS_EPS
+        e = CTX.exp(self.value + self.err) - v + abs(v) * _TRANS_EPS
         return ErrBoundedReal(v, e)
 
     def log(self) -> "ErrBoundedReal":
         if self.lower <= 0:
             raise ValueError("log of an interval touching zero")
-        v = _mp_log(self.value)
+        v = CTX.log(self.value)
         # |log'| <= 1/(value - err) on the interval
         e = self.err / (self.value - self.err) + (abs(v) + 1) * _TRANS_EPS
         return ErrBoundedReal(v, e)
@@ -201,9 +210,9 @@ class ErrBoundedReal:
         return self.lower > o.upper
 
     def __repr__(self) -> str:
-        return f"ErrBoundedReal({mp.nstr(self.value, 20)} +/- {mp.nstr(self.err, 3)})"
+        return f"ErrBoundedReal({CTX.nstr(self.value, 20)} +/- {CTX.nstr(self.err, 3)})"
 
 
 def format_errbounded(v: ErrBoundedReal, digits: int = 21) -> dict:
     """Stable JSON-ready rendering {value, err} as decimal strings."""
-    return {"value": mp.nstr(v.value, digits), "err": mp.nstr(v.err, 4)}
+    return {"value": CTX.nstr(v.value, digits), "err": CTX.nstr(v.err, 4)}

@@ -604,21 +604,30 @@ def delta_rank_at_most(r: int, tol: float = 1e-10) -> ErrBoundedReal:
 def _delta_rank_at_most(r: int, tol: float) -> tuple[ErrBoundedReal, int]:
     from .constants import euler_product, xi_inf
 
+    prod, P = euler_product(*delta_rank_factor(r), tol / 2)
+    return prod / xi_inf(2, tol / 8), P
+
+
+def delta_rank_factor(r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Local factor sum_{k<=r} P(p, k) = (1 - x) sum_{k<=r} x^(k^2) /
+    prod_{i<=k} (1 - x^i)^2 with x = 1/p, as integer polynomials (N, D)
+    over the common denominator D = prod_{i<=r} (1 - x^i)^2."""
+    from .constants import _poly_mul
+
     if r < 1:
         raise ValueError("r must be >= 1")
-
-    def local(p: int) -> Fraction:
-        one_minus = 1 - Fraction(1, p)
-        s = Fraction(0)
-        for k in range(r + 1):
-            denom = Fraction(1)
-            for i in range(1, k + 1):
-                denom *= (1 - Fraction(1, p**i)) ** 2
-            s += Fraction(1, p ** (k * k)) * one_minus / denom
-        return s * (1 - Fraction(1, p * p)) * (1 - Fraction(1, p**3))
-
-    prod, P = euler_product(local, tol / 2, tail_coeff=13.0, tail_exp=4)
-    return prod / xi_inf(4, tol / 8), P
+    squares = [_poly_mul(f, f) for f in ((1,) + (0,) * (i - 1) + (-1,) for i in range(1, r + 1))]
+    num = [0] * (1 + r * (r + 1))
+    for k in range(r + 1):
+        term = (0,) * (k * k) + (1,)
+        for sq in squares[k:]:
+            term = _poly_mul(term, sq)
+        for i, a in enumerate(term):
+            num[i] += a
+    den = (1,)
+    for sq in squares:
+        den = _poly_mul(den, sq)
+    return _poly_mul(tuple(num), (1, -1)), den
 
 
 def delta_rank_at_least_bound(r: int) -> ErrBoundedReal:

@@ -34,14 +34,23 @@ class SplitMix64:
         return _mix64(self._state)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection (exactly uniform)."""
+        """Uniform integer in [0, n), by rejection (exactly uniform).
+
+        A candidate is the w = ceil(log2(n) / 64) next words, the first
+        drawn most significant, so n <= 2^64 draws one word per candidate.
+        A candidate is accepted with probability at least 1/2.
+        """
         if n <= 0:
             raise ValueError("randbelow requires n >= 1")
         if n == 1:
             return 0
-        limit = _MASK + 1 - (_MASK + 1) % n
+        words = ((n - 1).bit_length() + 63) // 64
+        span = 1 << (64 * words)
+        limit = span - span % n
         while True:
-            u = self.next_u64()
+            u = 0
+            for _ in range(words):
+                u = (u << 64) | self.next_u64()
             if u < limit:
                 return u % n
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from mpmath import gammainc
 
 from . import arith, constants, counting, groups, lattice
-from .errbound import ErrBoundedReal
+from .errbound import CTX, ErrBoundedReal, _EPS
 from .rng import SplitMix64
 
 
@@ -186,6 +186,45 @@ def check_theta_product_agreement():
     product = constants.theta_product(1e-10)
     if not closed.overlaps(product):
         _fail("constants.theta-product-agreement", f"{closed} vs {product}")
+
+
+def _plain_euler_product(num, den, primes, P: int) -> ErrBoundedReal:
+    """prod_{p<=P} num(1/p)/den(1/p), one exact ratio per prime, times the
+    tail exp([-S, S]): for x <= 1/P, |num/den - 1| <= C x^2 with
+    C = sum_{i>=2} |num_i - den_i| P^(2-i) / (1 - sum_{i>=1} |den_i| P^-i),
+    so |log f(1/p)| <= 2 C p^-2 and S = 2 C / P."""
+    L = max(len(num), len(den))
+    num, den = tuple(num) + (0,) * (L - len(num)), tuple(den) + (0,) * (L - len(den))
+    acc = CTX.mpf(1)
+    for p in primes:
+        top = sum(a * p ** (L - 1 - i) for i, a in enumerate(num))
+        bottom = sum(a * p ** (L - 1 - i) for i, a in enumerate(den))
+        acc *= CTX.fdiv(top, bottom)  # two roundings per prime
+    partial = ErrBoundedReal(acc, 2 * len(primes) * _EPS * abs(acc))
+    diff = sum(Fraction(abs(a - b), P ** (i - 2)) for i, (a, b) in enumerate(zip(num, den)) if i >= 2)
+    floor = 1 - sum(Fraction(abs(a), P**i) for i, a in enumerate(den) if i >= 1)
+    S = 2 * diff / floor / P
+    return partial * ErrBoundedReal.from_interval(1 - S, 1 + 2 * S)
+
+
+def check_accelerated_vs_plain(P: int = 10**4):
+    """Each zeta-accelerated Euler product overlaps the plain product over
+    primes <= P with its O(1/P) tail interval: the second route for the
+    constants without a closed form (gekeler-*, delta-rank-le)."""
+    factors = [
+        ("theta-product", constants.THETA_FACTOR),
+        ("gekeler-cyclic", constants.GEKELER_CYCLIC_FACTOR),
+        ("gekeler-squarefree", constants.GEKELER_SQUAREFREE_FACTOR),
+    ]
+    factors += [(f"theta-n n={n}", constants.theta_n_factor(n)) for n in range(2, 17)]
+    factors += [(f"rho-n-product n={n}", constants.rho_n_factor(n)) for n in range(2, 17)]
+    factors += [(f"delta-rank-le r={r}", groups.delta_rank_factor(r)) for r in range(1, 5)]
+    primes = [int(p) for p in arith.shared_sieve(P).primes() if p <= P]
+    for label, (num, den) in factors:
+        fast, _ = constants.euler_product(num, den, 1e-20)
+        plain = _plain_euler_product(num, den, primes, P)
+        if not fast.overlaps(plain):
+            _fail("constants.accelerated-vs-plain", f"{label}: {fast} vs {plain}")
 
 
 def check_paper_value_windows():
@@ -678,6 +717,7 @@ CHECKS: dict[str, tuple[str, object]] = {
     "constants.theta-sandwich": ("constants", check_theta_sandwich),
     "constants.product-ratio-identity": ("constants", check_product_ratio_identity),
     "constants.theta-product-agreement": ("constants", check_theta_product_agreement),
+    "constants.accelerated-vs-plain": ("constants", check_accelerated_vs_plain),
     "constants.paper-value-windows": ("constants", check_paper_value_windows),
     "groups.aut-formula-vs-bruteforce": ("groups", check_aut_formula_vs_bruteforce),
     "groups.aut-qm": ("groups", check_aut_qm),

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -210,6 +211,24 @@ def test_count_huge_v_hits_cap_quickly(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "2", "--V", str(10**30))
     assert code == 2 and "cap" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_bruteforce_cap_checked_without_a_table(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "count", "--n", "2", "--V", "1000000", "--method", "bruteforce")
+    assert code == 2 and "cap" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sample_index_above_two_to_the_64(capsys):
+    q = 10**20
+    code, out, _ = run_cli(capsys, "sample", "--n", "2", "--q", str(q), "--seed", "4", "--count", "3")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        (a, b), (z, c) = json.loads(line)["rows"]
+        assert z == 0 and a * c == q and 0 <= b < c and math.gcd(a, b, c) == 1
 
 
 def test_determinism_across_runs(capsys):

@@ -1,8 +1,11 @@
 import math
+import time
+from fractions import Fraction
 
+import mpmath
 import pytest
 
-from latcensus import arith, constants
+from latcensus import arith, constants, groups
 from latcensus.errors import PrecisionError
 
 PI = 3.14159265358979323846
@@ -155,8 +158,148 @@ def test_refinement_nesting():
 
 
 def test_unreachable_tolerance_raises():
+    # 120-bit rounding alone is ~1e-36 relative: 1e-40 cannot be certified
     with pytest.raises(PrecisionError):
-        constants.euler_cutoff(1.0, 2, 1e-12)  # O(1/P) tail cannot reach 1e-12
+        constants.zeta(2, 1e-40)
+    with pytest.raises(PrecisionError):
+        constants.theta_n(3, 1e-40)
+    with pytest.raises(PrecisionError):
+        constants.gekeler_cyclic(1e-40)
+
+
+def test_euler_product_rejects_bad_local_factors():
+    with pytest.raises(ValueError):
+        constants.euler_product((2, 1), (1,), 1e-10)  # N(0) != 1
+    with pytest.raises(ValueError):
+        constants.euler_product((1, 1), (1,), 1e-10)  # 1 + 1/p: diverges
+
+
+def test_zeta_exponents_are_derived():
+    # theta's local factor is exactly zeta(2) zeta(3) / zeta(6)
+    b = constants._zeta_exponents(*constants.THETA_FACTOR, 12)
+    assert b == (0, 0, 1, 1, 0, 0, -1, 0, 0, 0, 0, 0, 0)
+    # rho_n: (1 - x^(n+1)) / (1 - x^2) = zeta(2) / zeta(n+1)
+    b = constants._zeta_exponents(*constants.rho_n_factor(5), 8)
+    assert b == (0, 0, 1, 0, 0, 0, -1, 0, 0)
+
+
+# --- independent 300-bit references (private mpmath context) -------------
+
+REF = mpmath.MPContext()
+REF.prec = 300
+_REF_PRIMES = [p for p in range(2, 101) if all(p % d for d in range(2, p))]
+
+
+def _series_mul(a, b, terms):
+    out = [0] * terms
+    for i, x in enumerate(a[:terms]):
+        if x:
+            for j, y in enumerate(b[: terms - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _log_series(num, den, terms):
+    """Coefficients of log(num/den) up to x^(terms-1), as Fractions, through
+    log(1 + u) = sum_j (-1)^(j+1) u^j / j."""
+    inv = [Fraction(0)] * terms  # 1/den as a power series
+    inv[0] = Fraction(1)
+    for m in range(1, terms):
+        inv[m] = -sum(den[i] * inv[m - i] for i in range(1, min(m, len(den) - 1) + 1))
+    u = _series_mul(list(num), inv, terms)
+    u[0] -= 1
+    out = [Fraction(0)] * terms
+    power = [Fraction(1)] + [Fraction(0)] * (terms - 1)
+    for j in range(1, terms):
+        power = _series_mul(power, u, terms)
+        if not any(power):
+            break
+        for m, c in enumerate(power):
+            out[m] += Fraction((-1) ** (j + 1), j) * c
+    return out
+
+
+def _euler_reference(num, den, terms=48):
+    """prod_p num(1/p)/den(1/p): primes <= 100 directly, the rest through
+    sum_m a_m (primezeta(m) - sum_{p<=100} p^-m)."""
+    coeffs = _log_series(num, den, terms)
+    assert abs(coeffs[-1]) * 101.0 ** -(terms - 1) < 1e-60  # truncation negligible
+    total = REF.mpf(0)
+    for p in _REF_PRIMES:
+        x = REF.mpf(1) / p
+        total += REF.log(REF.polyval(list(num)[::-1], x) / REF.polyval(list(den)[::-1], x))
+    for m in range(2, terms):
+        if coeffs[m]:
+            tail = REF.primezeta(m) - REF.fsum(REF.mpf(p) ** -m for p in _REF_PRIMES)
+            total += REF.mpf(coeffs[m].numerator) / coeffs[m].denominator * tail
+    return REF.exp(total)
+
+
+def _holds(val, ref):
+    value = REF.mpf(val.value)
+    return abs(value - ref) <= REF.mpf(val.err)
+
+
+def test_euler_maclaurin_zeta_against_mpmath():
+    for k in range(2, 41):
+        z = constants.zeta(k, 1e-30)
+        assert z.err <= 1e-30
+        assert _holds(z, REF.zeta(k)), k
+
+
+def test_euler_products_at_1e30_hold_references():
+    z = REF.zeta
+    closed = [(constants.theta_product(1e-30), z(2) * z(3) / z(6))]
+    closed += [(constants.rho_n_product(n, 1e-30), z(2) / z(n + 1)) for n in range(2, 17)]
+    for val, ref in closed:
+        assert val.err <= 1e-30 and _holds(val, ref)
+    series = [(constants.theta_n(n, 1e-30), constants.theta_n_factor(n)) for n in range(2, 17)]
+    series += [
+        (constants.gekeler_cyclic(1e-30), constants.GEKELER_CYCLIC_FACTOR),
+        (constants.gekeler_squarefree(1e-30), constants.GEKELER_SQUAREFREE_FACTOR),
+    ]
+    for val, (num, den) in series:
+        assert val.err <= 1e-30 and _holds(val, _euler_reference(num, den)), (num, den)
+    xi2 = REF.fprod(z(k) for k in range(2, 400))
+    for r in range(1, 5):
+        val = groups.delta_rank_at_most(r, 1e-30)
+        ref = _euler_reference(*groups.delta_rank_factor(r)) / xi2
+        assert val.err <= 1e-30 and _holds(val, ref), r
+
+
+def test_refinement_nests_from_1e8_to_1e30():
+    tols = (1e-8, 1e-12, 1e-16, 1e-20, 1e-25, 1e-30)
+    routes = [
+        lambda t: constants.zeta(2, t),
+        constants.theta_product,
+        lambda t: constants.theta_n(3, t),
+        lambda t: constants.rho_n_product(7, t),
+        constants.gekeler_cyclic,
+        constants.gekeler_squarefree,
+        lambda t: groups.delta_rank_at_most(2, t),
+    ]
+    for route in routes:
+        vals = [route(t) for t in tols]
+        for coarse, fine in zip(vals, vals[1:]):
+            assert coarse.lower <= fine.lower and fine.upper <= coarse.upper, (coarse, fine)
+
+
+def test_named_constants_fast_at_1e30():
+    # lazy tables (Bernoulli numbers, exponents, small-prime products) warm
+    for r in range(1, 5):
+        groups.delta_rank_at_most(r, 1e-30)
+    constants.theta_n(16, 1e-30)
+    cases = [
+        ("theta-product", {}), ("theta-n", {"n": 9}), ("rho-n", {"n": 9}),
+        ("rho-n-product", {"n": 9}), ("gekeler-cyclic", {}),
+        ("gekeler-squarefree", {}), ("delta-rank-le", {"r": 3}),
+    ]
+    for name, args in cases:
+        start = time.perf_counter()
+        val, cutoff = constants.evaluate_constant(name, tol=3e-31, **args)
+        elapsed = time.perf_counter() - start
+        assert val.err <= 3e-31 and cutoff is not None
+        assert elapsed < 0.5, (name, elapsed)  # about 10 ms on a 2-core VM
 
 
 def test_prime_log_weight_sum_value():

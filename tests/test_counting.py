@@ -210,6 +210,18 @@ def test_density_report_validation():
         counting.DensityReport(2, 4, count_cocyclic=3, count_squarefree=5, count_total=10)
 
 
+def test_enumeration_guard_counts_like_the_table():
+    for n in range(1, 5):
+        prefix = 0
+        for V, c in enumerate(lattice.count_sublattices_upto(n, 200)[1:], start=1):
+            prefix += c
+            assert counting.total_count(n, V) == prefix, (n, V)
+    total = counting.total_count(3, 200)
+    counting._guard_enumeration(3, 200, total)
+    with pytest.raises(CapExceededError):
+        counting._guard_enumeration(3, 200, total - 1)
+
+
 def test_census_oracles_squarefree_and_total():
     assert counting.census_total_bruteforce(2, 10) == counting.total_count(2, 10)
     direct = counting.count_squarefree(2, 20)

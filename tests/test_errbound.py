@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from latcensus.errbound import ErrBoundedReal, format_errbounded
@@ -83,3 +87,28 @@ def test_format_errbounded_is_stable():
     doc = format_errbounded(x)
     assert set(doc) == {"value", "err"}
     assert doc == format_errbounded(ErrBoundedReal("1.25", "0.5"))
+
+
+def test_bounds_ignore_the_callers_mpmath_precision():
+    from latcensus import constants
+
+    ref = mpmath.MPContext()
+    ref.prec = 200
+    saved = mpmath.mp.prec
+    mpmath.mp.prec = 20
+    try:
+        z = constants.zeta.__wrapped__(3, 1e-12)  # fresh, not from the cache
+        assert mpmath.mp.prec == 20
+    finally:
+        mpmath.mp.prec = saved
+    assert z.err <= 1e-12
+    assert abs(ref.mpf(z.value) - ref.zeta(3)) <= ref.mpf(z.err)
+    assert ErrBoundedReal(mpmath.mpf("0.1")).contains(mpmath.mpf("0.1"))
+
+
+def test_import_leaves_global_precision_alone():
+    code = "import mpmath; mpmath.mp.prec = 77; import latcensus; print(mpmath.mp.prec)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "77"

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -209,3 +210,11 @@ def test_json_round_trip():
     assert json.loads(doc) == {"n": 3, "rows": [[1, 1, 0], [0, 2, 1], [0, 0, 3]]}
     with pytest.raises(ValueError):
         lattice.HnfBasis.from_json('{"n": 2, "rows": [[1, 0], [1, 2]]}')
+
+
+def test_sampler_index_above_two_to_the_64():
+    q = 10**20
+    start = time.perf_counter()
+    basis = lattice.sample_cocyclic(2, q, 1)
+    assert time.perf_counter() - start < 1.0
+    assert basis.index == q and lattice.is_cocyclic(basis)

@@ -25,6 +25,27 @@ def test_randbelow_range_and_determinism():
         SplitMix64(1).randbelow(0)
 
 
+def test_randbelow_streams_pinned():
+    # draws recorded before multi-word sampling: n <= 2^64 keeps its stream
+    rng = SplitMix64(2026)
+    got = [rng.randbelow(n) for n in (12, 10**6, 2**61 - 1, 2**64 - 59, 2**64, 3)]
+    assert got == [7, 214301, 781126551686264979, 7097835237234771186, 14602530494585831241, 0]
+
+
+def test_randbelow_above_two_to_the_64():
+    rng = SplitMix64(5)
+    n = 10**20
+    vals = [rng.randbelow(n) for _ in range(200)]
+    assert all(0 <= v < n for v in vals)
+    assert max(vals) > n // 2 and min(vals) < n // 2  # both halves are reached
+    # two words per candidate, most significant first
+    words = SplitMix64(5)
+    first = (words.next_u64() << 64) | words.next_u64()
+    assert first < 2**128 - 2**128 % n  # accepted at once
+    assert vals[0] == first % n
+    assert SplitMix64(3).randbelow(2**200) < 2**200
+
+
 def test_randbelow_roughly_uniform():
     rng = SplitMix64(123)
     n, draws = 10, 20000
