@@ -68,9 +68,9 @@ _EM_LADDER = tuple(2**i for i in range(1, 11))
 def _euler_maclaurin_plan(k: int, target: float) -> tuple[int, int]:
     """First (N, M) on the N ladder whose remainder bound is below target.
 
-    log10 of the bound is estimated in floats with a margin; the exact bound
-    is recomputed by the caller.  M stops growing once s + 2M > 2 pi N, where
-    the remainder starts to increase.
+    The log of the bound is estimated in floats, with a margin; zeta()
+    computes the bound exactly.  For each N, M grows only while
+    k + 2M <= 2 pi N + 2: beyond that the bound grows with M.
     """
     log_target = math.log(target) - 0.05
     log_two_pi = math.log(2 * math.pi)
@@ -472,7 +472,8 @@ def prime_log_weight_sum(tol: float = 2e-5) -> ErrBoundedReal:
 
 def evaluate_constant(name: str, *, k=None, n=None, m=None, r=None, p=None,
                       tol: float = DEFAULT_TOL):
-    """Evaluate a named constant; returns (ErrBoundedReal, prime_cutoff|None).
+    """Evaluate a named constant; returns (ErrBoundedReal, prime_cutoff|None),
+    where prime_cutoff is P0 of an Euler product (see euler_product).
 
     Names accept '-' or '_' interchangeably.  Unknown names raise KeyError.
     """

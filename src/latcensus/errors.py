@@ -6,7 +6,8 @@ class CapExceededError(RuntimeError):
 
 
 class PrecisionError(RuntimeError):
-    """A requested tolerance is unreachable within the cutoff policy."""
+    """A requested tolerance cannot be certified: beyond the truncation
+    limits or below what 120-bit arithmetic can bound."""
 
 
 class SingularMatrixError(ValueError):
