@@ -7,7 +7,9 @@ in the explicitly error-bounded large-argument paths of `landau_sum` /
 
 The factorization workhorse is a smallest-prime-factor sieve (32-bit
 entries, O(limit) memory, O(log k) factorization per query).  The sieve is
-immutable once built and safe for unsynchronized concurrent reads.
+immutable once built and safe for unsynchronized concurrent reads.  Its
+limit is checked against SIEVE_CAP before anything is allocated; a larger
+request raises CapExceededError.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errbound import ErrBoundedReal
+from .errors import CapExceededError
 
 DEFAULT_SIEVE_LIMIT = 10**7
+# Largest sieve limit: 80 MB of int32 entries, above the largest in-package
+# use (1.6e7 primes for prime_log_weight_sum at its tightest tolerance).
+SIEVE_CAP = 2 * 10**7
 
 # Euler-Mascheroni constant to 20 digits (standard references); the stored
 # truncation error is below 1e-19.
@@ -52,8 +58,8 @@ class SieveTable:
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("sieve limit must be >= 2")
-        if limit >= 2**31:
-            raise ValueError("sieve entries are 32-bit; limit must be < 2^31")
+        if limit > SIEVE_CAP:
+            raise CapExceededError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
         self.limit = limit
         spf = np.zeros(limit + 1, dtype=np.int32)
         for i in range(2, math.isqrt(limit) + 1):
@@ -99,10 +105,11 @@ _shared: Optional[SieveTable] = None
 
 
 def shared_sieve(limit: int) -> SieveTable:
-    """Process-wide sieve cache, grown geometrically on demand."""
+    """Process-wide sieve cache, grown geometrically (up to SIEVE_CAP) on
+    demand; a limit above SIEVE_CAP raises CapExceededError."""
     global _shared
     if _shared is None or _shared.limit < limit:
-        grown = 2 if _shared is None else min(2 * _shared.limit, 2**31 - 1)
+        grown = 2 if _shared is None else min(2 * _shared.limit, SIEVE_CAP)
         _shared = SieveTable(max(limit, grown))
     return _shared
 

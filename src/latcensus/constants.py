@@ -42,7 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import bernoulli, shared_sieve
+from . import groups
+from .arith import EULER_MASCHERONI, bernoulli, shared_sieve
 from .errbound import CTX, ErrBoundedReal, _EPS
 from .errors import PrecisionError
 
@@ -324,12 +325,12 @@ def rho_n_factor(n: int) -> tuple[Poly, Poly]:
 
 
 @lru_cache(maxsize=None)
-def theta() -> ErrBoundedReal:
+def theta(tol: float = 1e-12) -> ErrBoundedReal:
     """zeta(2) zeta(3) / zeta(6) = 1.9435964..., the limit of theta_n.
 
-    Computed from the closed form, not the Euler product; err <= 1e-12.
+    Computed from the closed form, not the Euler product; err <= tol.
     """
-    t = 2e-13
+    t = tol / 5
     return zeta(2, t) * zeta(3, t) / zeta(6, t)
 
 
@@ -370,9 +371,9 @@ def theta_sandwich(n: int) -> tuple[ErrBoundedReal, ErrBoundedReal]:
 
 
 @lru_cache(maxsize=None)
-def rho() -> ErrBoundedReal:
-    """prod_p (1 + 1/(p^2 - 1)) = zeta(2), by the closed form."""
-    return zeta(2, 2e-13)
+def rho(tol: float = 1e-12) -> ErrBoundedReal:
+    """prod_p (1 + 1/(p^2 - 1)) = zeta(2), by the closed form; err <= tol."""
+    return zeta(2, tol / 5)
 
 
 @lru_cache(maxsize=None)
@@ -400,19 +401,24 @@ def _rho_n_product(n: int, tol: float) -> tuple[ErrBoundedReal, int]:
 def rho_n(n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Dimension-n squarefree-index density constant
     (6/pi^2) * prod_p (1 + (p^(n-1)-1)/(p^(n+1)-p^(n-1)))."""
-    return inv_zeta2() * rho_n_product(n, tol / 2)
+    return _rho_n(n, tol)[0]
+
+
+def _rho_n(n: int, tol: float) -> tuple[ErrBoundedReal, int]:
+    val, P = _rho_n_product(n, tol / 2)
+    return inv_zeta2() * val, P
 
 
 @lru_cache(maxsize=None)
-def density_cocyclic_limit() -> ErrBoundedReal:
+def density_cocyclic_limit(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Large-n limit of the co-cyclic density: 1/(zeta(6) Xi_4) ~ 0.8469."""
-    return 1 / (zeta(6, 1e-12) * xi_inf(4, 1e-11))
+    return 1 / (zeta(6, tol / 100) * xi_inf(4, _power_of_ten_below(tol / 5)))
 
 
 @lru_cache(maxsize=None)
-def density_squarefree_limit() -> ErrBoundedReal:
+def density_squarefree_limit(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """The squarefree-index limit constant 1/Xi_3 ~ 0.7168."""
-    return 1 / xi_inf(3, 1e-11)
+    return 1 / xi_inf(3, _power_of_ten_below(tol / 5))
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +452,27 @@ def _gekeler_squarefree(tol: float) -> tuple[ErrBoundedReal, int]:
 # ---------------------------------------------------------------------------
 
 
+_PRIME_SUM_CUTOFFS = (10**6, 2 * 10**6, 4 * 10**6, 8 * 10**6, 16 * 10**6)
+
+
+def _prime_sum_tail(P: int) -> float:
+    return 1.25 * (math.log(P) + 1) / P
+
+
 @lru_cache(maxsize=None)
 def prime_log_weight_sum(tol: float = 2e-5) -> ErrBoundedReal:
     """sum_p log p / (p^2 - p + 1), with the tail over p > P bounded by
     sum_{m>P} 1.25 log m / m^2 <= 1.25 (log P + 1)/P."""
-    P = None
-    for cand in (10**6, 2 * 10**6, 4 * 10**6, 8 * 10**6, 16 * 10**6):
-        if 1.25 * (math.log(cand) + 1) / cand <= tol / 2:
-            P = cand
-            break
+    P = next((c for c in _PRIME_SUM_CUTOFFS if _prime_sum_tail(c) <= tol / 2), None)
     if P is None:
-        raise PrecisionError(f"prime_log_weight_sum tolerance {tol} unreachable")
+        reachable = 2 * _prime_sum_tail(_PRIME_SUM_CUTOFFS[-1])
+        raise PrecisionError(
+            f"prime_log_weight_sum tolerance {tol} unreachable; the smallest reachable is {reachable:.2g}"
+        )
     primes = np.asarray(_primes_upto(P), dtype=np.float64)
     terms = np.log(primes) / (primes * primes - primes + 1)
     value = math.fsum(terms)
-    tail = 1.25 * (math.log(P) + 1) / P
+    tail = _prime_sum_tail(P)
     float_slack = 4 * 2.0**-52 * value
     return ErrBoundedReal.from_interval(value - float_slack, value + tail + float_slack)
 
@@ -469,81 +481,54 @@ def prime_log_weight_sum(tol: float = 2e-5) -> ErrBoundedReal:
 # named-constant registry (CLI surface)
 # ---------------------------------------------------------------------------
 
+# name -> (required parameters, evaluator(*parameters, tol) -> (value, P0 or None)).
+# Fixed-precision names cap tol at the precision their plain functions use by
+# default, so the default-tol output is unchanged; every name may be asked
+# for less, and evaluate_constant checks the reached err against tol.
+_EVALUATORS = {
+    "zeta": (("k",), lambda k, tol: (zeta(k, min(tol, 1e-12)), None)),
+    "xi": (("m", "n"), lambda m, n, tol: (xi(m, n, tol), None)),
+    "xi-inf": (("m",), lambda m, tol: (xi_inf(m, tol), None)),
+    "theta": ((), lambda tol: (theta(min(tol, 1e-12)), None)),
+    "theta-product": ((), lambda tol: euler_product(*THETA_FACTOR, tol)),
+    "theta-n": (("n",), _theta_n),
+    "rho": ((), lambda tol: (rho(min(tol, 1e-12)), None)),
+    "rho-n": (("n",), _rho_n),
+    "rho-n-product": (("n",), _rho_n_product),
+    "density-cocyclic": ((), lambda tol: (density_cocyclic_limit(min(tol, DEFAULT_TOL)), None)),
+    "density-squarefree": ((), lambda tol: (density_squarefree_limit(min(tol, DEFAULT_TOL)), None)),
+    "gekeler-cyclic": ((), _gekeler_cyclic),
+    "gekeler-squarefree": ((), _gekeler_squarefree),
+    "gamma": ((), lambda tol: (EULER_MASCHERONI, None)),
+    "landau-prime-sum": ((), lambda tol: (prime_log_weight_sum(tol), None)),
+    "uniform-cyclic": ((), lambda tol: (groups.uniform_density_cyclic(min(tol, DEFAULT_TOL)), None)),
+    "uniform-squarefree": (
+        (), lambda tol: (groups.uniform_density_squarefree(min(tol, DEFAULT_TOL)), None)),
+    "rank-prob": (("p", "r"), lambda p, r, tol: (groups.rank_prob(p, r, tol), None)),
+    "delta-rank-le": (("r",), lambda r, tol: groups._delta_rank_at_most(r, tol)),
+    "delta-rank-ge-bound": (("r",), lambda r, tol: (groups.delta_rank_at_least_bound(r), None)),
+}
+
+CONSTANT_NAMES = tuple(_EVALUATORS)
+
 
 def evaluate_constant(name: str, *, k=None, n=None, m=None, r=None, p=None,
                       tol: float = DEFAULT_TOL):
     """Evaluate a named constant; returns (ErrBoundedReal, prime_cutoff|None),
     where prime_cutoff is P0 of an Euler product (see euler_product).
 
-    Names accept '-' or '_' interchangeably.  Unknown names raise KeyError.
+    Names accept '-' or '_' interchangeably.  Unknown names raise KeyError,
+    a missing parameter ValueError, and a result whose err exceeds tol
+    PrecisionError naming the err that was reached.
     """
-    from . import groups  # deferred: groups imports this module
-
     key = name.replace("_", "-")
-    if key == "zeta":
-        _req(k is not None, "zeta needs --k")
-        return zeta(k, min(tol, 1e-12)), None
-    if key == "xi":
-        _req(m is not None and n is not None, "xi needs --m and --n")
-        return xi(m, n, tol), None
-    if key == "xi-inf":
-        _req(m is not None, "xi-inf needs --m")
-        return xi_inf(m, tol), None
-    if key == "theta":
-        return theta(), None
-    if key == "theta-product":
-        return euler_product(*THETA_FACTOR, tol)
-    if key == "theta-n":
-        _req(n is not None, "theta-n needs --n")
-        return _theta_n(n, tol)
-    if key == "rho":
-        return rho(), None
-    if key == "rho-n":
-        _req(n is not None, "rho-n needs --n")
-        val, P = _rho_n_product(n, tol / 2)
-        return inv_zeta2() * val, P
-    if key == "rho-n-product":
-        _req(n is not None, "rho-n-product needs --n")
-        return _rho_n_product(n, tol)
-    if key == "density-cocyclic":
-        return density_cocyclic_limit(), None
-    if key == "density-squarefree":
-        return density_squarefree_limit(), None
-    if key == "gekeler-cyclic":
-        return _gekeler_cyclic(tol)
-    if key == "gekeler-squarefree":
-        return _gekeler_squarefree(tol)
-    if key == "gamma":
-        from .arith import EULER_MASCHERONI
-
-        return EULER_MASCHERONI, None
-    if key == "landau-prime-sum":
-        return prime_log_weight_sum(), None
-    if key == "uniform-cyclic":
-        return groups.uniform_density_cyclic(), None
-    if key == "uniform-squarefree":
-        return groups.uniform_density_squarefree(), None
-    if key == "rank-prob":
-        _req(p is not None and r is not None, "rank-prob needs --p and --r")
-        return groups.rank_prob(p, r, tol), None
-    if key == "delta-rank-le":
-        _req(r is not None, "delta-rank-le needs --r")
-        return groups._delta_rank_at_most(r, tol)
-    if key == "delta-rank-ge-bound":
-        _req(r is not None, "delta-rank-ge-bound needs --r")
-        return groups.delta_rank_at_least_bound(r), None
-    raise KeyError(name)
-
-
-CONSTANT_NAMES = (
-    "zeta", "xi", "xi-inf", "theta", "theta-product", "theta-n",
-    "rho", "rho-n", "rho-n-product", "density-cocyclic", "density-squarefree",
-    "gekeler-cyclic", "gekeler-squarefree", "gamma", "landau-prime-sum",
-    "uniform-cyclic", "uniform-squarefree", "rank-prob",
-    "delta-rank-le", "delta-rank-ge-bound",
-)
-
-
-def _req(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+    if key not in _EVALUATORS:
+        raise KeyError(name)
+    needs, evaluate = _EVALUATORS[key]
+    params = {"k": k, "n": n, "m": m, "r": r, "p": p}
+    if any(params[x] is None for x in needs):
+        raise ValueError(f"{key} needs " + " and ".join(f"--{x}" for x in needs))
+    value, cutoff = evaluate(*(params[x] for x in needs), tol)
+    if not value.err <= tol:
+        raise PrecisionError(f"{key} reaches err {float(value.err):.2g}, above tol {tol:g}")
+    return value, cutoff

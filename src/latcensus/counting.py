@@ -8,6 +8,12 @@ Two independent routes are kept for every headline count:
   `census_cocyclic_bruteforce`, `count_by_rank_bruteforce`), used to verify
   the formulas exactly on the desk-scale grids.
 
+The census oracles (co-cyclic, squarefree, total, by rank) are views of one
+stratified enumeration pass: `_rank_counts(n, q)` streams the HNF bases of
+index q once, counts them by the rank of their Smith form, and is memoized
+per (n, q), so every oracle and every bound V shares the strata already
+computed.  Each view checks the lattice count against its cap first.
+
 The cumulative censuses up to index V take the fast route: a Dirichlet-series
 floor-value evaluation of the total census T_n on the ~2 sqrt(V) values
 V//j, corrected by a sum over powerful numbers, in O(n V^(3/4)) time and
@@ -27,13 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from operator import mul
-from typing import Callable, Iterable, Optional
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import lattice
-from .arith import bernoulli, ensure_factored, euler_phi, shared_sieve
+from .arith import bernoulli, ensure_factored, euler_phi, is_squarefree, shared_sieve
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
 
@@ -392,43 +398,47 @@ def total_leading_term(n: int, V: int, tol: float = 1e-10) -> ErrBoundedReal:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _rank_counts(n: int, q: int) -> tuple[int, ...]:
+    """Index-q stratum of the enumeration oracle: entry r counts the
+    sublattices of Z^n of index q whose quotient needs exactly r generators
+    (Smith form of each enumerated HNF basis).  Bases are streamed, never
+    stored; the memo holds one (n+1)-tuple per (n, q), so any V reuses the
+    strata of every smaller bound."""
+    counts = [0] * (n + 1)
+    for basis in lattice._enumerate_sublattices(n, q):
+        counts[lattice.quotient_rank(basis)] += 1
+    return tuple(counts)
+
+
+def _strata(n: int, V: int, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(q, _rank_counts(n, q)) for q <= V, after the enumeration cap check."""
+    _guard_enumeration(n, V, cap)
+    return ((q, _rank_counts(n, q)) for q in range(1, V + 1))
+
+
 def census_cocyclic_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Count co-cyclic lattices of index <= V by full enumeration plus
     Smith-form rank, independent of every closed form."""
-    _guard_enumeration(n, V, cap)
-    total = 0
-    for q in range(1, V + 1):
-        for basis in lattice._enumerate_sublattices(n, q):
-            if lattice.is_cocyclic(basis):
-                total += 1
-    return total
+    return sum(c[0] + c[1] for _, c in _strata(n, V, cap))
 
 
 def census_squarefree_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Count lattices of squarefree index <= V by enumeration, verifying the
     quotient of each is cyclic along the way."""
-    from .arith import is_squarefree, factorize
-
-    _guard_enumeration(n, V, cap)
     total = 0
-    for q in range(1, V + 1):
-        if not is_squarefree(factorize(q)):
+    for q, c in _strata(n, V, cap):
+        if not is_squarefree(q):
             continue
-        for basis in lattice._enumerate_sublattices(n, q):
-            if not lattice.is_cocyclic(basis):
-                raise RuntimeError(f"squarefree index {q} gave a non-cyclic quotient")
-            total += 1
+        if any(c[2:]):
+            raise RuntimeError(f"squarefree index {q} gave a non-cyclic quotient")
+        total += sum(c)
     return total
 
 
 def census_total_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Count all lattices of index <= V by literal enumeration."""
-    _guard_enumeration(n, V, cap)
-    total = 0
-    for q in range(1, V + 1):
-        for _ in lattice._enumerate_sublattices(n, q):
-            total += 1
-    return total
+    return sum(sum(c) for _, c in _strata(n, V, cap))
 
 
 def count_by_rank_bruteforce(n: int, m: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
@@ -436,24 +446,16 @@ def count_by_rank_bruteforce(n: int, m: int, V: int, cap: int = DEFAULT_ENUM_CAP
     by enumeration + Smith form."""
     if m < 0:
         raise ValueError("rank must be >= 0")
-    _guard_enumeration(n, V, cap)
-    total = 0
-    for q in range(1, V + 1):
-        for basis in lattice._enumerate_sublattices(n, q):
-            if lattice.quotient_rank(basis) == m:
-                total += 1
-    return total
+    return sum(c[m] if m <= n else 0 for _, c in _strata(n, V, cap))
 
 
 def counts_by_rank_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
-    """Full rank stratification {m: count} of the index <= V census."""
-    _guard_enumeration(n, V, cap)
-    out: dict[int, int] = {}
-    for q in range(1, V + 1):
-        for basis in lattice._enumerate_sublattices(n, q):
-            r = lattice.quotient_rank(basis)
-            out[r] = out.get(r, 0) + 1
-    return out
+    """Full rank stratification {m: count} of the index <= V census (ranks
+    that occur only)."""
+    totals = [0] * (n + 1)
+    for _, c in _strata(n, V, cap):
+        totals = list(map(add, totals, c))
+    return {r: t for r, t in enumerate(totals) if t}
 
 
 def _guard_enumeration(n: int, V: int, cap: int) -> None:

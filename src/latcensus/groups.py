@@ -3,11 +3,19 @@
 Groups are stored by primary decomposition: for each prime p a descending
 tuple of exponents, so Z/4 x Z/2 x Z/3 is {2: (2, 1), 3: (1,)}.  The
 closed-form automorphism order multiplies the classical p-group formula
-across primes; an independent brute-force counter (generator images over
-the explicit subgroup lattice) is kept as its oracle.
+across primes, evaluated in integers and memoized per (p, exponents); an
+independent brute-force counter (generator images over the explicit
+subgroup lattice) is kept as its oracle.
+
+The explicit machinery (`_GroupTable`) numbers the elements 0..|G|-1 with
+a precomputed addition table; subgroups are frozensets of indices, and the
+join table (subgroup, element) -> subgroup, built one extension per coset,
+drives the exact generating-tuple DP behind the oracle and the class counts.
 
 The census assigns each group the mass 1/#Aut(G); totals are exact
-rationals up to 1e4 and error-bounded floats beyond.
+rationals up to 1e4 and error-bounded floats beyond.  Census sizes are
+checked against their caps before any work (DEFAULT_CENSUS_CAP for the
+group enumeration and class count, arith.SIEVE_CAP for the float mass).
 """
 
 from __future__ import annotations
@@ -21,13 +29,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import (
-    abelian_group_count,
-    factorize,
-    landau_sum,
-    shared_sieve,
-    ward_sum,
-)
+from .arith import SIEVE_CAP, abelian_group_count, factorize, shared_sieve
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
 from .lattice import InvariantFactors
@@ -39,6 +41,7 @@ EXACT_MASS_LIMIT = 10**4
 _FLOAT_EPS = 2.0**-52
 
 
+@lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
     return p >= 2 and factorize(p).factors == ((p, 1),)
 
@@ -206,9 +209,12 @@ def enumerate_groups(V: int, cap: int = DEFAULT_CENSUS_CAP) -> Iterator[AbelianG
 
 def count_isomorphism_classes(V: int) -> int:
     """Number of classes of order <= V (sum of the multiplicative class
-    counting function)."""
+    counting function, one step per order).  V above DEFAULT_CENSUS_CAP
+    raises CapExceededError before any work."""
     if V < 1:
         raise ValueError("V must be >= 1")
+    if V > DEFAULT_CENSUS_CAP:
+        raise CapExceededError(f"census bound {V} exceeds cap {DEFAULT_CENSUS_CAP}")
     sieve = shared_sieve(max(V, 2))
     return 1 + sum(
         abelian_group_count(sieve.factorize(n)) for n in range(2, V + 1)
@@ -225,35 +231,36 @@ def aut_order_pgroup(p: int, exponents: Sequence[int]) -> int:
 
     With standard form e_1 > ... > e_k (multiplicities r_i):
     prod_i prod_{s=1}^{r_i} (1 - p^-s) * prod_{i,j} p^(min(e_i,e_j) r_i r_j),
-    cleared to an exact integer.
+    evaluated in integers (memoized per prime and exponent tuple).
     """
+    p = int(p)
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    exps = sorted((int(e) for e in exponents), reverse=True)
-    if not exps:
-        return 1
-    if exps[-1] < 1:
+    exps = tuple(sorted((int(e) for e in exponents), reverse=True))
+    if exps and exps[-1] < 1:
         raise ValueError("exponents must be positive")
+    return _aut_order_pgroup(p, exps)
+
+
+@lru_cache(maxsize=None)
+def _aut_order_pgroup(p: int, exps: tuple[int, ...]) -> int:
+    """aut_order_pgroup for a prime p and a descending tuple of positive
+    exponents: p^(power - sum_i r_i (r_i + 1) / 2) prod_i prod_{s<=r_i} (p^s - 1)."""
     groups = [(e, len(list(g))) for e, g in itertools.groupby(exps)]
-    out = Fraction(1)
+    power = sum(min(ei, ej) * ri * rj for ei, ri in groups for ej, rj in groups)
+    out = 1
     for _, r in groups:
+        power -= r * (r + 1) // 2
         for s in range(1, r + 1):
-            out *= 1 - Fraction(1, p**s)
-    power = 0
-    for ei, ri in groups:
-        for ej, rj in groups:
-            power += min(ei, ej) * ri * rj
-    out *= p**power
-    if out.denominator != 1:
-        raise AssertionError("p-group automorphism order must be integral")
-    return out.numerator
+            out *= p**s - 1
+    return out * p**power
 
 
 def aut_order(G: AbelianGroup) -> int:
     """#Aut(G): the p-part orders multiply across distinct primes."""
     out = 1
     for p, exps in G.parts:
-        out *= aut_order_pgroup(p, exps)
+        out *= _aut_order_pgroup(p, exps)
     return out
 
 
@@ -276,74 +283,81 @@ def aut_order_qm(q: int, m: int) -> int:
 
 
 class _GroupTable:
-    """Explicit elements of a small group: exponent tuples against the
-    prime-power cyclic factors, with the subgroup join table needed for
-    exact generating-tuple counts."""
+    """Explicit elements of a small group as indices 0..|G|-1.
 
-    __slots__ = ("factors", "order", "elements", "eindex", "orders", "_subs", "_join", "_full")
+    `elements[i]` is the exponent tuple of element i against the prime-power
+    cyclic factors (index 0 is the identity), `add_table[i][j]` the index of
+    their sum, and subgroups are frozensets of indices.  The subgroup join
+    table behind the exact generating-tuple counts is built on demand.  The
+    addition table holds |G|^2 entries: about 0.2 GB at the default cap.
+    """
+
+    __slots__ = ("factors", "order", "elements", "orders", "add_table", "_join", "_full")
 
     def __init__(self, G: AbelianGroup, cap: int = DEFAULT_TABLE_CAP):
         factors = []
         for p, exps in G.parts:
             factors.extend(p**e for e in exps)
         self.factors = tuple(factors)
-        self.order = math.prod(factors) if factors else 1
+        self.order = math.prod(factors)
         if self.order > cap:
             raise CapExceededError(f"group order {self.order} exceeds table cap {cap}")
         self.elements = list(itertools.product(*[range(m) for m in factors]))
-        self.eindex = {e: i for i, e in enumerate(self.elements)}
         self.orders = [
-            math.lcm(*(m // math.gcd(x, m) for x, m in zip(e, factors)))
-            if factors
-            else 1
-            for e in self.elements
+            math.lcm(*(m // math.gcd(x, m) for x, m in zip(e, factors))) for e in self.elements
         ]
-        self._subs = None
+        # mixed radix, last factor fastest (the itertools.product order)
+        digits = np.array(self.elements, dtype=np.int32).reshape(self.order, len(factors))
+        table = np.zeros((self.order, self.order), dtype=np.int32)
+        stride = 1
+        for c in reversed(range(len(factors))):
+            d = digits[:, c]
+            table += (np.add.outer(d, d) % factors[c]) * stride
+            stride *= factors[c]
+        # rows share the int objects of `ids`: one pointer per entry
+        ids = list(range(self.order))
+        self.add_table = [list(map(ids.__getitem__, row.tolist())) for row in table]
         self._join = None
         self._full = None
 
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.factors)
-
-    def add(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.factors))
-
-    def _extend(self, H: frozenset, g: tuple[int, ...]) -> frozenset:
+    def _extend(self, H: frozenset, g: int) -> frozenset:
+        """The subgroup generated by H and element g."""
         if g in H:
             return H
-        shifts = []
-        cur = g
-        while cur not in H:
-            shifts.append(cur)
-            cur = self.add(cur, g)
+        add = self.add_table
         new = set(H)
-        for s in shifts:
-            new.update(self.add(h, s) for h in H)
+        s = g
+        while s not in H:  # s runs over the multiples of g outside H
+            row = add[s]
+            new.update([row[h] for h in H])
+            s = row[g]
         return frozenset(new)
 
     def _build_lattice(self) -> None:
         if self._join is not None:
             return
-        trivial = frozenset([self.zero])
-        subs = {trivial: 0}
-        sub_list = [trivial]
+        add = self.add_table
+        subs = {frozenset([0]): 0}
+        sub_list = list(subs)
         join: list[list[int]] = []
         head = 0
         while head < len(sub_list):
             H = sub_list[head]
-            row = []
-            for e in self.elements:
+            row = [-1] * self.order
+            for e in range(self.order):
+                if row[e] >= 0:
+                    continue
                 H2 = self._extend(H, e)
                 sid = subs.get(H2)
                 if sid is None:
                     sid = len(sub_list)
                     subs[H2] = sid
                     sub_list.append(H2)
-                row.append(sid)
+                shift = add[e]
+                for h in H:  # <H, e + h> = <H, e>: one extension per coset
+                    row[shift[h]] = sid
             join.append(row)
             head += 1
-        self._subs = sub_list
         self._join = join
         self._full = next(i for i, H in enumerate(sub_list) if len(H) == self.order)
 
@@ -369,7 +383,7 @@ def generating_tuples_count(G: AbelianGroup, n: int, cap: int = DEFAULT_TABLE_CA
     if n < 0:
         raise ValueError("n must be >= 0")
     table = _GroupTable(G, cap)
-    all_ids = list(range(len(table.elements)))
+    all_ids = range(table.order)
     return table.count_spanning_tuples([all_ids] * n)
 
 
@@ -400,7 +414,8 @@ def aut_order_bruteforce(G: AbelianGroup, cap: int = DEFAULT_TABLE_CAP) -> int:
 
 
 def automorphism_maps(G: AbelianGroup, cap: int = 256) -> list[dict]:
-    """All automorphisms of a small group, as element->element dicts.
+    """All automorphisms of a small group, as element->element dicts of
+    exponent tuples.
 
     Enumerated by depth-first choice of generator images (order-compatible,
     jointly spanning); intended for small-census freeness checks.
@@ -409,38 +424,35 @@ def automorphism_maps(G: AbelianGroup, cap: int = 256) -> list[dict]:
     k = len(table.factors)
     if k == 0:
         return [{(): ()}]
-    gens = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
-    elements = table.elements
+    elements, add = table.elements, table.add_table
     out: list[dict] = []
 
-    def scalar_multiples(b: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
-        mults = [table.zero]
+    def multiples(b: int, m: int) -> list[int]:
+        mults = [0]
         for _ in range(m - 1):
-            mults.append(table.add(mults[-1], b))
+            mults.append(add[mults[-1]][b])
         return mults
 
     def rec(i: int, images: list, span: frozenset):
-        remaining = math.prod(table.factors[i:]) if i < k else 1
+        remaining = math.prod(table.factors[i:])
         if len(span) * remaining < table.order:
             return
         if i == k:
-            if len(span) == table.order:
-                tables = [scalar_multiples(b, m) for b, m in zip(images, table.factors)]
-                mapping = {}
-                for x in elements:
-                    img = table.zero
-                    for xi, mults in zip(x, tables):
-                        img = table.add(img, mults[xi])
-                    mapping[x] = img
-                out.append(mapping)
+            tables = [multiples(b, m) for b, m in zip(images, table.factors)]
+            mapping = {}
+            for x in elements:
+                img = 0
+                for xi, mults in zip(x, tables):
+                    img = add[img][mults[xi]]
+                mapping[x] = elements[img]
+            out.append(mapping)
             return
         m = table.factors[i]
         for eid, o in enumerate(table.orders):
             if m % o == 0:
-                b = elements[eid]
-                rec(i + 1, images + [b], table._extend(span, b))
+                rec(i + 1, images + [eid], table._extend(span, eid))
 
-    rec(0, [], frozenset([table.zero]))
+    rec(0, [], frozenset([0]))
     return out
 
 
@@ -486,11 +498,12 @@ class MassAccumulator:
                 raise ValueError("predicate mass exceeds total mass")
 
 
-@lru_cache(maxsize=None)
 def _pgroup_mass(p: int, k: int) -> Fraction:
-    """Total mass of abelian p-groups of order p^k."""
+    """Total mass of abelian p-groups of order p^k.  Not memoized: the float
+    mass sieve asks once per prime power up to V, and a memo (here or of the
+    automorphism orders) would keep one entry per prime."""
     return sum(
-        (Fraction(1, aut_order_pgroup(p, exps)) for exps in _partitions_of(k)),
+        (Fraction(1, _aut_order_pgroup.__wrapped__(p, exps)) for exps in _partitions_of(k)),
         Fraction(0),
     )
 
@@ -500,10 +513,13 @@ def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
 
     Exact Fraction for V <= exact_limit; above that, an error-bounded float
     accumulated through a multiplicative sieve (the mass of order n is the
-    product of its prime-power masses).
+    product of its prime-power masses), a (V+1)-entry array plus the shared
+    sieve, so V above arith.SIEVE_CAP raises CapExceededError up front.
     """
     if V < 1:
         raise ValueError("V must be >= 1")
+    if V > SIEVE_CAP:
+        raise CapExceededError(f"mass bound {V} exceeds the sieve cap {SIEVE_CAP}")
     if V <= exact_limit:
         total = Fraction(0)
         for G in enumerate_groups(V):
@@ -537,7 +553,7 @@ def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fracti
     'squarefree-order', or 'rank-at-most' (with r).
 
     By construction the cyclic mass equals the totient-reciprocal sum
-    (landau_sum) and the squarefree mass equals ward_sum.
+    (arith.landau_sum) and the squarefree mass equals arith.ward_sum.
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -646,18 +662,18 @@ def delta_rank_at_least_bound(r: int) -> ErrBoundedReal:
 # ---------------------------------------------------------------------------
 
 
-def uniform_density_cyclic() -> ErrBoundedReal:
+def uniform_density_cyclic(tol: float = 1e-10) -> ErrBoundedReal:
     """Limit fraction of cyclic classes among all classes: 1/Xi_2 ~ 0.4358."""
-    from .constants import xi_inf
+    from .constants import _power_of_ten_below, xi_inf
 
-    return 1 / xi_inf(2, 1e-11)
+    return 1 / xi_inf(2, _power_of_ten_below(tol / 5))
 
 
-def uniform_density_squarefree() -> ErrBoundedReal:
+def uniform_density_squarefree(tol: float = 1e-10) -> ErrBoundedReal:
     """Limit fraction of squarefree-order classes: 1/(zeta(2) Xi_2) ~ 0.2649."""
-    from .constants import xi_inf, zeta
+    from .constants import _power_of_ten_below, xi_inf, zeta
 
-    return 1 / (zeta(2, 1e-12) * xi_inf(2, 1e-11))
+    return 1 / (zeta(2, tol / 100) * xi_inf(2, _power_of_ten_below(tol / 5)))
 
 
 def empirical_cyclic_fraction(V: int) -> Fraction:
@@ -665,7 +681,6 @@ def empirical_cyclic_fraction(V: int) -> Fraction:
     return Fraction(V, count_isomorphism_classes(V))
 
 
-# re-exported mass identities used by the verification suite
 __all__ = [
     "AbelianGroup",
     "MassAccumulator",
@@ -683,12 +698,10 @@ __all__ = [
     "empirical_cyclic_fraction",
     "enumerate_groups",
     "generating_tuples_count",
-    "landau_sum",
     "pak_check",
     "pak_hypothesis",
     "primitive_class_count",
     "rank_prob",
     "uniform_density_cyclic",
     "uniform_density_squarefree",
-    "ward_sum",
 ]

@@ -429,13 +429,15 @@ def check_census_equality():
 
 
 def check_squarefree_implies_cocyclic(q_max: int = 40):
+    """No lattice of squarefree index has a quotient of rank >= 2, read off
+    the stratified enumeration pass."""
     for n in (2, 3):
         for q in range(1, q_max + 1):
             if not arith.is_squarefree(arith.factorize(q)):
                 continue
-            for b in lattice._enumerate_sublattices(n, q):
-                if lattice.quotient_rank(b) > 1:
-                    _fail("counting.squarefree-implies-cocyclic", f"n={n} q={q} {b}")
+            strata = counting._rank_counts(n, q)
+            if any(strata[2:]):
+                _fail("counting.squarefree-implies-cocyclic", f"n={n} q={q}: rank counts {strata}")
 
 
 def check_class_count_multiplicativity():
@@ -562,12 +564,7 @@ def check_free_action(order_max: int = 16, n_max: int = 4):
             if total % len(autos):
                 _fail("groups.free-action-division", f"{G.describe()} n={n}")
             # explicit orbit partition: every orbit must have size #Aut
-            table = groups._GroupTable(G)
-            elements = table.elements
-            gen_tuples = set()
-            full = frozenset(elements)
-            for tup in _spanning_tuples(table, n):
-                gen_tuples.add(tup)
+            gen_tuples = set(_spanning_tuples(groups._GroupTable(G), n))
             orbits = 0
             seen: set = set()
             for tup in sorted(gen_tuples):
@@ -585,20 +582,19 @@ def check_free_action(order_max: int = 16, n_max: int = 4):
 
 
 def _spanning_tuples(table, n):
-    """All generating n-tuples of a small group, by literal recursion."""
-    elements = table.elements
-    order = table.order
+    """All generating n-tuples of a small group (as exponent tuples), by
+    literal recursion over element indices."""
     out = []
 
     def rec(i, prefix, span):
         if i == n:
-            if len(span) == order:
-                out.append(tuple(prefix))
+            if len(span) == table.order:
+                out.append(tuple(table.elements[e] for e in prefix))
             return
-        for e in elements:
+        for e in range(table.order):
             rec(i + 1, prefix + [e], table._extend(span, e))
 
-    rec(0, [], frozenset([table.zero]))
+    rec(0, [], frozenset([0]))
     return out
 
 

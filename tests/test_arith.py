@@ -203,3 +203,16 @@ def test_landau_prediction_close_at_moderate_scale():
     exact = arith.landau_sum(t)
     pred = arith.landau_prediction(t)
     assert abs(float(exact) - float(pred.value)) < 2e-3
+
+
+def test_sieve_cap_checked_before_allocation(monkeypatch):
+    from latcensus.errors import CapExceededError
+
+    assert arith.SIEVE_CAP >= 16 * 10**6  # prime_log_weight_sum's largest cutoff
+    with pytest.raises(CapExceededError):
+        arith.SieveTable(arith.SIEVE_CAP + 1)
+    with pytest.raises(CapExceededError):
+        arith.shared_sieve(10**9)
+    monkeypatch.setattr(arith, "SIEVE_CAP", 1000)
+    with pytest.raises(CapExceededError):
+        arith.build_sieve(1001)

@@ -237,3 +237,20 @@ def test_determinism_across_runs(capsys):
         _, out, _ = run_cli(capsys, "count", "--n", "3", "--V", "50", "--method", "both")
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_constants_tol_is_met_or_refused(capsys):
+    code, out, _ = run_cli(capsys, "constants", "--name", "theta", "--tol", "1e-20")
+    assert code == 0 and float(json.loads(out)["err"]) <= 1e-20
+    code, out, err = run_cli(capsys, "constants", "--name", "landau-prime-sum", "--tol", "1e-20")
+    assert code == 2 and out == "" and "reachable" in err
+    code, out, err = run_cli(capsys, "constants", "--name", "gamma", "--tol", "1e-20")
+    assert code == 2 and out == "" and "1e-19" in err
+
+
+@pytest.mark.parametrize("command", ["clmass", "groups"])
+def test_mass_and_class_counts_hit_caps_quickly(capsys, command):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, command, "--V", str(10**9))
+    assert code == 2 and "cap" in err
+    assert time.perf_counter() - start < 1.0

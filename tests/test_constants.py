@@ -267,6 +267,32 @@ def test_euler_products_at_1e30_hold_references():
         assert val.err <= 1e-30 and _holds(val, ref), r
 
 
+def test_zeta_built_constants_meet_tight_tol():
+    z = REF.zeta
+    xi = {m: REF.fprod(z(k) for k in range(m, 400)) for m in (2, 3, 4)}
+    refs = {
+        "theta": z(2) * z(3) / z(6),
+        "rho": z(2),
+        "density-cocyclic": 1 / (z(6) * xi[4]),
+        "density-squarefree": 1 / xi[3],
+        "uniform-cyclic": 1 / xi[2],
+        "uniform-squarefree": 1 / (z(2) * xi[2]),
+    }
+    for tol in (1e-20, 1e-30):
+        for name, ref in refs.items():
+            val, cutoff = constants.evaluate_constant(name, tol=tol)
+            assert val.err <= tol and _holds(val, ref) and cutoff is None, (name, tol)
+
+
+def test_fixed_precision_constants_refuse_a_tighter_tol():
+    with pytest.raises(PrecisionError, match="1e-19"):
+        constants.evaluate_constant("gamma", tol=1e-20)
+    with pytest.raises(PrecisionError):
+        constants.evaluate_constant("delta-rank-ge-bound", r=2, tol=1e-20)
+    with pytest.raises(PrecisionError, match="reachable"):
+        constants.evaluate_constant("landau-prime-sum")  # default tol 1e-10
+
+
 def test_refinement_nests_from_1e8_to_1e30():
     tols = (1e-8, 1e-12, 1e-16, 1e-20, 1e-25, 1e-30)
     routes = [

@@ -238,3 +238,43 @@ def test_monotone_in_v():
         )
         assert cur >= prev
         prev = cur
+
+
+@settings(deadline=None, max_examples=25)
+@given(n=st.integers(2, 4), data=st.data())
+def test_oracle_views_match_a_literal_smith_loop(n, data):
+    V = data.draw(st.integers(1, {2: 40, 3: 14, 4: 6}[n]), label="V")
+    by_rank = [0] * (n + 2)
+    squarefree = 0
+    for q in range(1, V + 1):
+        for basis in lattice.enumerate_sublattices(n, q):
+            rank = len(lattice.smith_invariants(basis).chain)
+            by_rank[rank] += 1
+            if arith.is_squarefree(q):
+                assert rank <= 1
+                squarefree += 1
+    assert counting.census_cocyclic_bruteforce(n, V) == by_rank[0] + by_rank[1]
+    assert counting.census_squarefree_bruteforce(n, V) == squarefree
+    assert counting.census_total_bruteforce(n, V) == sum(by_rank)
+    for m in range(n + 2):
+        assert counting.count_by_rank_bruteforce(n, m, V) == by_rank[m]
+    assert counting.counts_by_rank_bruteforce(n, V) == {m: c for m, c in enumerate(by_rank) if c}
+
+
+def test_oracle_views_reuse_one_pass(monkeypatch):
+    counting._rank_counts.cache_clear()
+    calls = []
+    smith = lattice.smith_invariants
+    monkeypatch.setattr(lattice, "smith_invariants", lambda basis: calls.append(1) or smith(basis))
+    counting.census_cocyclic_bruteforce(3, 30)
+    assert len(calls) == counting.total_count(3, 30)  # one Smith form per lattice
+    calls.clear()
+    counting.census_total_bruteforce(3, 30)
+    counting.counts_by_rank_bruteforce(3, 20)
+    assert calls == []
+
+
+def test_squarefree_view_rejects_a_rank_two_stratum(monkeypatch):
+    monkeypatch.setattr(counting, "_rank_counts", lambda n, q: (0, 0, 1))
+    with pytest.raises(RuntimeError):
+        counting.census_squarefree_bruteforce(2, 3)

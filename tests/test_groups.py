@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -57,28 +58,53 @@ def test_aut_order_examples():
         assert groups.aut_order(groups.AbelianGroup.cyclic(q)) == arith.euler_phi(q)
 
 
+def _naive_group(g):
+    """(factors, elements, add, zero) of g from its primary decomposition,
+    with tuple arithmetic mod the factors (no _GroupTable involved)."""
+    factors = [p**e for p, exps in g.parts for e in exps]
+    elements = list(itertools.product(*[range(m) for m in factors]))
+
+    def add(x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, factors))
+
+    return factors, elements, add, (0,) * len(factors)
+
+
+def _naive_span(gens, add, zero):
+    """The subgroup generated by gens: closure of {0} under adding them."""
+    span, todo = {zero}, [zero]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = add(x, g)
+            if y not in span:
+                span.add(y)
+                todo.append(y)
+    return span
+
+
 def test_aut_order_matches_naive_image_enumeration():
     # literal oracle: enumerate all order-compatible generator images and
     # test bijectivity through the induced map
     def aut_naive(g):
-        table = groups._GroupTable(g)
-        k = len(table.factors)
-        if k == 0:
+        factors, elements, add, zero = _naive_group(g)
+        if not factors:
             return 1
-        candidates = [
-            [e for e, o in zip(table.elements, table.orders) if m % o == 0]
-            for m in table.factors
-        ]
+
+        def order(x):
+            return math.lcm(*(m // math.gcd(a, m) for a, m in zip(x, factors)))
+
+        candidates = [[e for e in elements if m % order(e) == 0] for m in factors]
         count = 0
         for images in itertools.product(*candidates):
             seen = set()
-            for x in table.elements:
-                img = table.zero
+            for x in elements:
+                img = zero
                 for xi, b in zip(x, images):
                     for _ in range(xi):
-                        img = table.add(img, b)
+                        img = add(img, b)
                 seen.add(img)
-            if len(seen) == table.order:
+            if len(seen) == len(elements):
                 count += 1
         return count
 
@@ -86,9 +112,43 @@ def test_aut_order_matches_naive_image_enumeration():
         assert groups.aut_order(g) == groups.aut_order_bruteforce(g) == aut_naive(g)
 
 
-def test_aut_bruteforce_matches_formula_to_order_30():
-    for g in groups.enumerate_groups(30):
-        assert groups.aut_order(g) == groups.aut_order_bruteforce(g)
+def test_aut_bruteforce_matches_formula_to_order_48():
+    for g in groups.enumerate_groups(48):
+        assert groups.aut_order(g) == groups.aut_order_bruteforce(g), g
+
+
+def test_integer_pgroup_formula_matches_fraction_formula():
+    def aut_fraction(p, exps):
+        runs = [(e, len(list(grp))) for e, grp in itertools.groupby(exps)]
+        out = Fraction(p ** sum(min(ei, ej) * ri * rj for ei, ri in runs for ej, rj in runs))
+        for _, r in runs:
+            for s in range(1, r + 1):
+                out *= 1 - Fraction(1, p**s)
+        assert out.denominator == 1
+        return out.numerator
+
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(11):
+            for exps in groups._partitions_of(k):
+                assert groups.aut_order_pgroup(p, exps) == aut_fraction(p, exps), (p, exps)
+                assert groups.aut_order_pgroup(p, list(reversed(exps))) == aut_fraction(p, exps)
+    with pytest.raises(ValueError):
+        groups.aut_order_pgroup(9, (1,))
+    with pytest.raises(ValueError):
+        groups.aut_order_pgroup(3, (2, 0))
+
+
+def test_automorphism_maps_are_automorphisms_of_tuples():
+    g = groups.AbelianGroup({2: (2, 1)})
+    _, elements, add, _ = _naive_group(g)
+    autos = groups.automorphism_maps(g)
+    assert len(autos) == groups.aut_order(g) == 8
+    assert len({tuple(sorted(a.items())) for a in autos}) == len(autos)
+    for a in autos:
+        assert set(a) == set(a.values()) == set(elements)
+        for x in elements:
+            for y in elements:
+                assert a[add(x, y)] == add(a[x], a[y])
 
 
 def test_aut_order_qm():
@@ -105,15 +165,11 @@ def test_aut_order_qm():
 
 def test_generating_tuples_against_naive_enumeration():
     def generating_naive(g, n):
-        table = groups._GroupTable(g)
-        count = 0
-        for tup in itertools.product(table.elements, repeat=n):
-            span = frozenset([table.zero])
-            for e in tup:
-                span = table._extend(span, e)
-            if len(span) == table.order:
-                count += 1
-        return count
+        _, elements, add, zero = _naive_group(g)
+        return sum(
+            len(_naive_span(tup, add, zero)) == len(elements)
+            for tup in itertools.product(elements, repeat=n)
+        )
 
     cases = [
         (groups.AbelianGroup({2: (1, 1)}), 2),
