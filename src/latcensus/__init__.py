@@ -11,7 +11,6 @@ from .arith import (
     FactoredInt,
     SieveTable,
     abelian_group_count,
-    build_sieve,
     euler_phi,
     factorize,
     fn_weight,

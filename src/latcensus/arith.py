@@ -9,13 +9,15 @@ The factorization workhorse is a smallest-prime-factor sieve (32-bit
 entries, O(limit) memory, O(log k) factorization per query).  The sieve is
 immutable once built and safe for unsynchronized concurrent reads.  Its
 limit is checked against SIEVE_CAP before anything is allocated; a larger
-request raises CapExceededError.
+request raises CapExceededError.  Without a sieve, trial division stops at
+TRIAL_DIVISION_LIMIT, so a number with a large cofactor raises
+CapExceededError instead of running for hours.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -25,10 +27,12 @@ import numpy as np
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
 
-DEFAULT_SIEVE_LIMIT = 10**7
 # Largest sieve limit: 80 MB of int32 entries, above the largest in-package
 # use (1.6e7 primes for prime_log_weight_sum at its tightest tolerance).
 SIEVE_CAP = 2 * 10**7
+# Largest trial divisor (about a second of Python work): a cofactor below its
+# square left after trial division is prime, a larger one is refused.
+TRIAL_DIVISION_LIMIT = 10**7
 
 # Euler-Mascheroni constant to 20 digits (standard references); the stored
 # truncation error is below 1e-19.
@@ -39,11 +43,6 @@ EULER_MASCHERONI = ErrBoundedReal("0.57721566490153286061", "1e-19")
 EXACT_SUM_LIMIT = 10**4
 
 _FLOAT_EPS = 2.0**-52
-
-
-def default_sieve_limit() -> int:
-    """Default sieve size; LATCENSUS_SIEVE_LIMIT overrides."""
-    return int(os.environ.get("LATCENSUS_SIEVE_LIMIT", DEFAULT_SIEVE_LIMIT))
 
 
 class SieveTable:
@@ -114,11 +113,6 @@ def shared_sieve(limit: int) -> SieveTable:
     return _shared
 
 
-def build_sieve(limit: Optional[int] = None) -> SieveTable:
-    """New sieve table; limit defaults to default_sieve_limit()."""
-    return SieveTable(default_sieve_limit() if limit is None else limit)
-
-
 @dataclass(frozen=True)
 class FactoredInt:
     """A positive integer with its full prime factorization.
@@ -161,22 +155,30 @@ class FactoredInt:
 
 
 def factorize(n: int, sieve: Optional[SieveTable] = None) -> FactoredInt:
-    """Factor n >= 1 by sieve lookup when available, else trial division."""
+    """Factor n >= 1 by sieve lookup when available, else trial division by
+    d <= TRIAL_DIVISION_LIMIT; a cofactor above TRIAL_DIVISION_LIMIT^2 with no
+    such divisor raises CapExceededError."""
     if n < 1:
         raise ValueError("factorize requires a positive integer")
     if sieve is not None and n <= sieve.limit:
         return sieve.factorize(n)
     factors = []
     m = n
-    d = 2
-    while d * d <= m:
+    for d in itertools.chain((2,), range(3, TRIAL_DIVISION_LIMIT + 1, 2)):
+        if d * d > m:
+            break
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             factors.append((d, e))
-        d += 1 if d == 2 else 2
+    else:
+        if m > TRIAL_DIVISION_LIMIT**2:
+            raise CapExceededError(
+                f"{n} has a cofactor with no prime factor <= {TRIAL_DIVISION_LIMIT} "
+                f"above the trial-division cap {TRIAL_DIVISION_LIMIT}^2"
+            )
     if m > 1:
         factors.append((m, 1))
     return FactoredInt(n, tuple(factors))
@@ -316,21 +318,6 @@ def totient_table(limit: int) -> np.ndarray:
             break
         phi[p::p] = phi[p::p] // p * (p - 1)
     return phi
-
-
-def mobius_table(limit: int) -> np.ndarray:
-    """mu(0..limit) as int8 (mu(0) set to 0)."""
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    sieve = shared_sieve(max(limit, 2))
-    for p in sieve.primes():
-        p = int(p)
-        if p > limit:
-            break
-        mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0
-    return mu
 
 
 def squarefree_mask(limit: int) -> np.ndarray:

@@ -44,96 +44,68 @@ def _emit(doc) -> None:
 
 
 def cmd_count(args) -> int:
-    n, V = args.n, args.V
+    n, V, csv = args.n, args.V, args.format == "csv"
     if V < 1:
         raise ValueError("--V must be >= 1")
     if args.mode in ("cyclic", "squarefree") and n < 2:
         raise ValueError(f"--mode {args.mode} requires --n >= 2")
-    if args.mode == "rank" and args.rank is None:
-        raise ValueError("--mode rank requires --rank")
-    if args.mode == "rank" and args.method == "formula":
-        raise ValueError("--mode rank has no closed form; use --method bruteforce or both")
-
+    if args.ladder is not None and (args.ladder < 1 or not csv):
+        raise ValueError("--ladder needs --format csv and at least one rung")
     if args.mode == "rank":
-        count = counting.count_by_rank_bruteforce(n, args.rank, V, args.enum_cap)
-        doc = {
-            "n": n, "V": V, "mode": "rank", "rank": args.rank,
-            "method": args.method, "count": str(count),
-        }
-        if args.method == "both":
-            via_groups = 0
-            for G in groups.enumerate_groups(V):
-                if G.rank == args.rank:
-                    via_groups += groups.primitive_class_count(G, n)
-            doc["oracle_count"] = str(via_groups)
-            if via_groups != count:
-                doc["mismatch"] = True
-                _emit(doc)
-                print(
-                    f"mismatch: enumeration {count} vs group census {via_groups}",
-                    file=sys.stderr,
-                )
-                return EXIT_VERIFY
-        _emit(doc)
-        return EXIT_OK
+        if args.rank is None:
+            raise ValueError("--mode rank requires --rank")
+        if args.method == "formula":
+            raise ValueError("--mode rank has no closed form; use --method bruteforce or both")
+        if csv:
+            raise ValueError("--mode rank has no CSV form; use --format json")
+        first = lambda v: counting.count_by_rank_bruteforce(n, args.rank, v, args.enum_cap)
+        second = lambda v: sum(
+            groups.primitive_class_count(G, n) for G in groups.enumerate_groups(v)
+            if G.rank == args.rank
+        )
+        leading = None
+    else:
+        fast, oracle, leading = counting.CENSUS[args.mode]
+        second = lambda v: oracle(n, v, args.enum_cap)
+        first = second if args.method == "bruteforce" else lambda v: fast(n, v)
+    if n < 2:
+        leading = None
+    # CSV rows scale one V = 1 prediction by V_i^n
+    unit = leading(n, 1, args.tol) if csv and leading is not None else None
 
-    count_fn = {
-        "cyclic": counting.count_cocyclic,
-        "squarefree": counting.count_squarefree,
-        "all": counting.total_count,
-    }[args.mode]
-    oracle_fn = {
-        "cyclic": counting.census_cocyclic_bruteforce,
-        "squarefree": counting.census_squarefree_bruteforce,
-        "all": counting.census_total_bruteforce,
-    }[args.mode]
-    pred_fn = {
-        "cyclic": counting.cocyclic_leading_term,
-        "squarefree": counting.squarefree_leading_term,
-        "all": counting.total_leading_term,
-    }[args.mode]
-
-    if args.format == "csv":
-        return _count_csv(args, count_fn, pred_fn)
-
-    doc = {"n": n, "V": V, "mode": args.mode, "method": args.method}
-    count = count_fn(n, V) if args.method != "bruteforce" else oracle_fn(n, V, args.enum_cap)
-    doc["count"] = str(count)
-    if args.method == "both":
-        oracle = oracle_fn(n, V, args.enum_cap)
-        doc["oracle_count"] = str(oracle)
-        if oracle != count:
-            doc["mismatch"] = True
-            _emit(doc)
-            print(f"mismatch: formula {count} vs oracle {oracle}", file=sys.stderr)
-            return EXIT_VERIFY
-    if n >= 2:
-        pred = pred_fn(n, V, args.tol)
-        doc["prediction"] = format_errbounded(pred)
-        doc["prediction_kind"] = "leading-order"
-        doc["ratio"] = format_errbounded(ErrBoundedReal.exact(count) / pred)
-    _emit(doc)
-    return EXIT_OK
-
-
-def _count_csv(args, count_fn, pred_fn) -> int:
-    n, V = args.n, args.V
-    steps = args.ladder if args.ladder else 1
+    rungs = args.ladder or 1
     rows = []
-    const_pred = pred_fn(n, 1, args.tol) if n >= 2 else None  # per V^n scaling below
-    for i in range(1, steps + 1):
-        Vi = V * i // steps
-        if Vi < 1:
+    for i in range(1, rungs + 1):
+        v = V * i // rungs
+        if v < 1:
             continue
-        count = count_fn(n, Vi)
-        if const_pred is not None:
-            pred = const_pred * ErrBoundedReal.exact(Vi**n)
-            rows.append((Vi, count, float(pred.value), count / float(pred.value)))
-        else:
-            rows.append((Vi, count, float("nan"), float("nan")))
-    print("V,count,prediction,ratio")
-    for Vi, count, pred, ratio in rows:
-        print(f"{Vi},{count},{pred:.12g},{ratio:.12g}")
+        doc = {"n": n, "V": v, "mode": args.mode}
+        if args.mode == "rank":
+            doc["rank"] = args.rank
+        doc["method"] = args.method
+        count = first(v)
+        doc["count"] = str(count)
+        if args.method == "both":
+            check = second(v)
+            doc["oracle_count"] = str(check)
+            if check != count:
+                doc["mismatch"] = True
+                if not csv:
+                    _emit(doc)
+                print(f"mismatch at V={v}: count {count} vs oracle {check}", file=sys.stderr)
+                return EXIT_VERIFY
+        if csv:
+            pred = float("nan" if unit is None else (unit * ErrBoundedReal.exact(v**n)).value)
+            rows.append(f"{v},{count},{pred:.12g},{count / pred:.12g}")
+            continue
+        if leading is not None:
+            pred = leading(n, v, args.tol)
+            doc["prediction"] = format_errbounded(pred)
+            doc["prediction_kind"] = "leading-order"
+            doc["ratio"] = format_errbounded(ErrBoundedReal.exact(count) / pred)
+        _emit(doc)
+    if csv:
+        print("V,count,prediction,ratio", *rows, sep="\n")
     return EXIT_OK
 
 

@@ -250,15 +250,15 @@ def _explicit_product(N: Poly, D: Poly, P0: int) -> ErrBoundedReal:
     return _ratio(num, den)
 
 
+@lru_cache(maxsize=None)
 def euler_product(N: Poly, D: Poly, tol: float) -> tuple[ErrBoundedReal, int]:
-    """prod_p N(1/p)/D(1/p) with err <= tol, as (value, P0).
+    """prod_p N(1/p)/D(1/p) with err <= tol, as (value, P0), memoized.
 
-    N and D are integer coefficient sequences (constant term first) with
+    N and D are integer coefficient tuples (constant term first) with
     N(0) = D(0) = 1 and equal x-coefficients (else the product diverges).
     P0 is the largest prime multiplied explicitly; the rest comes from
     zeta(2..K) and a rigorous tail bound (see the module docstring).
     """
-    N, D = tuple(N), tuple(D)
     if not N or not D or N[0] != 1 or D[0] != 1:
         raise ValueError("local factor polynomials need constant term 1")
     if tol <= 0:
@@ -343,12 +343,7 @@ def theta_product(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
 def theta_n(n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Dimension-n co-cyclic density constant
     prod_p (1 + (p^(n-1) - 1)/(p^(n+1) - p^n)), with err <= tol."""
-    return _theta_n(n, tol)[0]
-
-
-@lru_cache(maxsize=None)
-def _theta_n(n: int, tol: float) -> tuple[ErrBoundedReal, int]:
-    return euler_product(*theta_n_factor(n), tol)
+    return euler_product(*theta_n_factor(n), tol)[0]
 
 
 def theta_sandwich(n: int) -> tuple[ErrBoundedReal, ErrBoundedReal]:
@@ -390,12 +385,7 @@ def rho_n_product(n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     This is the quantity whose ratio to rho() is exactly 1/zeta(n+1)
     (each local factor equals (1 - p^-(n+1))/(1 - p^-2)).
     """
-    return _rho_n_product(n, tol)[0]
-
-
-@lru_cache(maxsize=None)
-def _rho_n_product(n: int, tol: float) -> tuple[ErrBoundedReal, int]:
-    return euler_product(*rho_n_factor(n), tol)
+    return euler_product(*rho_n_factor(n), tol)[0]
 
 
 def rho_n(n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
@@ -405,7 +395,7 @@ def rho_n(n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
 
 
 def _rho_n(n: int, tol: float) -> tuple[ErrBoundedReal, int]:
-    val, P = _rho_n_product(n, tol / 2)
+    val, P = euler_product(*rho_n_factor(n), tol / 2)
     return inv_zeta2() * val, P
 
 
@@ -428,23 +418,13 @@ def density_squarefree_limit(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
 
 def gekeler_cyclic(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """prod_p (1 - 1/((p^2-1) p (p-1))) ~ 0.8137 (cyclic curve groups)."""
-    return _gekeler_cyclic(tol)[0]
-
-
-@lru_cache(maxsize=None)
-def _gekeler_cyclic(tol: float) -> tuple[ErrBoundedReal, int]:
-    return euler_product(*GEKELER_CYCLIC_FACTOR, tol)
+    return euler_product(*GEKELER_CYCLIC_FACTOR, tol)[0]
 
 
 def gekeler_squarefree(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """prod_p (1 - (p^3-p-1)/((p^2-1) p^2 (p-1))) ~ 0.4401 (squarefree curve
     group orders)."""
-    return _gekeler_squarefree(tol)[0]
-
-
-@lru_cache(maxsize=None)
-def _gekeler_squarefree(tol: float) -> tuple[ErrBoundedReal, int]:
-    return euler_product(*GEKELER_SQUAREFREE_FACTOR, tol)
+    return euler_product(*GEKELER_SQUAREFREE_FACTOR, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +471,14 @@ _EVALUATORS = {
     "xi-inf": (("m",), lambda m, tol: (xi_inf(m, tol), None)),
     "theta": ((), lambda tol: (theta(min(tol, 1e-12)), None)),
     "theta-product": ((), lambda tol: euler_product(*THETA_FACTOR, tol)),
-    "theta-n": (("n",), _theta_n),
+    "theta-n": (("n",), lambda n, tol: euler_product(*theta_n_factor(n), tol)),
     "rho": ((), lambda tol: (rho(min(tol, 1e-12)), None)),
     "rho-n": (("n",), _rho_n),
-    "rho-n-product": (("n",), _rho_n_product),
+    "rho-n-product": (("n",), lambda n, tol: euler_product(*rho_n_factor(n), tol)),
     "density-cocyclic": ((), lambda tol: (density_cocyclic_limit(min(tol, DEFAULT_TOL)), None)),
     "density-squarefree": ((), lambda tol: (density_squarefree_limit(min(tol, DEFAULT_TOL)), None)),
-    "gekeler-cyclic": ((), _gekeler_cyclic),
-    "gekeler-squarefree": ((), _gekeler_squarefree),
+    "gekeler-cyclic": ((), lambda tol: euler_product(*GEKELER_CYCLIC_FACTOR, tol)),
+    "gekeler-squarefree": ((), lambda tol: euler_product(*GEKELER_SQUAREFREE_FACTOR, tol)),
     "gamma": ((), lambda tol: (EULER_MASCHERONI, None)),
     "landau-prime-sum": ((), lambda tol: (prime_log_weight_sum(tol), None)),
     "uniform-cyclic": ((), lambda tol: (groups.uniform_density_cyclic(min(tol, DEFAULT_TOL)), None)),

@@ -17,12 +17,18 @@ computed.  Each view checks the lattice count against its cap first.
 The cumulative censuses up to index V take the fast route: a Dirichlet-series
 floor-value evaluation of the total census T_n on the ~2 sqrt(V) values
 V//j, corrected by a sum over powerful numbers, in O(n V^(3/4)) time and
-O(sqrt(V)) memory (no sieve beyond sqrt(V)).  Its estimated work,
-(n-1) V^(3/4) steps, is checked against DEFAULT_FLOOR_VALUE_CAP before
-anything is allocated, and CapExceededError is raised above it.  The second
-route, `_multiplicative_sum`, sieves [1, V] and sums the multiplicative
-count from its prime-power local factors in O(V) time and memory; it is
-never the default and serves the tests and `verify` as an exact cross-check.
+O(sqrt(V)) memory (no sieve beyond sqrt(V)).  The same engine at n = 1
+(T_1(x) = x) gives the abelian group class count of `groups`.  Its
+estimated work, (n-1) V^(3/4) floor-value steps plus the ~2.2 sqrt(V)
+powerful numbers for the censuses that walk them, is checked against
+DEFAULT_FLOOR_VALUE_CAP before anything is allocated, and CapExceededError
+is raised above it.  The second route, `_multiplicative_sum`, sieves [1, V]
+and sums the multiplicative count from its prime-power local factors in
+O(V) time and memory; it is never the default and serves the tests and
+`verify` as an exact cross-check.
+
+`CENSUS` maps each census mode to its fast route, enumeration oracle and
+leading term, for the CLI and `verify`.
 
 All counts are arbitrary-precision integers end to end.
 """
@@ -34,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -240,12 +246,15 @@ def _power_sum(j: int, m: int) -> int:
     return acc // den
 
 
-def _check_census(name: str, n: int, V: int, n_min: int) -> None:
+def _check_census(name: str, n: int, V: int, n_min: int, powerful: bool) -> None:
+    """Argument and cap checks; `powerful` marks the callers of _powerful_sum."""
     if n < n_min:
         raise ValueError(f"{name} requires n >= {n_min}")
     if V < 1:
         raise ValueError("V must be >= 1")
     work = (n - 1) * math.isqrt(V) * math.isqrt(math.isqrt(V))  # ~V^(3/4) per level
+    if powerful:
+        work += 11 * math.isqrt(V)  # ~2.2 sqrt(V) powerful h, each ~5 steps' time
     if work > DEFAULT_FLOOR_VALUE_CAP:
         raise CapExceededError(
             f"census at n={n}, V={V} needs about {work} floor-value steps, "
@@ -254,7 +263,7 @@ def _check_census(name: str, n: int, V: int, n_min: int) -> None:
 
 
 def _census_table(n: int, V: int) -> Callable[[int], int]:
-    """T_n(V//h) as a function of h, for every h in 1..V (n >= 2).
+    """T_n(V//h) as a function of h, for every h in 1..V.
 
     T_k is kept at y <= s = isqrt(V) (`small`, with c_k pointwise in
     `point`) and at V//j for j <= s (`large`).  Level k follows from level
@@ -264,17 +273,18 @@ def _census_table(n: int, V: int) -> Callable[[int], int]:
     r = isqrt(x), P_j(y) = sum_{i<=y} i^j.  The top level's `large` values
     are computed only when asked for.
     """
+    top = lambda j: V // j  # T_1(V//j)
+    if n == 1:
+        return top
     s = math.isqrt(V)
     point = [0] + [1] * s
     small = list(range(s + 1))
-    large = [0] + [V // j for j in range(1, s + 1)]
     for k in range(2, n + 1):
+        large = [0] + [top(j) for j in range(1, s + 1)]
         pw = [d ** (k - 1) for d in range(s + 1)]
         p_small = list(accumulate(pw))
         p_large = [0] + [_power_sum(k - 1, V // j) for j in range(1, s + 1)]
         top = _hyperbola(V, pw, p_small, p_large, point, small, large)
-        if k < n:
-            large = [0] + [top(j) for j in range(1, s + 1)]
         # c_k = c_(k-1) * Id^(k-1) pointwise on [1, s]
         conv = np.zeros(s + 1, dtype=object)
         prev = np.array(point, dtype=object)
@@ -351,20 +361,20 @@ def _powerful_sum(n: int, V: int, local: Callable[[int, int], int]) -> int:
 def count_cocyclic(n: int, V: int) -> int:
     """Number of co-cyclic sublattices of Z^n of index <= V: the sum of
     count_primitive_classes(n, q) over q <= V (fast route)."""
-    _check_census("count_cocyclic", n, V, 2)
+    _check_census("count_cocyclic", n, V, 2, True)
     return _powerful_sum(n, V, _local_factor("cyclic", n))
 
 
 def count_squarefree(n: int, V: int) -> int:
     """Co-cyclic census restricted to squarefree index q <= V (fast route)."""
-    _check_census("count_squarefree", n, V, 2)
+    _check_census("count_squarefree", n, V, 2, True)
     return _powerful_sum(n, V, _local_factor("squarefree", n))
 
 
 def total_count(n: int, V: int) -> int:
     """All full-rank sublattices of Z^n of index <= V, exactly (fast route)."""
-    _check_census("total_count", n, V, 1)
-    return V if n == 1 else _census_table(n, V)(1)
+    _check_census("total_count", n, V, 1, False)
+    return _census_table(n, V)(1)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +474,14 @@ def _guard_enumeration(n: int, V: int, cap: int) -> None:
     total = total_count(n, V)  # O(V^(3/4)) under its own cap; no (V+1)-entry table
     if total > cap:
         raise CapExceededError(f"enumerating {total} lattices exceeds cap {cap}")
+
+
+# mode -> (fast route, enumeration oracle, leading term)
+CENSUS = {
+    "cyclic": (count_cocyclic, census_cocyclic_bruteforce, cocyclic_leading_term),
+    "squarefree": (count_squarefree, census_squarefree_bruteforce, squarefree_leading_term),
+    "all": (total_count, census_total_bruteforce, total_leading_term),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -585,18 +603,3 @@ def density_report(
         report.oracle_cocyclic = census_cocyclic_bruteforce(n, V, enum_cap)
     return report
 
-
-def density_ladder_rows(
-    n: int, V: int, steps: int, tol: float = 1e-10
-) -> Iterable[tuple[int, int, float, float]]:
-    """(V_i, count_cocyclic, prediction, ratio) rows for a ladder of bounds."""
-    from .constants import theta_n
-
-    const = theta_n(n, tol)
-    for i in range(1, steps + 1):
-        Vi = V * i // steps
-        if Vi < 1:
-            continue
-        count = count_cocyclic(n, Vi)
-        pred = const * ErrBoundedReal.exact(Vi**n) / n
-        yield Vi, count, float(pred.value), count / float(pred.value)

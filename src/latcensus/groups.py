@@ -12,10 +12,17 @@ a precomputed addition table; subgroups are frozensets of indices, and the
 join table (subgroup, element) -> subgroup, built one extension per coset,
 drives the exact generating-tuple DP behind the oracle and the class counts.
 
+The number of classes of order <= V is not enumerated: its Dirichlet
+series prod_k zeta(ks) has local factors sum_e P(e) X^e (P the partition
+count), so it is the n = 1 case of the census engine in `counting`, a sum
+over powerful numbers in O(sqrt V) time under that engine's cap;
+`enumerate_groups` is its oracle.
+
 The census assigns each group the mass 1/#Aut(G); totals are exact
 rationals up to 1e4 and error-bounded floats beyond.  Census sizes are
 checked against their caps before any work (DEFAULT_CENSUS_CAP for the
-group enumeration and class count, arith.SIEVE_CAP for the float mass).
+group enumeration, counting.DEFAULT_FLOOR_VALUE_CAP for the class count,
+arith.SIEVE_CAP for the float mass).
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import SIEVE_CAP, abelian_group_count, factorize, shared_sieve
+from .arith import SIEVE_CAP, factorize, partition_count, shared_sieve
+from .counting import _check_census, _powerful_sum
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
 from .lattice import InvariantFactors
@@ -208,17 +216,12 @@ def enumerate_groups(V: int, cap: int = DEFAULT_CENSUS_CAP) -> Iterator[AbelianG
 
 
 def count_isomorphism_classes(V: int) -> int:
-    """Number of classes of order <= V (sum of the multiplicative class
-    counting function, one step per order).  V above DEFAULT_CENSUS_CAP
-    raises CapExceededError before any work."""
-    if V < 1:
-        raise ValueError("V must be >= 1")
-    if V > DEFAULT_CENSUS_CAP:
-        raise CapExceededError(f"census bound {V} exceeds cap {DEFAULT_CENSUS_CAP}")
-    sieve = shared_sieve(max(V, 2))
-    return 1 + sum(
-        abelian_group_count(sieve.factorize(n)) for n in range(2, V + 1)
-    )
+    """Number of classes of order <= V: the census engine at n = 1 with
+    local factor P(e), whose correction H_p = F_p(X) (1 - X) vanishes at
+    p since P(1) = P(0).  A V whose estimated work exceeds
+    counting.DEFAULT_FLOOR_VALUE_CAP raises CapExceededError before any work."""
+    _check_census("count_isomorphism_classes", 1, V, 1, True)
+    return _powerful_sum(1, V, lambda p, e: partition_count(e))
 
 
 # ---------------------------------------------------------------------------

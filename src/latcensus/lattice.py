@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from .arith import ensure_factored, factorize
 from .errors import CapExceededError, NotPrimitiveError, SingularMatrixError
 from .rng import SplitMix64
 
@@ -313,8 +314,6 @@ def _count_prime_power(n: int, p: int, e: int) -> int:
 def count_sublattices(n: int, q) -> int:
     """Number of sublattices of Z^n of index exactly q: multiplicative in q,
     with c_n(q) = sum_{d|q} d^(n-1) c_{n-1}(q/d) and c_1 = 1."""
-    from .arith import ensure_factored
-
     if n < 1:
         raise ValueError("dimension must be >= 1")
     f = ensure_factored(q)
@@ -324,44 +323,11 @@ def count_sublattices(n: int, q) -> int:
     return out
 
 
-def count_sublattices_upto(n: int, V: int) -> list[int]:
-    """[c_n(0), c_n(1), ..., c_n(V)] with c_n(0) = 0, by divisor convolution."""
-    if n < 1 or V < 1:
-        raise ValueError("need n >= 1 and V >= 1")
-    import numpy as np
-
-    # int64 is safe while max intermediate d^(n-1) * c_(n-1) stays below 2^62
-    if (n - 1) * math.log2(max(V, 2)) + math.log2(V) + 4 < 62:
-        arr = np.zeros(V + 1, dtype=np.int64)
-        arr[1:] = 1
-        for level in range(2, n + 1):
-            new = np.zeros(V + 1, dtype=np.int64)
-            for d in range(1, V + 1):
-                new[d::d] += d ** (level - 1) * arr[1 : V // d + 1]
-            arr = new
-        return [int(x) for x in arr]
-    out = [0] + [1] * V
-    for level in range(2, n + 1):
-        new = [0] * (V + 1)
-        for d in range(1, V + 1):
-            w = d ** (level - 1)
-            for q in range(d, V + 1, d):
-                new[q] += w * out[q // d]
-        out = new
-    return out
-
-
-def _divisors_ascending(q: int) -> list[int]:
-    from .arith import factorize
-
-    return factorize(q).divisors()
-
-
 def _ordered_factorizations(q: int, n: int) -> Iterator[tuple[int, ...]]:
     if n == 1:
         yield (q,)
         return
-    for d in _divisors_ascending(q):
+    for d in factorize(q).divisors():
         for rest in _ordered_factorizations(q // d, n - 1):
             yield (d,) + rest
 
@@ -440,17 +406,6 @@ def are_equivalent(u: CongruenceVector, v: CongruenceVector) -> bool:
         if math.gcd(lam, q) == 1 and v.scaled(lam) == u.a:
             return True
     return False
-
-
-def canonical_vector(v: CongruenceVector) -> CongruenceVector:
-    """Lexicographically smallest vector in the unit-scaling orbit of v."""
-    best = v.a
-    for lam in range(2, v.q):
-        if math.gcd(lam, v.q) == 1:
-            cand = v.scaled(lam)
-            if cand < best:
-                best = cand
-    return CongruenceVector(v.q, best)
 
 
 def lattice_from_congruence(v: CongruenceVector) -> HnfBasis:

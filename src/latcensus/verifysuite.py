@@ -32,7 +32,7 @@ def _fail(check_id: str, detail: str):
 
 
 def check_sieve_vs_trial():
-    sieve = arith.build_sieve(10**6)
+    sieve = arith.SieveTable(10**6)
     for n in range(1, 2001):
         if arith.factorize(n, sieve) != arith.factorize(n):
             _fail("arith.sieve-vs-trial", f"n={n}")
@@ -487,13 +487,8 @@ def check_dirichlet_vs_sieve():
     """Fast floor-value route equals the sieve route, every mode, n in 2..6."""
     rng = SplitMix64(29)
     bounds = [1, 2, 16, 997, 3000, 10**5] + [1 + rng.randbelow(20000) for _ in range(3)]
-    fast = {
-        "cyclic": counting.count_cocyclic,
-        "squarefree": counting.count_squarefree,
-        "all": counting.total_count,
-    }
     for n in range(2, 7):
-        for mode, fn in fast.items():
+        for mode, (fn, _, _) in counting.CENSUS.items():
             local = counting._local_factor(mode, n)
             for v in bounds:
                 lhs, rhs = fn(n, v), counting._multiplicative_sum(v, local)

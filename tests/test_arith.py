@@ -1,26 +1,28 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from latcensus import arith
+from latcensus import arith, counting, lattice
 from latcensus.errbound import ErrBoundedReal
+from latcensus.errors import CapExceededError
 
 
-def test_build_sieve_smallest_prime_factors():
-    s = arith.build_sieve(10)
+def test_sieve_table_smallest_prime_factors():
+    s = arith.SieveTable(10)
     assert s.spf[4] == 2 and s.spf[9] == 3 and s.spf[7] == 7
-    assert arith.build_sieve(2).spf[2] == 2
-    assert arith.build_sieve(30).spf[30] == 2
+    assert arith.SieveTable(2).spf[2] == 2
+    assert arith.SieveTable(30).spf[30] == 2
 
 
-def test_build_sieve_rejects_small_limit():
+def test_sieve_table_rejects_small_limit():
     with pytest.raises(ValueError):
-        arith.build_sieve(1)
+        arith.SieveTable(1)
 
 
 def test_sieve_invariants():
-    s = arith.build_sieve(500)
+    s = arith.SieveTable(500)
     for k in range(2, 501):
         p = int(s.spf[k])
         assert k % p == 0
@@ -43,8 +45,21 @@ def test_factorize_examples():
         arith.factorize(0)
 
 
+def test_trial_division_is_bounded():
+    # 99999999999973 is a prime below TRIAL_DIVISION_LIMIT^2: still factored
+    start = time.perf_counter()
+    assert lattice.count_sublattices(2, 99999999999973) == 99999999999974
+    assert time.perf_counter() - start < 2.0
+    # the prime 2^61 - 1 is above it: refused instead of a ~10^9-step loop
+    for fn in (arith.factorize, lambda q: counting.count_primitive_classes(2, q)):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            fn(2**61 - 1)
+        assert time.perf_counter() - start < 2.0
+
+
 def test_factorize_with_sieve_matches_trial():
-    s = arith.build_sieve(2000)
+    s = arith.SieveTable(2000)
     for n in range(1, 2001):
         assert arith.factorize(n, s) == arith.factorize(n)
 
@@ -215,4 +230,4 @@ def test_sieve_cap_checked_before_allocation(monkeypatch):
         arith.shared_sieve(10**9)
     monkeypatch.setattr(arith, "SIEVE_CAP", 1000)
     with pytest.raises(CapExceededError):
-        arith.build_sieve(1001)
+        arith.SieveTable(1001)

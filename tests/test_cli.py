@@ -62,6 +62,74 @@ def test_count_csv_ladder(capsys):
     assert lines[1].split(",")[0] == "10"
 
 
+def test_count_csv_honours_method(capsys, monkeypatch):
+    from latcensus import counting
+
+    fast, _, leading = counting.CENSUS["cyclic"]
+    monkeypatch.setitem(counting.CENSUS, "cyclic", (fast, lambda n, V, cap: 0, leading))
+    argv = ("count", "--n", "2", "--V", "10", "--format", "csv", "--ladder", "2", "--method")
+    code, out, err = run_cli(capsys, *argv, "both")
+    assert code == 1 and out == "" and "mismatch at V=5" in err
+    code, out, _ = run_cli(capsys, *argv, "bruteforce")
+    assert code == 0 and [row.split(",")[1] for row in out.splitlines()[1:]] == ["0", "0"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--format", "csv", "--ladder", "0"),
+        ("--format", "csv", "--ladder", "-3"),
+        ("--ladder", "3"),
+        ("--mode", "rank", "--rank", "1", "--method", "both", "--format", "csv"),
+    ],
+)
+def test_count_refuses_ignored_flags(capsys, extra):
+    code, out, err = run_cli(capsys, "count", "--n", "2", "--V", "10", *extra)
+    assert code == 64 and out == "" and "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("count --n 2 --V 4 --method both",
+         '{"n": 2, "V": 4, "mode": "cyclic", "method": "both", "count": "14", "oracle_count": "14", '
+         '"prediction": {"value": "12.1585420370833298742", "err": "1.039e-11"}, '
+         '"prediction_kind": "leading-order", '
+         '"ratio": {"value": "1.15145384679349359195", "err": "9.839e-13"}}\n'),
+        ("count --n 2 --V 1000 --mode squarefree --format csv --ladder 3",
+         "V,count,prediction,ratio\n333,46528,46124.6883191,1.00874394377\n"
+         "666,185352,184498.753276,1.00462467474\n1000,415304,415953.68629,0.998438080219\n"),
+        ("groups --V 48",
+         '{"V": 48, "classes": "82", "cyclic_classes": "48", "cyclic_fraction": "0.585365853659"}\n'),
+    ],
+)
+def test_pinned_stdout(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and out == expected
+
+
+def test_groups_class_count_at_ten_to_the_nine(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "groups", "--V", str(10**9))
+    assert code == 0 and json.loads(out)["classes"] == "2294454056"
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "2", "--q", str(2**61 - 1)),
+        ("enumerate", "--n", "2", "--q", str(2**61 - 1), "--count-only"),
+        ("constants", "--name", "rank-prob", "--p", str(2**61 - 1), "--r", "0"),
+    ],
+)
+def test_huge_prime_factorization_exits_2_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "cap" in err
+    assert time.perf_counter() - start < 2.0
+
+
 def test_constants_theta(capsys):
     code, out, _ = run_cli(capsys, "constants", "--name", "theta")
     assert code == 0
@@ -250,7 +318,8 @@ def test_constants_tol_is_met_or_refused(capsys):
 
 @pytest.mark.parametrize("command", ["clmass", "groups"])
 def test_mass_and_class_counts_hit_caps_quickly(capsys, command):
+    V = {"clmass": 10**9, "groups": 10**15}[command]  # each above its command's cap
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, command, "--V", str(10**9))
+    code, _, err = run_cli(capsys, command, "--V", str(V))
     assert code == 2 and "cap" in err
     assert time.perf_counter() - start < 1.0

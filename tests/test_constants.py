@@ -79,7 +79,7 @@ def test_theta_n_against_series_partial_sum():
     # independent series oracle: sum of fn_weight(n, d)/d over squarefree d,
     # with tail bounded by sum_{d>D} 2^omega(d)/d^2 <= 4/sqrt(D)
     D = 20000
-    sieve = arith.build_sieve(D)
+    sieve = arith.SieveTable(D)
     for n in (2, 3):
         acc = 0.0
         for d in range(1, D + 1):
@@ -332,7 +332,7 @@ def test_prime_log_weight_sum_value():
     # cross-check against a directly computed partial sum
     s = constants.prime_log_weight_sum()
     direct = 0.0
-    sieve = arith.build_sieve(10**5)
+    sieve = arith.SieveTable(10**5)
     for p in sieve.primes():
         p = int(p)
         direct += math.log(p) / (p * p - p + 1)

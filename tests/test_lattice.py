@@ -109,13 +109,6 @@ def test_count_sublattices():
         assert lattice.count_sublattices(2, q) == sigma
 
 
-def test_count_sublattices_upto_matches_pointwise():
-    for n in (1, 2, 3, 4):
-        table = lattice.count_sublattices_upto(n, 40)
-        for q in range(1, 41):
-            assert table[q] == lattice.count_sublattices(n, q)
-
-
 def test_enumerate_examples():
     got = [b.rows for b in lattice.enumerate_sublattices(2, 2)]
     assert got == [((1, 0), (0, 2)), ((1, 1), (0, 2)), ((2, 0), (0, 1))]
