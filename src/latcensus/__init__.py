@@ -41,14 +41,13 @@ from .constants import (
     zeta,
 )
 from .counting import (
-    DensityReport,
     census_cocyclic_bruteforce,
+    count_by_rank,
     count_by_rank_bruteforce,
     count_cocyclic,
     count_primitive_classes,
     count_primitive_classes_bruteforce,
     count_squarefree,
-    density_report,
     primitive_class_representatives,
     total_count,
 )

@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -290,6 +291,41 @@ def partition_count(k: int) -> int:
             j += 1
         memo.append(total)
     return memo[k]
+
+
+@lru_cache(maxsize=None)
+def _partitions_of(k: int) -> tuple[tuple[int, ...], ...]:
+    """Partitions of k as descending tuples, in descending lex order."""
+    if k == 0:
+        return ((),)
+    out = []
+
+    def rec(rest: int, maxpart: int, prefix: tuple[int, ...]):
+        if rest == 0:
+            out.append(prefix)
+            return
+        for part in range(min(rest, maxpart), 0, -1):
+            rec(rest - part, part, prefix + (part,))
+
+    rec(k, k, ())
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _aut_order_pgroup(p: int, exps: tuple[int, ...]) -> int:
+    """#Aut of the abelian p-group with the descending tuple of positive
+    exponents `exps`, p prime, in integers (memoized; `__wrapped__` skips
+    the memo):  p^(power - sum_i r_i (r_i + 1) / 2) prod_i prod_{s<=r_i} (p^s - 1)
+    for the distinct exponents e_i with multiplicities r_i,
+    power = sum_{i,j} min(e_i, e_j) r_i r_j."""
+    groups = [(e, len(list(g))) for e, g in itertools.groupby(exps)]
+    power = sum(min(ei, ej) * ri * rj for ei, ri in groups for ej, rj in groups)
+    out = 1
+    for _, r in groups:
+        power -= r * (r + 1) // 2
+        for s in range(1, r + 1):
+            out *= p**s - 1
+    return out * p**power
 
 
 def abelian_group_count(n) -> int:

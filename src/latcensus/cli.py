@@ -51,23 +51,12 @@ def cmd_count(args) -> int:
         raise ValueError(f"--mode {args.mode} requires --n >= 2")
     if args.ladder is not None and (args.ladder < 1 or not csv):
         raise ValueError("--ladder needs --format csv and at least one rung")
-    if args.mode == "rank":
-        if args.rank is None:
-            raise ValueError("--mode rank requires --rank")
-        if args.method == "formula":
-            raise ValueError("--mode rank has no closed form; use --method bruteforce or both")
-        if csv:
-            raise ValueError("--mode rank has no CSV form; use --format json")
-        first = lambda v: counting.count_by_rank_bruteforce(n, args.rank, v, args.enum_cap)
-        second = lambda v: sum(
-            groups.primitive_class_count(G, n) for G in groups.enumerate_groups(v)
-            if G.rank == args.rank
-        )
-        leading = None
-    else:
-        fast, oracle, leading = counting.CENSUS[args.mode]
-        second = lambda v: oracle(n, v, args.enum_cap)
-        first = second if args.method == "bruteforce" else lambda v: fast(n, v)
+    if (args.mode == "rank") != (args.rank is not None):
+        raise ValueError("--rank goes with --mode rank, and --mode rank needs --rank")
+    fast, oracle, leading = counting.CENSUS[args.mode]
+    rank = () if args.rank is None else (args.rank,)  # the rank row takes (n, m, V)
+    second = lambda v: oracle(n, *rank, v, args.enum_cap)
+    first = second if args.method == "bruteforce" else lambda v: fast(n, *rank, v)
     if n < 2:
         leading = None
     # CSV rows scale one V = 1 prediction by V_i^n
@@ -80,7 +69,7 @@ def cmd_count(args) -> int:
         if v < 1:
             continue
         doc = {"n": n, "V": v, "mode": args.mode}
-        if args.mode == "rank":
+        if rank:
             doc["rank"] = args.rank
         doc["method"] = args.method
         count = first(v)
@@ -180,6 +169,8 @@ def _mass_doc(mass) -> dict:
 def cmd_clmass(args) -> int:
     if args.V < 1:
         raise ValueError("--V must be >= 1")
+    if args.r is not None and args.predicate != "rank-at-most":
+        raise ValueError("--r goes with --predicate rank-at-most")
     doc = {"V": args.V, "total_mass": _mass_doc(groups.cl_total_mass(args.V))}
     if args.predicate:
         mass = groups.cl_predicate_mass(args.V, args.predicate, args.r)

@@ -498,8 +498,9 @@ def evaluate_constant(name: str, *, k=None, n=None, m=None, r=None, p=None,
     where prime_cutoff is P0 of an Euler product (see euler_product).
 
     Names accept '-' or '_' interchangeably.  Unknown names raise KeyError,
-    a missing parameter ValueError, and a result whose err exceeds tol
-    PrecisionError naming the err that was reached.
+    a missing parameter or one the name does not take ValueError, and a
+    result whose err exceeds tol PrecisionError naming the err that was
+    reached.
     """
     key = name.replace("_", "-")
     if key not in _EVALUATORS:
@@ -508,6 +509,9 @@ def evaluate_constant(name: str, *, k=None, n=None, m=None, r=None, p=None,
     params = {"k": k, "n": n, "m": m, "r": r, "p": p}
     if any(params[x] is None for x in needs):
         raise ValueError(f"{key} needs " + " and ".join(f"--{x}" for x in needs))
+    extra = [x for x, v in params.items() if v is not None and x not in needs]
+    if extra:
+        raise ValueError(f"{key} takes no " + " or ".join(f"--{x}" for x in extra))
     value, cutoff = evaluate(*(params[x] for x in needs), tol)
     if not value.err <= tol:
         raise PrecisionError(f"{key} reaches err {float(value.err):.2g}, above tol {tol:g}")

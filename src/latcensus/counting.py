@@ -3,7 +3,8 @@
 Two independent routes are kept for every headline count:
 
 * closed-form/multiplicative evaluation (`count_primitive_classes`,
-  `count_cocyclic`, `count_squarefree`, `total_count`), used at scale;
+  `count_cocyclic`, `count_squarefree`, `total_count`, `count_by_rank`),
+  used at scale;
 * literal enumeration oracles (`count_primitive_classes_bruteforce`,
   `census_cocyclic_bruteforce`, `count_by_rank_bruteforce`), used to verify
   the formulas exactly on the desk-scale grids.
@@ -18,9 +19,12 @@ The cumulative censuses up to index V take the fast route: a Dirichlet-series
 floor-value evaluation of the total census T_n on the ~2 sqrt(V) values
 V//j, corrected by a sum over powerful numbers, in O(n V^(3/4)) time and
 O(sqrt(V)) memory (no sieve beyond sqrt(V)).  The same engine at n = 1
-(T_1(x) = x) gives the abelian group class count of `groups`.  Its
+(T_1(x) = x) gives the abelian group class count of `groups`.  "Rank of
+Z^n/L <= m" is multiplicative in the index (the rank is the largest local
+rank), so `count_by_rank` is the difference of two powerful-number walks on
+one floor-value table.  Its
 estimated work, (n-1) V^(3/4) floor-value steps plus the ~2.2 sqrt(V)
-powerful numbers for the censuses that walk them, is checked against
+powerful numbers for each walk over them, is checked against
 DEFAULT_FLOOR_VALUE_CAP before anything is allocated, and CapExceededError
 is raised above it.  The second route, `_multiplicative_sum`, sieves [1, V]
 and sums the multiplicative count from its prime-power local factors in
@@ -28,14 +32,14 @@ O(V) time and memory; it is never the default and serves the tests and
 `verify` as an exact cross-check.
 
 `CENSUS` maps each census mode to its fast route, enumeration oracle and
-leading term, for the CLI and `verify`.
+leading term, for the CLI and `verify`.  The rank row's routes take the
+rank as a second argument, (n, m, V), and it has no leading term.
 
 All counts are arbitrary-precision integers end to end.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -45,7 +49,15 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import lattice
-from .arith import bernoulli, ensure_factored, euler_phi, is_squarefree, shared_sieve
+from .arith import (
+    _aut_order_pgroup,
+    _partitions_of,
+    bernoulli,
+    ensure_factored,
+    euler_phi,
+    is_squarefree,
+    shared_sieve,
+)
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
 
@@ -204,10 +216,31 @@ def _local_factor(mode: str, n: int) -> Callable[[int, int], int]:
     raise ValueError(f"unknown census mode {mode!r}")
 
 
+def _rank_factor(n: int, m: int) -> Callable[[int, int], int]:
+    """f(p^e), e >= 1, of the census of quotient rank <= m: the lattices with
+    quotient G_lam (lam a partition of e with l(lam) <= m parts) number the
+    surjections Z^n -> G_lam, p^(n(e-l)) prod_{i<l} (p^n - p^i), over
+    #Aut(G_lam).  The product vanishes for l > n, so m >= n is the total
+    census."""
+
+    def local(p: int, e: int) -> int:
+        total = 0
+        for lam in _partitions_of(e):
+            l = len(lam)
+            if l <= m:
+                surj = p ** (n * (e - l)) * math.prod(p**n - p**i for i in range(l))
+                total += surj // _aut_order_pgroup.__wrapped__(p, lam)
+        return total
+
+    return local
+
+
 def _multiplicative_sum(V: int, local: Callable[[int, int], int]) -> int:
     """Second route: sum of f(q) over q <= V for the multiplicative f with
-    f(p^e) = local(p, e), factoring each q with the shared sieve."""
+    f(p^e) = local(p, e), factoring each q with the shared sieve (local is
+    memoized per prime power, at most V entries like the sieve)."""
     spf = shared_sieve(max(V, 2)).spf
+    local = cache(local)
     total = 0
     for q in range(1, V + 1):
         k = q
@@ -246,15 +279,14 @@ def _power_sum(j: int, m: int) -> int:
     return acc // den
 
 
-def _check_census(name: str, n: int, V: int, n_min: int, powerful: bool) -> None:
-    """Argument and cap checks; `powerful` marks the callers of _powerful_sum."""
+def _check_census(name: str, n: int, V: int, n_min: int, walks: int) -> None:
+    """Argument and cap checks; `walks` counts the caller's _powerful_sum walks."""
     if n < n_min:
         raise ValueError(f"{name} requires n >= {n_min}")
     if V < 1:
         raise ValueError("V must be >= 1")
     work = (n - 1) * math.isqrt(V) * math.isqrt(math.isqrt(V))  # ~V^(3/4) per level
-    if powerful:
-        work += 11 * math.isqrt(V)  # ~2.2 sqrt(V) powerful h, each ~5 steps' time
+    work += walks * 11 * math.isqrt(V)  # ~2.2 sqrt(V) powerful h, each ~5 steps' time
     if work > DEFAULT_FLOOR_VALUE_CAP:
         raise CapExceededError(
             f"census at n={n}, V={V} needs about {work} floor-value steps, "
@@ -313,10 +345,13 @@ def _hyperbola(V, pw, p_small, p_large, point, small, large) -> Callable[[int], 
     return value
 
 
-def _powerful_sum(n: int, V: int, local: Callable[[int, int], int]) -> int:
+def _powerful_sum(
+    n: int, V: int, local: Callable[[int, int], int], census: Optional[Callable[[int], int]] = None
+) -> int:
     """Fast route: sum of f(q) over q <= V, f multiplicative with
-    f(p^e) = local(p, e), as sum_{h powerful <= V} H(h) T_n(V//h)."""
-    census = _census_table(n, V)
+    f(p^e) = local(p, e), as sum_{h powerful <= V} H(h) T_n(V//h);
+    `census` is the _census_table(n, V) to reuse, if one is built."""
+    census = census or _census_table(n, V)
     s = math.isqrt(V)
     primes = shared_sieve(max(s, 2)).primes()
     primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
@@ -361,20 +396,45 @@ def _powerful_sum(n: int, V: int, local: Callable[[int, int], int]) -> int:
 def count_cocyclic(n: int, V: int) -> int:
     """Number of co-cyclic sublattices of Z^n of index <= V: the sum of
     count_primitive_classes(n, q) over q <= V (fast route)."""
-    _check_census("count_cocyclic", n, V, 2, True)
+    _check_census("count_cocyclic", n, V, 2, 1)
     return _powerful_sum(n, V, _local_factor("cyclic", n))
 
 
 def count_squarefree(n: int, V: int) -> int:
     """Co-cyclic census restricted to squarefree index q <= V (fast route)."""
-    _check_census("count_squarefree", n, V, 2, True)
+    _check_census("count_squarefree", n, V, 2, 1)
     return _powerful_sum(n, V, _local_factor("squarefree", n))
 
 
 def total_count(n: int, V: int) -> int:
     """All full-rank sublattices of Z^n of index <= V, exactly (fast route)."""
-    _check_census("total_count", n, V, 1, False)
+    _check_census("total_count", n, V, 1, 0)
     return _census_table(n, V)(1)
+
+
+def count_by_rank(n: int, m: int, V: int) -> int:
+    """Sublattices of Z^n of index <= V whose quotient needs exactly m
+    generators (fast route): the rank <= m census minus the rank <= m-1
+    census, both on one floor-value table.  Rank <= 0 is the lattice Z^n
+    alone, and rank <= n is every lattice (`total_count`)."""
+    if m < 0:
+        raise ValueError("rank must be >= 0")
+    walks = sum(0 < k < n for k in (m - 1, m))  # rank <= 0 and rank <= n walk nothing
+    _check_census("count_by_rank", n, V, 1, walks)
+    if m > n:
+        return 0
+    if m == 0:
+        return 1
+    census = _census_table(n, V)
+
+    def at_most(k: int) -> int:
+        if k == 0:
+            return 1
+        if k == n:
+            return census(1)
+        return _powerful_sum(n, V, _rank_factor(n, k), census)
+
+    return at_most(m) - at_most(m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,125 +541,6 @@ CENSUS = {
     "cyclic": (count_cocyclic, census_cocyclic_bruteforce, cocyclic_leading_term),
     "squarefree": (count_squarefree, census_squarefree_bruteforce, squarefree_leading_term),
     "all": (total_count, census_total_bruteforce, total_leading_term),
+    "rank": (count_by_rank, count_by_rank_bruteforce, None),  # both take (n, m, V)
 }
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class DensityReport:
-    """Exact counts at (n, V) with leading-order predictions attached."""
-
-    n: int
-    V: int
-    count_cocyclic: int
-    count_squarefree: int
-    count_total: int
-    counts_by_rank: Optional[dict[int, int]] = None
-    predicted_cocyclic: Optional[ErrBoundedReal] = None
-    predicted_squarefree: Optional[ErrBoundedReal] = None
-    predicted_total: Optional[ErrBoundedReal] = None
-    oracle_cocyclic: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.count_squarefree <= self.count_cocyclic <= self.count_total:
-            raise ValueError("count ordering violated")
-        if self.counts_by_rank is not None:
-            if sum(self.counts_by_rank.values()) != self.count_total:
-                raise ValueError("rank stratification does not sum to the total")
-
-    def ratio(self, which: str) -> ErrBoundedReal:
-        """count/prediction ratio with the prediction's error propagated."""
-        count = {
-            "cocyclic": self.count_cocyclic,
-            "squarefree": self.count_squarefree,
-            "total": self.count_total,
-        }[which]
-        pred = {
-            "cocyclic": self.predicted_cocyclic,
-            "squarefree": self.predicted_squarefree,
-            "total": self.predicted_total,
-        }[which]
-        if pred is None:
-            raise ValueError(f"no prediction recorded for {which}")
-        return ErrBoundedReal.exact(count) / pred
-
-    def to_json_dict(self) -> dict:
-        from .errbound import format_errbounded
-
-        doc: dict = {
-            "n": self.n,
-            "V": self.V,
-            "counts": {
-                "cocyclic": str(self.count_cocyclic),
-                "squarefree": str(self.count_squarefree),
-                "total": str(self.count_total),
-            },
-        }
-        if self.counts_by_rank is not None:
-            doc["counts"]["by_rank"] = {
-                str(m): str(c) for m, c in sorted(self.counts_by_rank.items())
-            }
-        if self.oracle_cocyclic is not None:
-            doc["counts"]["oracle_cocyclic"] = str(self.oracle_cocyclic)
-        preds = {}
-        for name, val in (
-            ("cocyclic", self.predicted_cocyclic),
-            ("squarefree", self.predicted_squarefree),
-            ("total", self.predicted_total),
-        ):
-            if val is not None:
-                preds[name] = format_errbounded(val)
-        if preds:
-            doc["predictions"] = preds
-            doc["predictions_kind"] = "leading-order"  # no lower-order terms
-            doc["ratios"] = {
-                name: format_errbounded(self.ratio(name)) for name in preds
-            }
-        doc["exact_ratios"] = {
-            "cocyclic_over_total": _ratio_str(self.count_cocyclic, self.count_total),
-            "squarefree_over_total": _ratio_str(self.count_squarefree, self.count_total),
-        }
-        return doc
-
-
-def _ratio_str(a: int, b: int) -> str:
-    return f"{Fraction(a, b).numerator / Fraction(a, b).denominator:.12g}" if b else "nan"
-
-
-def density_report(
-    n: int,
-    V: int,
-    *,
-    with_rank: bool = False,
-    with_oracle: bool = False,
-    with_predictions: bool = True,
-    tol: float = 1e-10,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> DensityReport:
-    """Assemble exact counts (formula route) with optional enumeration
-    oracle, rank stratification, and leading-order predictions."""
-    if n < 2:
-        raise ValueError("density_report requires n >= 2")
-    report = DensityReport(
-        n=n,
-        V=V,
-        count_cocyclic=count_cocyclic(n, V),
-        count_squarefree=count_squarefree(n, V),
-        count_total=total_count(n, V),
-    )
-    if with_predictions:
-        report.predicted_cocyclic = cocyclic_leading_term(n, V, tol)
-        report.predicted_squarefree = squarefree_leading_term(n, V, tol)
-        report.predicted_total = total_leading_term(n, V, tol)
-    if with_rank:
-        report.counts_by_rank = counts_by_rank_bruteforce(n, V, enum_cap)
-        if sum(report.counts_by_rank.values()) != report.count_total:
-            raise RuntimeError("rank stratification disagrees with total count")
-    if with_oracle:
-        report.oracle_cocyclic = census_cocyclic_bruteforce(n, V, enum_cap)
-    return report
 

@@ -6,10 +6,11 @@ working-precision value ``v`` and a bound ``e >= 0`` such that the exact
 mathematical quantity is guaranteed to lie in ``[v - e, v + e]``.
 
 Arithmetic propagates bounds conservatively and folds in a small slack per
-floating operation.  The backing float is an mpmath ``mpf`` at 120 bits of
-significand, so the per-operation rounding slack (~1e-36 relative) is far
-below every tolerance used in practice, but it is tracked anyway to keep
-the interval contract honest.
+floating operation; the error terms themselves are rounded upward, so the
+bound holds however far the error exceeds the value.  The backing float is
+an mpmath ``mpf`` at 120 bits of significand, so the per-operation rounding
+slack (~1e-36 relative) is far below every tolerance used in practice, but
+it is tracked anyway to keep the interval contract honest.
 
 All evaluation runs in the private mpmath context ``CTX``: the package
 neither reads nor writes the caller's global ``mpmath.mp`` precision, so a
@@ -21,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import MPContext
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_ceiling, round_floor
 
 # Working precision for all error-bounded evaluation in the package.
 PRECISION_BITS = 120
@@ -32,6 +34,24 @@ mpf = CTX.mpf
 _EPS = mpf(2) ** (1 - PRECISION_BITS)
 # Extra slack for transcendental functions (exp/log), per call.
 _TRANS_EPS = mpf(2) ** (3 - PRECISION_BITS)
+
+
+def _op(fn, a, b, rnd) -> mpf:
+    """fn(a, b) (an mpmath.libmp operation) at the working precision,
+    rounded in the direction rnd."""
+    return CTX.make_mpf(fn(a._mpf_, b._mpf_, PRECISION_BITS, rnd))
+
+
+def _sum_up(*terms) -> mpf:
+    """Sum of nonnegative error terms, rounded upward at every step."""
+    out = fzero
+    for t in terms:
+        out = mpf_add(out, t._mpf_, PRECISION_BITS, round_ceiling)
+    return CTX.make_mpf(out)
+
+
+def _mul_up(a, b) -> mpf:
+    return _op(mpf_mul, a, b, round_ceiling)
 
 
 def _to_mpf(x) -> tuple[mpf, mpf]:
@@ -82,7 +102,7 @@ class ErrBoundedReal:
         if e < 0:
             raise ValueError("error bound must be nonnegative")
         object.__setattr__(self, "value", v)
-        object.__setattr__(self, "err", e + ce + ce2)
+        object.__setattr__(self, "err", _sum_up(e, ce, ce2))
 
     def __setattr__(self, name, value):
         raise AttributeError("ErrBoundedReal is immutable")
@@ -101,18 +121,18 @@ class ErrBoundedReal:
         if hi_v < lo_v:
             raise ValueError("empty interval")
         mid = (lo_v + hi_v) / 2
-        half = (hi_v - lo_v) / 2
-        return cls(mid, half + lo_e + hi_e + abs(mid) * _EPS)
+        half = _op(mpf_sub, hi_v, lo_v, round_ceiling) / 2
+        return cls(mid, _sum_up(half, lo_e, hi_e, abs(mid) * _EPS))
 
     # -- interval views -----------------------------------------------
 
     @property
     def lower(self) -> mpf_type:
-        return self.value - self.err
+        return _op(mpf_sub, self.value, self.err, round_floor)
 
     @property
     def upper(self) -> mpf_type:
-        return self.value + self.err
+        return _op(mpf_add, self.value, self.err, round_ceiling)
 
     def contains(self, x) -> bool:
         v, e = _to_mpf(x)
@@ -135,7 +155,7 @@ class ErrBoundedReal:
     def __add__(self, other):
         o = self._coerce(other)
         v = self.value + o.value
-        return ErrBoundedReal(v, self.err + o.err + abs(v) * _EPS)
+        return ErrBoundedReal(v, _sum_up(self.err, o.err, abs(v) * _EPS))
 
     __radd__ = __add__
 
@@ -151,11 +171,11 @@ class ErrBoundedReal:
     def __mul__(self, other):
         o = self._coerce(other)
         v = self.value * o.value
-        e = (
-            abs(self.value) * o.err
-            + abs(o.value) * self.err
-            + self.err * o.err
-            + abs(v) * _EPS
+        e = _sum_up(
+            _mul_up(abs(self.value), o.err),
+            _mul_up(abs(o.value), self.err),
+            _mul_up(self.err, o.err),
+            abs(v) * _EPS,
         )
         return ErrBoundedReal(v, e)
 
@@ -166,9 +186,11 @@ class ErrBoundedReal:
         if abs(o.value) <= o.err:
             raise ZeroDivisionError("divisor interval contains zero")
         v = self.value / o.value
-        # |x/y - a/b| <= (ea + |a/b| eb) / (|b| - eb) on the interval
-        e = (self.err + abs(v) * o.err) / (abs(o.value) - o.err) + abs(v) * _EPS
-        return ErrBoundedReal(v, e)
+        # |x/y - a/b| <= (ea + |a/b| eb) / (|b| - eb) on the interval, and
+        # |a/b| <= |v| (1 + _EPS)
+        num = _sum_up(self.err, _mul_up(_sum_up(abs(v), abs(v) * _EPS), o.err))
+        den = _op(mpf_sub, abs(o.value), o.err, round_floor)
+        return ErrBoundedReal(v, _sum_up(_op(mpf_div, num, den, round_ceiling), abs(v) * _EPS))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -187,8 +209,10 @@ class ErrBoundedReal:
 
     def exp(self) -> "ErrBoundedReal":
         v = CTX.exp(self.value)
-        # exp is increasing and convex: worst deviation is at the upper end
-        e = CTX.exp(self.value + self.err) - v + abs(v) * _TRANS_EPS
+        # exp is increasing and convex: worst deviation is at the upper end,
+        # whose exp `hi` is itself within _TRANS_EPS
+        hi = CTX.exp(self.upper)
+        e = _sum_up(_op(mpf_sub, hi, v, round_ceiling), (hi + 2 * abs(v)) * _TRANS_EPS)
         return ErrBoundedReal(v, e)
 
     def log(self) -> "ErrBoundedReal":
@@ -196,7 +220,9 @@ class ErrBoundedReal:
             raise ValueError("log of an interval touching zero")
         v = CTX.log(self.value)
         # |log'| <= 1/(value - err) on the interval
-        e = self.err / (self.value - self.err) + (abs(v) + 1) * _TRANS_EPS
+        e = _sum_up(
+            _op(mpf_div, self.err, self.lower, round_ceiling), _sum_up(abs(v), mpf(1)) * _TRANS_EPS
+        )
         return ErrBoundedReal(v, e)
 
     # -- comparisons (certain only) -------------------------------------

@@ -36,7 +36,14 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import SIEVE_CAP, factorize, partition_count, shared_sieve
+from .arith import (
+    SIEVE_CAP,
+    _aut_order_pgroup,
+    _partitions_of,
+    factorize,
+    partition_count,
+    shared_sieve,
+)
 from .counting import _check_census, _powerful_sum
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
@@ -180,24 +187,6 @@ class AbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(k: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of k as descending tuples, in descending lex order."""
-    if k == 0:
-        return ((),)
-    out = []
-
-    def rec(rest: int, maxpart: int, prefix: tuple[int, ...]):
-        if rest == 0:
-            out.append(prefix)
-            return
-        for part in range(min(rest, maxpart), 0, -1):
-            rec(rest - part, part, prefix + (part,))
-
-    rec(k, k, ())
-    return tuple(out)
-
-
 def enumerate_groups(V: int, cap: int = DEFAULT_CENSUS_CAP) -> Iterator[AbelianGroup]:
     """All isomorphism classes of abelian groups of order <= V, ascending by
     order, then lexicographic in (prime, partition) data."""
@@ -220,7 +209,7 @@ def count_isomorphism_classes(V: int) -> int:
     local factor P(e), whose correction H_p = F_p(X) (1 - X) vanishes at
     p since P(1) = P(0).  A V whose estimated work exceeds
     counting.DEFAULT_FLOOR_VALUE_CAP raises CapExceededError before any work."""
-    _check_census("count_isomorphism_classes", 1, V, 1, True)
+    _check_census("count_isomorphism_classes", 1, V, 1, 1)
     return _powerful_sum(1, V, lambda p, e: partition_count(e))
 
 
@@ -243,20 +232,6 @@ def aut_order_pgroup(p: int, exponents: Sequence[int]) -> int:
     if exps and exps[-1] < 1:
         raise ValueError("exponents must be positive")
     return _aut_order_pgroup(p, exps)
-
-
-@lru_cache(maxsize=None)
-def _aut_order_pgroup(p: int, exps: tuple[int, ...]) -> int:
-    """aut_order_pgroup for a prime p and a descending tuple of positive
-    exponents: p^(power - sum_i r_i (r_i + 1) / 2) prod_i prod_{s<=r_i} (p^s - 1)."""
-    groups = [(e, len(list(g))) for e, g in itertools.groupby(exps)]
-    power = sum(min(ei, ej) * ri * rj for ei, ri in groups for ej, rj in groups)
-    out = 1
-    for _, r in groups:
-        power -= r * (r + 1) // 2
-        for s in range(1, r + 1):
-            out *= p**s - 1
-    return out * p**power
 
 
 def aut_order(G: AbelianGroup) -> int:
@@ -544,8 +519,11 @@ def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
             pk *= p
             k += 1
     total = math.fsum(acc[1:])
-    # <= ~8 prime-power factors per n, each multiply rounding 1/2 ulp
-    return ErrBoundedReal(total, 24 * _FLOAT_EPS * total)
+    # acc[n] takes one ratio fl(fl(cur) / fl(prev)) and one multiply per
+    # prime-power divisor p^k | n, at most floor(log2 V) of them: 4 roundings
+    # of eps/2 each.  fsum adds one more; the last eps/2 covers second order.
+    rounding = 2 * (V.bit_length() - 1) + 1
+    return ErrBoundedReal(total, rounding * _FLOAT_EPS * total)
 
 
 _PREDICATES = ("cyclic", "squarefree-order", "rank-at-most")

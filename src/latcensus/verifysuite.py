@@ -484,16 +484,25 @@ def check_count_monotonicity(v_max: int = 120):
 
 
 def check_dirichlet_vs_sieve():
-    """Fast floor-value route equals the sieve route, every mode, n in 2..6."""
+    """Fast floor-value route equals the sieve route, every mode and every
+    rank m, n in 2..6; rank exactly m is the difference of the rank <= m and
+    rank <= m-1 sieve sums."""
     rng = SplitMix64(29)
     bounds = [1, 2, 16, 997, 3000, 10**5] + [1 + rng.randbelow(20000) for _ in range(3)]
+    sieve = counting._multiplicative_sum
     for n in range(2, 7):
-        for mode, (fn, _, _) in counting.CENSUS.items():
-            local = counting._local_factor(mode, n)
-            for v in bounds:
-                lhs, rhs = fn(n, v), counting._multiplicative_sum(v, local)
-                if lhs != rhs:
-                    _fail("counting.dirichlet-vs-sieve", f"{mode} n={n} V={v}: {lhs} != {rhs}")
+        for v in bounds:
+            for mode, (fn, _, _) in counting.CENSUS.items():
+                if mode == "rank":
+                    at_most = [sieve(v, counting._rank_factor(n, m)) for m in range(n + 1)]
+                    pairs = [(f"m={m}", fn(n, m, v), at_most[m] - (at_most[m - 1] if m else 0))
+                             for m in range(n + 1)]
+                else:
+                    pairs = [("", fn(n, v), sieve(v, counting._local_factor(mode, n)))]
+                for label, lhs, rhs in pairs:
+                    if lhs != rhs:
+                        _fail("counting.dirichlet-vs-sieve",
+                              f"{mode}{label} n={n} V={v}: {lhs} != {rhs}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +603,8 @@ def _spanning_tuples(table, n):
 
 
 def check_rank_census_cross_module(v_max: int = 20):
+    """Three legs per rank: the subgroup-lattice DP over the group census,
+    lattice enumeration, and the powerful-number fast route."""
     for n in (2, 3):
         for m in range(0, n + 1):
             via_groups = 0
@@ -601,10 +612,12 @@ def check_rank_census_cross_module(v_max: int = 20):
                 if G.rank == m:
                     via_groups += groups.primitive_class_count(G, n)
             via_lattices = counting.count_by_rank_bruteforce(n, m, v_max)
-            if via_groups != via_lattices:
+            fast = counting.count_by_rank(n, m, v_max)
+            if not via_groups == via_lattices == fast:
                 _fail(
                     "groups.rank-census-cross-module",
-                    f"n={n} m={m}: {via_groups} != {via_lattices}",
+                    f"n={n} m={m}: groups DP {via_groups}, enumeration {via_lattices}, "
+                    f"fast route {fast}",
                 )
 
 

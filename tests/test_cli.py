@@ -42,10 +42,8 @@ def test_count_rank_mode_both(capsys):
 def test_count_usage_errors(capsys):
     code, _, err = run_cli(capsys, "count", "--n", "1", "--V", "4", "--mode", "cyclic")
     assert code == 64 and "--mode" in err
-    code, _, err = run_cli(
-        capsys, "count", "--n", "2", "--V", "4", "--mode", "rank", "--method", "formula"
-    )
-    assert code == 64
+    code, _, err = run_cli(capsys, "count", "--n", "2", "--V", "4", "--mode", "rank")
+    assert code == 64 and "--rank" in err
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "2"])  # missing --V
     assert exc.value.code == 64
@@ -74,13 +72,29 @@ def test_count_csv_honours_method(capsys, monkeypatch):
     assert code == 0 and [row.split(",")[1] for row in out.splitlines()[1:]] == ["0", "0"]
 
 
+def test_count_rank_runs_the_shared_loop(capsys, monkeypatch):
+    from latcensus import counting
+
+    code, out, _ = run_cli(capsys, "count", "--n", "3", "--V", "30", "--mode", "rank",
+                           "--rank", "2", "--format", "csv", "--ladder", "3", "--method", "both")
+    assert code == 0
+    assert out == "V,count,prediction,ratio\n10,62,nan,nan\n20,657,nan,nan\n30,1789,nan,nan\n"
+    fast, _, leading = counting.CENSUS["rank"]
+    monkeypatch.setitem(counting.CENSUS, "rank", (fast, lambda n, m, V, cap: 0, leading))
+    code, out, err = run_cli(capsys, "count", "--n", "2", "--V", "10", "--mode", "rank", "--rank",
+                             "1", "--method", "both")
+    assert code == 1 and "mismatch at V=10" in err
+    doc = json.loads(out)
+    assert doc["rank"] == 1 and doc["count"] == "81" and doc["oracle_count"] == "0"
+
+
 @pytest.mark.parametrize(
     "extra",
     [
         ("--format", "csv", "--ladder", "0"),
         ("--format", "csv", "--ladder", "-3"),
         ("--ladder", "3"),
-        ("--mode", "rank", "--rank", "1", "--method", "both", "--format", "csv"),
+        ("--rank", "1"),  # without --mode rank
     ],
 )
 def test_count_refuses_ignored_flags(capsys, extra):
@@ -99,6 +113,9 @@ def test_count_refuses_ignored_flags(capsys, extra):
         ("count --n 2 --V 1000 --mode squarefree --format csv --ladder 3",
          "V,count,prediction,ratio\n333,46528,46124.6883191,1.00874394377\n"
          "666,185352,184498.753276,1.00462467474\n1000,415304,415953.68629,0.998438080219\n"),
+        ("count --n 3 --V 100000000 --mode rank --rank 2",
+         '{"n": 3, "V": 100000000, "mode": "rank", "rank": 2, "method": "formula", '
+         '"count": "74802708362767100537574"}\n'),
         ("groups --V 48",
          '{"V": 48, "classes": "82", "cyclic_classes": "48", "cyclic_fraction": "0.585365853659"}\n'),
     ],
@@ -213,6 +230,15 @@ def test_clmass_exact(capsys):
     code, out, _ = run_cli(capsys, "clmass", "--V", "4", "--predicate", "cyclic")
     doc = json.loads(out)
     assert doc["predicate_mass"]["fraction"] == "3/1"  # 1 + 1 + 1/2 + 1/2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("clmass", "--V", "10", "--r", "2"), ("constants", "--name", "theta", "--n", "7")],
+)
+def test_ignored_parameters_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == "" and "usage error" in err
 
 
 def test_groups_dump(capsys):

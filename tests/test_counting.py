@@ -140,12 +140,44 @@ def test_cocyclic_share_at_desk_scale():
 @settings(deadline=None)
 @given(
     n=st.integers(2, 6),
-    mode=st.sampled_from(sorted(counting.CENSUS)),
+    mode=st.sampled_from(("all", "cyclic", "squarefree")),
     V=st.integers(1, 2 * 10**4),
 )
 def test_dirichlet_route_matches_sieve_route(n, mode, V):
     sieve_route = counting._multiplicative_sum(V, counting._local_factor(mode, n))
     assert counting.CENSUS[mode][0](n, V) == sieve_route
+
+
+def _sieve_rank(n: int, m: int, V: int) -> int:
+    """Rank exactly m by the sieve route: rank <= m minus rank <= m-1."""
+    at_most = lambda k: counting._multiplicative_sum(V, counting._rank_factor(n, k))
+    return at_most(m) - (at_most(m - 1) if m else 0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.integers(2, 5), data=st.data(), V=st.integers(1, 2 * 10**4))
+def test_rank_route_matches_sieve_route(n, data, V):
+    m = data.draw(st.integers(0, n), label="m")
+    assert counting.count_by_rank(n, m, V) == _sieve_rank(n, m, V)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rank_route_sums_to_the_other_censuses(n):
+    V = 10**5
+    by_rank = [counting.count_by_rank(n, m, V) for m in range(n + 2)]
+    assert by_rank[0] == 1 and by_rank[n + 1] == 0
+    assert by_rank[0] + by_rank[1] == counting.count_cocyclic(n, V)
+    assert sum(by_rank) == counting.total_count(n, V)
+    with pytest.raises(ValueError):
+        counting.count_by_rank(n, -1, V)
+
+
+@pytest.mark.parametrize("n, V", [(2, 150), (3, 40), (4, 20), (5, 12)])
+def test_rank_route_matches_enumeration(n, V):
+    oracle = counting.counts_by_rank_bruteforce(n, V)
+    assert {m: counting.count_by_rank(n, m, V) for m in range(n + 1)} == {
+        m: oracle.get(m, 0) for m in range(n + 1)
+    }
 
 
 def test_census_spot_values_at_one_million():
@@ -166,9 +198,9 @@ def test_power_sum_matches_direct_sum():
 
 
 def test_census_cap_checked_before_work(monkeypatch):
-    for fn, _, _ in counting.CENSUS.values():
+    for mode, (fn, _, _) in counting.CENSUS.items():
         with pytest.raises(CapExceededError):
-            fn(2, 10**30)
+            fn(2, 1, 10**30) if mode == "rank" else fn(2, 10**30)
     assert counting.total_count(1, 10**30) == 10**30  # no floor-value work
     monkeypatch.setattr(counting, "DEFAULT_FLOOR_VALUE_CAP", 100)
     with pytest.raises(CapExceededError):
@@ -179,27 +211,6 @@ def test_correction_must_vanish_at_primes():
     # a local factor that disagrees with the total census at p breaks H(p) = 0
     with pytest.raises(RuntimeError):
         counting._powerful_sum(2, 100, lambda p, e: 1)
-
-
-def test_density_report():
-    rep = counting.density_report(2, 4, with_rank=True, with_oracle=True)
-    assert rep.count_cocyclic == 14 and rep.count_total == 15
-    assert rep.oracle_cocyclic == 14
-    assert rep.counts_by_rank == {0: 1, 1: 13, 2: 1}
-    ratio = rep.ratio("cocyclic")
-    assert 1.1 < float(ratio.value) < 1.2  # V=4 is far from asymptopia
-    doc = rep.to_json_dict()
-    assert doc["counts"]["cocyclic"] == "14"
-    assert doc["counts"]["total"] == "15"
-    assert doc["exact_ratios"]["cocyclic_over_total"].startswith("0.93333")
-
-    trivial = counting.density_report(2, 1)
-    assert trivial.count_cocyclic == trivial.count_total == trivial.count_squarefree == 1
-
-
-def test_density_report_validation():
-    with pytest.raises(ValueError):
-        counting.DensityReport(2, 4, count_cocyclic=3, count_squarefree=5, count_total=10)
 
 
 def test_enumeration_guard_counts_like_the_table():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcensus.errbound import ErrBoundedReal, format_errbounded
 
@@ -112,3 +114,52 @@ def test_import_leaves_global_precision_alone():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == "77"
+
+
+REF = mpmath.MPContext()
+REF.prec = 300
+
+
+@st.composite
+def _operands(draw, max_abs=10**6):
+    """An interval with a random value and error, and an exact point of it
+    (value + t err, t a dyadic rational in [-1, 1]) in the 300-bit context."""
+    value = draw(st.fractions(-max_abs, max_abs, max_denominator=10**30))
+    err = draw(st.fractions(0, 10, max_denominator=10**30)) / 10 ** draw(st.integers(0, 30))
+    x = ErrBoundedReal(value, err)
+    dyadic = st.integers(-(2**20), 2**20).map(lambda i: i / 2**20)
+    t = REF.mpf(draw(st.sampled_from((-1, 1)) | dyadic))  # the ends are where bounds are tight
+    point = REF.fadd(x.value, REF.fmul(x.err, t, exact=True), exact=True)
+    return x, point
+
+
+def _holds(x: ErrBoundedReal, ref) -> bool:
+    lo = REF.fsub(x.value, x.err, exact=True)
+    hi = REF.fadd(x.value, x.err, exact=True)
+    return lo <= ref <= hi
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=_operands(), b=_operands())
+def test_arithmetic_contains_a_300_bit_reference(a, b):
+    (x, px), (y, py) = a, b
+    assert _holds(x + y, REF.fadd(px, py, exact=True))
+    assert _holds(x - y, REF.fsub(px, py, exact=True))
+    assert _holds(x * y, REF.fmul(px, py, exact=True))
+    if abs(y.value) > y.err:
+        assert _holds(x / y, REF.fdiv(px, py))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=_operands(max_abs=60))
+def test_exp_log_contain_a_300_bit_reference(a):
+    x, px = a
+    assert _holds(x.exp(), REF.exp(px))
+    if x.lower > 0:
+        assert _holds(x.log(), REF.log(px))
+    else:
+        with pytest.raises(ValueError):
+            x.log()

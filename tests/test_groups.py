@@ -227,9 +227,10 @@ def test_mass_report():
 
 
 def test_float_mass_matches_exact_at_crossover():
-    exact = float(groups.cl_total_mass(3000))
+    exact = groups.cl_total_mass(3000)
     approx = groups.cl_total_mass(3000, exact_limit=100)
-    assert abs(float(approx.value) - exact) <= 1e-10
+    assert abs(float(approx.value) - float(exact)) <= 1e-10
+    assert approx.contains(exact)
 
 
 def test_rank_prob():
