@@ -44,7 +44,7 @@ def _emit(doc) -> None:
 
 
 def cmd_count(args) -> int:
-    n, V, csv = args.n, args.V, args.format == "csv"
+    n, V, csv, tol, cap = args.n, args.V, args.format == "csv", args.tol, args.enum_cap
     if V < 1:
         raise ValueError("--V must be >= 1")
     if args.mode in ("cyclic", "squarefree") and n < 2:
@@ -54,13 +54,17 @@ def cmd_count(args) -> int:
     if (args.mode == "rank") != (args.rank is not None):
         raise ValueError("--rank goes with --mode rank, and --mode rank needs --rank")
     fast, oracle, leading = counting.CENSUS[args.mode]
-    rank = () if args.rank is None else (args.rank,)  # the rank row takes (n, m, V)
-    second = lambda v: oracle(n, *rank, v, args.enum_cap)
-    first = second if args.method == "bruteforce" else lambda v: fast(n, *rank, v)
     if n < 2:
         leading = None
+    if (tol is not None and leading is None) or (cap is not None and args.method == "formula"):
+        raise ValueError("--tol needs a printed prediction, --enum-cap an enumerating --method")
+    tol = 1e-10 if tol is None else tol
+    cap = counting.DEFAULT_ENUM_CAP if cap is None else cap
+    rank = () if args.rank is None else (args.rank,)  # the rank row takes (n, m, V)
+    second = lambda v: oracle(n, *rank, v, cap)
+    first = second if args.method == "bruteforce" else lambda v: fast(n, *rank, v)
     # CSV rows scale one V = 1 prediction by V_i^n
-    unit = leading(n, 1, args.tol) if csv and leading is not None else None
+    unit = leading(n, 1, tol) if csv and leading is not None else None
 
     rungs = args.ladder or 1
     rows = []
@@ -88,7 +92,7 @@ def cmd_count(args) -> int:
             rows.append(f"{v},{count},{pred:.12g},{count / pred:.12g}")
             continue
         if leading is not None:
-            pred = leading(n, v, args.tol)
+            pred = leading(n, v, tol)
             doc["prediction"] = format_errbounded(pred)
             doc["prediction_kind"] = "leading-order"
             doc["ratio"] = format_errbounded(ErrBoundedReal.exact(count) / pred)
@@ -238,8 +242,8 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("formula", "bruteforce", "both"), default="formula")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--ladder", type=int, help="emit a CSV ladder with this many rungs")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--enum-cap", type=int, default=counting.DEFAULT_ENUM_CAP)
+    p.add_argument("--tol", type=float, help="prediction tolerance (default 1e-10)")
+    p.add_argument("--enum-cap", type=int, help="enumeration cap for --method bruteforce/both")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("constants", help="error-bounded named constants")
@@ -262,8 +266,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="all sublattices of one index (JSON lines)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--cap", type=int, default=counting.DEFAULT_ENUM_CAP)
-    p.add_argument("--count-only", action="store_true")
+    listing = p.add_mutually_exclusive_group()  # --cap bounds a listing, which --count-only skips
+    listing.add_argument("--cap", type=int, default=counting.DEFAULT_ENUM_CAP)
+    listing.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("clmass", help="census masses (weight 1/#Aut)")

@@ -11,9 +11,9 @@ Two independent routes are kept for every headline count:
 
 The census oracles (co-cyclic, squarefree, total, by rank) are views of one
 stratified enumeration pass: `_rank_counts(n, q)` streams the HNF bases of
-index q once, counts them by the rank of their Smith form, and is memoized
-per (n, q), so every oracle and every bound V shares the strata already
-computed.  Each view checks the lattice count against its cap first.
+index q once, counts them by quotient rank from the F_p ranks of each basis
+(p | q), memoized per (n, q), so every oracle and every bound V shares the
+strata already computed.  Each view checks the count against its cap first.
 
 The cumulative censuses up to index V take the fast route: a Dirichlet-series
 floor-value evaluation of the total census T_n on the ~2 sqrt(V) values
@@ -471,13 +471,14 @@ def total_leading_term(n: int, V: int, tol: float = 1e-10) -> ErrBoundedReal:
 @cache
 def _rank_counts(n: int, q: int) -> tuple[int, ...]:
     """Index-q stratum of the enumeration oracle: entry r counts the
-    sublattices of Z^n of index q whose quotient needs exactly r generators
-    (Smith form of each enumerated HNF basis).  Bases are streamed, never
-    stored; the memo holds one (n+1)-tuple per (n, q), so any V reuses the
-    strata of every smaller bound."""
+    sublattices of Z^n of index q whose quotient needs exactly r generators:
+    the F_p ranks of each enumerated HNF basis, largest over p | q.  Bases
+    are streamed, never stored; the memo holds one (n+1)-tuple per (n, q),
+    so any V reuses the strata of every smaller bound."""
+    primes = [p for p, _ in ensure_factored(q).factors]
     counts = [0] * (n + 1)
     for basis in lattice._enumerate_sublattices(n, q):
-        counts[lattice.quotient_rank(basis)] += 1
+        counts[max([lattice._p_rank(basis.rows, p) for p in primes], default=0)] += 1
     return tuple(counts)
 
 
@@ -488,14 +489,14 @@ def _strata(n: int, V: int, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 
 def census_cocyclic_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Count co-cyclic lattices of index <= V by full enumeration plus
-    Smith-form rank, independent of every closed form."""
+    """Count co-cyclic lattices of index <= V by full enumeration plus the
+    F_p ranks of each basis, independent of every closed form."""
     return sum(c[0] + c[1] for _, c in _strata(n, V, cap))
 
 
 def census_squarefree_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Count lattices of squarefree index <= V by enumeration, verifying the
-    quotient of each is cyclic along the way."""
+    """Count lattices of squarefree index <= V by enumeration, verifying from
+    the F_p ranks of each basis that its quotient is cyclic."""
     total = 0
     for q, c in _strata(n, V, cap):
         if not is_squarefree(q):
@@ -507,13 +508,13 @@ def census_squarefree_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) ->
 
 
 def census_total_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Count all lattices of index <= V by literal enumeration."""
+    """Count all lattices of index <= V by literal enumeration (the F_p-rank pass)."""
     return sum(sum(c) for _, c in _strata(n, V, cap))
 
 
 def count_by_rank_bruteforce(n: int, m: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Lattices of index <= V whose quotient needs exactly m generators,
-    by enumeration + Smith form."""
+    by enumeration + the F_p ranks of each basis."""
     if m < 0:
         raise ValueError("rank must be >= 0")
     return sum(c[m] if m <= n else 0 for _, c in _strata(n, V, cap))
@@ -521,7 +522,7 @@ def count_by_rank_bruteforce(n: int, m: int, V: int, cap: int = DEFAULT_ENUM_CAP
 
 def counts_by_rank_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
     """Full rank stratification {m: count} of the index <= V census (ranks
-    that occur only)."""
+    that occur only), from the F_p ranks of each basis."""
     totals = [0] * (n + 1)
     for _, c in _strata(n, V, cap):
         totals = list(map(add, totals, c))

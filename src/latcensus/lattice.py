@@ -5,10 +5,10 @@ row basis, upper triangular, positive pivots, entries above each pivot
 reduced into [0, pivot).  Uniqueness of that form makes lattice equality
 plain matrix equality.
 
-The quotient Z^n/L is classified by its invariant factors (Smith normal
-form of the basis), stored as an increasing divisibility chain
-d_1 | d_2 | ... with all entries >= 2 and the trivial quotient as the
-empty chain.  A lattice is co-cyclic when the chain has at most one entry.
+The quotient G = Z^n/L is classified by its invariant factors (Smith form),
+an increasing divisibility chain d_1 | d_2 | ... of entries >= 2, the trivial
+quotient being the empty chain; L is co-cyclic when it has at most one entry.
+Enumeration oracles use the F_p ranks of each basis: rank G = max_p dim G/pG.
 
 All arithmetic is exact (Python ints); no floating point enters here.
 """
@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 from .arith import ensure_factored, factorize
@@ -337,7 +337,7 @@ def enumerate_sublattices(n: int, q: int, cap: int = 10**8) -> Iterator[HnfBasis
 
     Order: lexicographic in (diagonal, above-diagonal entries), the entries
     flattened row-major.  The outer loop runs over ordered diagonal
-    factorizations of q; an odometer fills the entries above each pivot.
+    factorizations of q; per diagonal, each row's tuples are built once.
     """
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
@@ -350,18 +350,29 @@ def enumerate_sublattices(n: int, q: int, cap: int = 10**8) -> Iterator[HnfBasis
 
 
 def _enumerate_sublattices(n: int, q: int) -> Iterator[HnfBasis]:
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for diag in _ordered_factorizations(q, n):
-        template = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        if not positions:
-            yield HnfBasis._raw(n, tuple(tuple(r) for r in template))
-            continue
-        ranges = [range(diag[j]) for _, j in positions]
-        for combo in itertools.product(*ranges):
-            rows = [row[:] for row in template]
-            for (i, j), v in zip(positions, combo):
-                rows[i][j] = v
-            yield HnfBasis._raw(n, tuple(tuple(r) for r in rows))
+        tails = [itertools.product(*map(range, diag[i + 1 :])) for i in range(n)]
+        per_row = [[(0,) * i + (diag[i],) + t for t in tails[i]] for i in range(n)]
+        yield from map(partial(HnfBasis._raw, n), itertools.product(*per_row))
+
+
+def _p_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+    """dim over F_p of G/pG, G = Z^n/L, for the HNF rows of L: n minus the rank
+    mod p.  Rows whose pivot p divides are reduced against the others, by
+    unit scalings; one such row alone reduces to zero (the rest is triangular)."""
+    echelon = {i: row for i, row in enumerate(rows) if row[i] % p}
+    divisible = [i for i in range(len(rows)) if i not in echelon]
+    if len(divisible) < 2:
+        return len(divisible)
+    for i in divisible:
+        v = rows[i]
+        for c in range(i + 1, len(rows)):
+            if f := v[c] % p:
+                e = echelon.setdefault(c, v)
+                if e is v:  # v is independent mod p: its pivot column is c
+                    break
+                v = [(e[c] * x - f * y) % p for x, y in zip(v, e)]
+    return len(rows) - len(echelon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -100,6 +101,32 @@ def test_count_rank_runs_the_shared_loop(capsys, monkeypatch):
 def test_count_refuses_ignored_flags(capsys, extra):
     code, out, err = run_cli(capsys, "count", "--n", "2", "--V", "10", *extra)
     assert code == 64 and out == "" and "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "count --n 2 --V 10 --mode rank --rank 1 --tol 1e-5",  # rank prints no prediction
+        "count --n 1 --V 10 --mode all --tol 1e-5",  # nor does n = 1
+        "count --n 2 --V 10 --enum-cap 5",  # the formula route enumerates nothing
+        "enumerate --n 2 --q 4 --cap 5 --count-only",  # nothing is listed
+    ],
+)
+def test_ignored_flags_exit_64(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # refused by the parser
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == "" and "error" in captured.err
+
+
+def test_flags_in_use_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "count", "--n", "2", "--V", "10", "--enum-cap", "5",
+                           "--method", "bruteforce")
+    assert code == 2 and out == ""  # the cap is honoured
+    code, out, _ = run_cli(capsys, "count", "--n", "2", "--V", "10", "--tol", "1e-5")
+    assert code == 0 and float(json.loads(out)["prediction"]["err"]) <= 1e-5
 
 
 @pytest.mark.parametrize(
@@ -213,6 +240,14 @@ def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--q", "4", "--count-only")
     assert code == 0
     assert json.loads(out)["count"] == "35"
+
+
+def test_enumerate_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--q", "61")
+    assert code == 0 and len(out.splitlines()) == 3783
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7514909ccaa2df6ee1a7544dc15cdf5ec2e54e1dc54ba2162f44f49a6bbce9e7"
+    )
 
 
 def test_enumerate_cap_exit_code(capsys):

@@ -267,14 +267,28 @@ def test_oracle_views_match_a_literal_smith_loop(n, data):
 def test_oracle_views_reuse_one_pass(monkeypatch):
     counting._rank_counts.cache_clear()
     calls = []
-    smith = lattice.smith_invariants
-    monkeypatch.setattr(lattice, "smith_invariants", lambda basis: calls.append(1) or smith(basis))
+    p_rank = lattice._p_rank
+    monkeypatch.setattr(lattice, "_p_rank", lambda rows, p: calls.append((rows, p)) or p_rank(rows, p))
     counting.census_cocyclic_bruteforce(3, 30)
-    assert len(calls) == counting.total_count(3, 30)  # one Smith form per lattice
+    # one rank per lattice: an F_p rank for each prime of its index, and no
+    # prime (rank 0) for Z^3 itself
+    assert len({rows for rows, _ in calls}) + 1 == counting.total_count(3, 30)
+    assert len(calls) == len(set(calls)) == sum(
+        lattice.count_sublattices(3, q) * len(arith.factorize(q).factors) for q in range(1, 31)
+    )
     calls.clear()
     counting.census_total_bruteforce(3, 30)
     counting.counts_by_rank_bruteforce(3, 20)
     assert calls == []
+
+
+@pytest.mark.parametrize("n, top", [(1, 60), (2, 60), (3, 24), (4, 10), (5, 6)])
+def test_rank_strata_match_a_per_basis_smith_loop(n, top):
+    for q in range(1, top + 1):
+        strata = [0] * (n + 1)
+        for basis in lattice.enumerate_sublattices(n, q):
+            strata[lattice.smith_invariants(basis).rank] += 1
+        assert counting._rank_counts.__wrapped__(n, q) == tuple(strata), (n, q)
 
 
 def test_squarefree_view_rejects_a_rank_two_stratum(monkeypatch):

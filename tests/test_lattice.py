@@ -1,8 +1,11 @@
+import itertools
 import json
 import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcensus import lattice
 from latcensus.errors import CapExceededError, NotPrimitiveError, SingularMatrixError
@@ -125,6 +128,57 @@ def test_enumerate_complete_and_duplicate_free():
                 assert b.index == q
                 seen.add(b)
             assert len(seen) == lattice.count_sublattices(n, q)
+
+
+def _odometer_enumeration(n, q):
+    # reference: a template-copy odometer over the above-diagonal positions,
+    # row-major, written independently of the enumerator's per-row tuples
+    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for diag in lattice._ordered_factorizations(q, n):
+        template = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        for combo in itertools.product(*[range(diag[j]) for _, j in positions]):
+            rows = [row[:] for row in template]
+            for (i, j), v in zip(positions, combo):
+                rows[i][j] = v
+            yield tuple(tuple(row) for row in rows)
+
+
+def test_enumeration_order_matches_the_odometer():
+    for n in range(1, 5):
+        for q in range(1, 25):
+            got = [b.rows for b in lattice._enumerate_sublattices(n, q)]
+            assert got == list(_odometer_enumeration(n, q)), (n, q)
+
+
+_M61 = 2**61 - 1
+# pivot -> its primes; factorize refuses the cofactors of 2^61 - 1, so the
+# primes of the index are taken from the pivots
+_PIVOTS = {
+    1: (), 2: (2,), 4: (2,), 8: (2,), 16: (2,), 3: (3,), 9: (3,), 27: (3,), 6: (2, 3),
+    12: (2, 3), 10**6 + 3: (10**6 + 3,), 2 * (10**6 + 3): (2, 10**6 + 3),
+    _M61: (_M61,), 2 * _M61: (2, _M61), 3 * _M61: (3, _M61), _M61**2: (_M61,),
+}
+
+
+@st.composite
+def _hnf_with_primes(draw):
+    n = draw(st.integers(1, 6))
+    diag = [draw(st.sampled_from(sorted(_PIVOTS))) for _ in range(n)]
+    rows = [
+        [0] * i + [diag[i]] + [draw(st.integers(0, diag[j] - 1)) for j in range(i + 1, n)]
+        for i in range(n)
+    ]
+    return lattice.HnfBasis(rows), sorted({p for d in diag for p in _PIVOTS[d]})
+
+
+@settings(deadline=None, max_examples=400)
+@given(_hnf_with_primes())
+def test_p_rank_kernel_matches_smith_rank(case):
+    basis, primes = case
+    chain = lattice.smith_invariants(basis).chain
+    assert max([lattice._p_rank(basis.rows, p) for p in primes], default=0) == len(chain)
+    for p in primes:  # the local rank is the number of invariant factors p divides
+        assert lattice._p_rank(basis.rows, p) == sum(d % p == 0 for d in chain)
 
 
 def test_enumerate_cap():
