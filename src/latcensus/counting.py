@@ -5,9 +5,13 @@ Two independent routes are kept for every headline count:
 * closed-form/multiplicative evaluation (`count_primitive_classes`,
   `count_cocyclic`, `count_squarefree`, `total_count`, `count_by_rank`),
   used at scale;
-* literal enumeration oracles (`count_primitive_classes_bruteforce`,
-  `census_cocyclic_bruteforce`, `count_by_rank_bruteforce`), used to verify
-  the formulas exactly on the desk-scale grids.
+* literal oracles, used to verify the formulas exactly on the desk-scale
+  grids: the class oracle `count_primitive_classes_bruteforce` (primitive
+  vectors mod q from the gcd distribution of the residues, over phi(q)) and
+  the enumeration oracles (`census_cocyclic_bruteforce`,
+  `count_by_rank_bruteforce`, ...).  The canonical class representatives
+  (`primitive_class_representatives`) serve the Paz-Schnorr bijection check
+  and the sampler's support.
 
 The census oracles (co-cyclic, squarefree, total, by rank) are views of one
 stratified enumeration pass: `_rank_counts(n, q)` streams the HNF bases of
@@ -50,6 +54,7 @@ import numpy as np
 
 from . import lattice
 from .arith import (
+    SIEVE_CAP,
     _aut_order_pgroup,
     _partitions_of,
     bernoulli,
@@ -61,7 +66,6 @@ from .arith import (
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
 
-DEFAULT_VECTOR_CAP = 10**9
 DEFAULT_MATERIALIZE_CAP = 300_000
 DEFAULT_ENUM_CAP = 10**8
 DEFAULT_FLOOR_VALUE_CAP = 10**8
@@ -97,9 +101,14 @@ def _canonical_class_vectors(n: int, q: int) -> np.ndarray:
 
     Vectors are packed in base q (lexicographic order == numeric order);
     the canonical representative of a class is the lexicographically
-    smallest vector among its unit scalings.
+    smallest vector among its unit scalings.  q^n above
+    DEFAULT_MATERIALIZE_CAP raises CapExceededError before allocating.
     """
+    if n < 1 or q < 1:
+        raise ValueError("need n >= 1 and q >= 1")
     size = q**n
+    if size > DEFAULT_MATERIALIZE_CAP:
+        raise CapExceededError(f"{q}^{n} vectors exceed cap {DEFAULT_MATERIALIZE_CAP}")
     idx = np.arange(size, dtype=np.int64)
     comps = [(idx // q ** (n - 1 - i)) % q for i in range(n)]
     g = np.full(size, q, dtype=np.int64)
@@ -121,8 +130,9 @@ def _canonical_class_vectors(n: int, q: int) -> np.ndarray:
 def _primitive_vector_count(n: int, q: int) -> int:
     """Exact count of primitive vectors mod q from the per-residue gcd
     distribution (one q-element scan, then an n-fold fold over the divisor
-    lattice; no Moebius inversion and no multiplicativity in q)."""
-    g = np.gcd(np.arange(q, dtype=np.int64), q)
+    lattice; no Moebius inversion and no multiplicativity in q).  q fits
+    int32 below the caller's SIEVE_CAP check."""
+    g = np.gcd(np.arange(q, dtype=np.int32), q)
     divs, counts = np.unique(g, return_counts=True)
     base = [(int(d), int(c)) for d, c in zip(divs, counts)]
     dist = {q: 1}
@@ -136,31 +146,19 @@ def _primitive_vector_count(n: int, q: int) -> int:
     return dist.get(1, 0)
 
 
-def count_primitive_classes_bruteforce(
-    n: int,
-    q: int,
-    cap: int = DEFAULT_VECTOR_CAP,
-    materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
-) -> int:
-    """Oracle count of primitive classes mod q, independent of the formula.
-
-    Small moduli (q^n <= materialize_cap) materialize the canonical
-    lex-least representative of every primitive vector and count the
-    distinct ones.  Above that, primitive vectors are counted exactly via
-    the gcd-distribution scan and divided by the class size phi(q) (the
-    unit action on primitive vectors is free; the division is asserted to
-    be exact).  q^n above `cap` raises CapExceededError.
-    """
+def count_primitive_classes_bruteforce(n: int, q: int) -> int:
+    """Oracle count of primitive classes mod q, independent of the formula:
+    the primitive vectors mod q, counted exactly by the gcd-distribution
+    scan, over the class size phi(q) (the unit action on primitive vectors
+    is free; the division is checked to be exact).  The scan holds one
+    entry per residue, so q above arith.SIEVE_CAP raises CapExceededError
+    before it allocates."""
     if n < 2:
         raise ValueError("count_primitive_classes_bruteforce requires n >= 2")
     if q < 1:
         raise ValueError("q must be >= 1")
-    if q == 1:
-        return 1
-    if q**n > cap:
-        raise CapExceededError(f"{q}^{n} candidate vectors exceed cap {cap}")
-    if q**n <= materialize_cap:
-        return int(_canonical_class_vectors(n, q).shape[0])
+    if q > SIEVE_CAP:
+        raise CapExceededError(f"modulus {q} exceeds the scan cap {SIEVE_CAP}")
     npv = _primitive_vector_count(n, q)
     phi = euler_phi(q)
     if npv % phi:
@@ -169,19 +167,10 @@ def count_primitive_classes_bruteforce(
 
 
 def primitive_class_representatives(n: int, q: int) -> list[tuple[int, ...]]:
-    """One canonical (lex-least) vector per primitive class mod q."""
-    if q == 1:
-        return [(0,) * n]
+    """One canonical (lex-least) vector per primitive class mod q
+    (n >= 1, q >= 1, q^n at most DEFAULT_MATERIALIZE_CAP)."""
     packed = _canonical_class_vectors(n, q)
-    out = []
-    for val in packed:
-        val = int(val)
-        vec = []
-        for i in range(n):
-            w = q ** (n - 1 - i)
-            vec.append(val // w % q)
-        out.append(tuple(vec))
-    return out
+    return [tuple(int(val) // q ** (n - 1 - i) % q for i in range(n)) for val in packed]
 
 
 # ---------------------------------------------------------------------------

@@ -434,13 +434,9 @@ def automorphism_maps(G: AbelianGroup, cap: int = 256) -> list[dict]:
     return out
 
 
-def pak_hypothesis(G: AbelianGroup, n: int, k: int, base: float = 2.0) -> bool:
-    """Hypothesis of the generation bound: n > (k+1) log_base(#G) + 2.
-
-    The log base defaults to 2, the conservative reading; pass base=math.e
-    to record the natural-log variant (never asserted by the test suites).
-    """
-    return n > (k + 1) * math.log(G.order, base) + 2
+def pak_hypothesis(G: AbelianGroup, n: int, k: int) -> bool:
+    """Hypothesis of the generation bound: n > (k+1) log2(#G) + 2."""
+    return n > (k + 1) * math.log2(G.order) + 2
 
 
 def pak_check(G: AbelianGroup, n: int, k: int, cap: int = DEFAULT_TABLE_CAP) -> bool:

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,13 +31,21 @@ def test_bruteforce_examples():
     assert counting.count_primitive_classes_bruteforce(2, 2) == 3
     assert counting.count_primitive_classes_bruteforce(2, 1) == 1
     assert counting.count_primitive_classes_bruteforce(2, 5) == 6
-    with pytest.raises(CapExceededError):
-        counting.count_primitive_classes_bruteforce(4, 10**4, cap=10**9)
+
+
+def test_bruteforce_refuses_q_over_the_sieve_cap_before_allocating(monkeypatch):
+    def scan(n, q):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(counting, "_primitive_vector_count", scan)
+    for n in (2, 3, 4):
+        with pytest.raises(CapExceededError):
+            counting.count_primitive_classes_bruteforce(n, arith.SIEVE_CAP + 1)
 
 
 def test_bruteforce_reference_reimplementation():
     # a 12-line literal re-implementation of the seen-set oracle, to pin the
-    # numpy canonicalization on small moduli
+    # gcd scan and the numpy canonicalization on small moduli
     def classes_naive(n, q):
         if q == 1:
             return 1
@@ -49,17 +58,19 @@ def test_bruteforce_reference_reimplementation():
             seen.add(min(tuple(l * x % q for x in vec) for l in units))
         return len(seen)
 
-    for q in range(1, 13):
-        assert counting.count_primitive_classes_bruteforce(2, q) == classes_naive(2, q)
-    for q in (1, 2, 3, 4, 6, 9):
-        assert counting.count_primitive_classes_bruteforce(3, q) == classes_naive(3, q)
+    for n, qs in ((2, range(1, 13)), (3, (1, 2, 3, 4, 6, 9))):
+        for q in qs:
+            naive = classes_naive(n, q)
+            assert counting.count_primitive_classes_bruteforce(n, q) == naive
+            assert len(counting.primitive_class_representatives(n, q)) == naive
 
 
 def test_bruteforce_tiers_agree():
+    # the materialized lex-least representatives against the gcd scan
     for n, q in ((2, 30), (2, 97), (3, 18), (4, 9)):
-        lo = counting.count_primitive_classes_bruteforce(n, q)
-        hi = counting.count_primitive_classes_bruteforce(n, q, materialize_cap=0)
-        assert lo == hi == counting.count_primitive_classes(n, q)
+        reps = counting.primitive_class_representatives(n, q)
+        oracle = counting.count_primitive_classes_bruteforce(n, q)
+        assert len(reps) == oracle == counting.count_primitive_classes(n, q)
 
 
 def test_class_representatives():
@@ -67,6 +78,16 @@ def test_class_representatives():
     assert len(reps) == 6
     assert all(math.gcd(*vec, 5) == 1 for vec in reps)
     assert counting.primitive_class_representatives(3, 1) == [(0, 0, 0)]
+
+
+def test_class_representatives_refuse_bad_input():
+    for n, q in ((2, -3), (2, 0), (0, 5)):
+        with pytest.raises(ValueError):
+            counting.primitive_class_representatives(n, q)
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        counting.primitive_class_representatives(4, 10**4)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_count_cocyclic_examples():
