@@ -8,6 +8,8 @@ plain matrix equality.
 The quotient G = Z^n/L is classified by its invariant factors (Smith form),
 an increasing divisibility chain d_1 | d_2 | ... of entries >= 2, the trivial
 quotient being the empty chain; L is co-cyclic when it has at most one entry.
+is_cocyclic reads that from adj(B) instead (no Smith form), and the congruence
+lattice {x : a.x = 0 mod q} is written down from a Bezout chain of (a, q).
 Enumeration oracles use the F_p ranks of each basis: rank G = max_p dim G/pG.
 
 All arithmetic is exact (Python ints); no floating point enters here.
@@ -295,8 +297,19 @@ def quotient_rank(basis: HnfBasis) -> int:
 
 
 def is_cocyclic(basis: HnfBasis) -> bool:
-    """True iff Z^n/L is cyclic (the trivial group counts as cyclic)."""
-    return smith_invariants(basis).rank <= 1
+    """True iff Z^n/L is cyclic (the trivial group counts as cyclic): iff the
+    gcd of the entries of adj(B), the (n-1)-minors of B, is 1.  Column c of adj(B)
+    solves B x = index * e_c by back-substitution; a gcd of 1 stops the scan."""
+    rows, n, index = basis.rows, basis.n, basis.index
+    d = math.gcd(*(index // rows[c][c] for c in range(n)))  # diagonal of adj(B)
+    for c in range(1, n):
+        x = [0] * c + [index // rows[c][c]]
+        for i in range(c - 1, -1, -1):
+            if d == 1:
+                return True
+            x[i] = -sum(rows[i][j] * x[j] for j in range(i + 1, c + 1)) // rows[i][i]
+            d = math.gcd(d, x[i])
+    return d == 1
 
 
 # ---------------------------------------------------------------------------
@@ -406,39 +419,54 @@ class CongruenceVector:
         return tuple((lam * x) % self.q for x in self.a)
 
 
+def _bezout_chain(a: Sequence[int], q: int) -> tuple[list[int], list[list[int]]]:
+    """Suffix gcds g[k] = gcd(a_k, ..., a_{n-1}, q), g[n] = q, and rows u[k]
+    with sum_{j>=k} a_j u[k][j-k] = g[k] mod q, built right to left."""
+    n = len(a)
+    g, u = [0] * n + [q], [[]] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        g[k], x, y = _xgcd(a[k], g[k + 1])
+        u[k] = [x % q] + [y * c % q for c in u[k + 1]]
+    return g, u
+
+
 def are_equivalent(u: CongruenceVector, v: CongruenceVector) -> bool:
-    """True iff u = lam * v mod q for some unit lam mod q."""
+    """True iff u = lam * v mod q for some unit lam mod q.  With g = gcd(v, q)
+    and q' = q/g the only candidate is lam = c.(u/g) mod q', c.(v/g) = 1 mod q';
+    it is a unit mod q' when gcd(u, q) = g too, and lifts to one mod q."""
     if u.q != v.q:
         raise ValueError("moduli differ")
     if len(u.a) != len(v.a):
         raise ValueError("dimensions differ")
     q = u.q
-    for lam in range(1, q + 1):
-        if math.gcd(lam, q) == 1 and v.scaled(lam) == u.a:
-            return True
-    return False
+    (g, *_), (c, *_) = _bezout_chain(v.a, q)
+    qq = q // g
+    lam = sum(ci * (x // g) for ci, x in zip(c, u.a)) % qq
+    return math.gcd(*u.a, q) == g and all((x - lam * y) // g % qq == 0 for x, y in zip(u.a, v.a))
 
 
 def lattice_from_congruence(v: CongruenceVector) -> HnfBasis:
     """The index-q sublattice {x : a.x = 0 mod q} of a primitive vector.
 
     The quotient is cyclic of order q; equivalent vectors give the same
-    basis and inequivalent primitive vectors give distinct bases.
+    basis and inequivalent primitive vectors give distinct bases.  Row i:
+    pivot g_{i+1}/g_i, tail -(a_i/g_i) u_{i+1} reduced by the later rows.
     """
     if not v.is_primitive:
         raise NotPrimitiveError(f"gcd of {v.a} with modulus {v.q} exceeds 1")
     n, q, a = v.n, v.q, v.a
     if q == 1:
         return HnfBasis.identity(n)
-    gens = [[q if k == i else 0 for k in range(n)] for i in range(n)]
-    for i in range(n):
+    g, u = _bezout_chain(a, q)
+    rows: list = [None] * n
+    for i in range(n - 1, -1, -1):
+        m = -(a[i] // g[i])
+        row = [0] * i + [g[i + 1] // g[i]] + [m * c % q for c in u[i + 1]]
         for j in range(i + 1, n):
-            row = [0] * n
-            row[i] = a[j]
-            row[j] = -a[i]
-            gens.append(row)
-    red = _row_hnf(gens)
-    basis = HnfBasis._raw(n, tuple(tuple(r) for r in red))
+            if c := row[j] // rows[j][j]:
+                row = [x - c * y for x, y in zip(row, rows[j])]
+        rows[i] = tuple(row)
+    basis = HnfBasis._raw(n, tuple(rows))
     assert basis.index == q
     return basis
 

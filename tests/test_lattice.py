@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcensus import lattice
+from latcensus import counting, lattice
 from latcensus.errors import CapExceededError, NotPrimitiveError, SingularMatrixError
 from latcensus.rng import SplitMix64
 
@@ -99,6 +99,20 @@ def test_cocyclic_and_rank():
     assert lattice.quotient_rank(lattice.HnfBasis([[2, 0], [0, 2]])) == 2
     assert lattice.is_cocyclic(lattice.HnfBasis.identity(4))
     assert lattice.quotient_rank(lattice.HnfBasis.identity(4)) == 0
+    # indices and adj(B) entries above 2^64 (pivots 2^61 - 1 and 2^89 - 1): the
+    # adjugate scan runs to the end without meeting a gcd of 1
+    p, big = 2**61 - 1, 2**89 - 1
+    for rows, rank in (
+        ([[p, 0], [0, p]], 2),
+        ([[big, 0], [0, big]], 2),
+        ([[1, 0, 0], [0, big, 1], [0, 0, big]], 1),
+        ([[p, 1, 0], [0, p, 0], [0, 0, p]], 2),
+        ([[p, 0, 0], [0, p, 0], [0, 0, p]], 3),
+        ([[p, 1], [0, p]], 1),  # Z/p^2: only an off-diagonal minor is a unit
+    ):
+        basis = lattice.HnfBasis(rows)
+        assert lattice.quotient_rank(basis) == rank
+        assert lattice.is_cocyclic(basis) == (rank <= 1)
 
 
 def test_count_sublattices():
@@ -176,6 +190,7 @@ def _hnf_with_primes(draw):
 def test_p_rank_kernel_matches_smith_rank(case):
     basis, primes = case
     chain = lattice.smith_invariants(basis).chain
+    assert lattice.is_cocyclic(basis) == (len(chain) <= 1)
     assert max([lattice._p_rank(basis.rows, p) for p in primes], default=0) == len(chain)
     for p in primes:  # the local rank is the number of invariant factors p divides
         assert lattice._p_rank(basis.rows, p) == sum(d % p == 0 for d in chain)
@@ -196,6 +211,80 @@ def test_congruence_vector_basics():
     assert not lattice.are_equivalent(u, w)  # w is not even primitive
     with pytest.raises(ValueError):
         lattice.are_equivalent(v, u)
+
+
+def _scan_equivalent(u, v):
+    # reference: the literal scan over every unit lam mod q
+    q = u.q
+    return any(math.gcd(lam, q) == 1 and v.scaled(lam) == u.a for lam in range(1, q + 1))
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_are_equivalent_matches_the_unit_scan(data):
+    q = data.draw(st.integers(1, 60))
+    n = data.draw(st.integers(1, 3))
+    v = lattice.CongruenceVector(q, data.draw(st.tuples(*[st.integers(0, q - 1)] * n)))
+    if data.draw(st.booleans()):  # lam need not be a unit: near misses too
+        u = lattice.CongruenceVector(q, v.scaled(data.draw(st.integers(0, q - 1))))
+    else:
+        u = lattice.CongruenceVector(q, data.draw(st.tuples(*[st.integers(0, q - 1)] * n)))
+    assert lattice.are_equivalent(u, v) == _scan_equivalent(u, v)
+
+
+def test_are_equivalent_at_a_61_bit_modulus():
+    q = 2**61 - 1
+    start = time.perf_counter()
+    assert not lattice.are_equivalent(
+        lattice.CongruenceVector(q, (1, 2)), lattice.CongruenceVector(q, (3, 5))
+    )
+    assert lattice.are_equivalent(
+        lattice.CongruenceVector(q, (3, 6)), lattice.CongruenceVector(q, (1, 2))
+    )
+    assert time.perf_counter() - start < 1.0
+
+
+def _congruence_hnf_by_generators(v):
+    # reference: the generator construction, rows q e_i and a_j e_i - a_i e_j,
+    # row-reduced and validated by the checking HnfBasis constructor
+    n, q, a = v.n, v.q, v.a
+    gens = [[q if k == i else 0 for k in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        row = [0] * n
+        row[i], row[j] = a[j], -a[i]
+        gens.append(row)
+    return lattice.HnfBasis(lattice._row_hnf(gens))
+
+
+@st.composite
+def _congruence_vectors(draw):
+    n = draw(st.integers(1, 6))
+    q = draw(st.one_of(
+        st.integers(1, 60), st.integers(2, 2**90),
+        st.builds(lambda e, f: 2**e * 3**f, st.integers(0, 60), st.integers(0, 30)),
+    ))
+    # zero residues and entries sharing factors with q, not only units
+    coords = st.tuples(st.integers(0, 2**90), st.sampled_from((0, 1, 1, 2, 3, 4, 6, 12)))
+    return lattice.CongruenceVector(q, tuple(k * m for k, m in draw(st.tuples(*[coords] * n))))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_congruence_vectors())
+def test_congruence_hnf_matches_the_generator_construction(v):
+    if not v.is_primitive:
+        with pytest.raises(NotPrimitiveError):
+            lattice.lattice_from_congruence(v)
+        return
+    b = lattice.lattice_from_congruence(v)
+    assert b.rows == _congruence_hnf_by_generators(v).rows
+
+
+def test_congruence_hnf_matches_the_generator_construction_exhaustively():
+    for n in (2, 3):
+        for q in range(1, 31):
+            for vec in counting.primitive_class_representatives(n, q):
+                v = lattice.CongruenceVector(q, vec)
+                assert lattice.lattice_from_congruence(v) == _congruence_hnf_by_generators(v), v
 
 
 def test_lattice_from_congruence_examples():
@@ -265,3 +354,13 @@ def test_sampler_index_above_two_to_the_64():
     basis = lattice.sample_cocyclic(2, q, 1)
     assert time.perf_counter() - start < 1.0
     assert basis.index == q and lattice.is_cocyclic(basis)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.integers(2**64 + 1, 2**90 - 1), st.integers(0, 2**64 - 1))
+def test_sampler_support_above_two_to_the_64(n, q, seed):
+    b = lattice.sample_cocyclic(n, q, seed)
+    assert b.index == q
+    assert lattice.smith_invariants(b).chain == (q,)
+    assert lattice.hnf_canonicalize(b.rows) == b
+    assert lattice.is_cocyclic(b)
