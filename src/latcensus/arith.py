@@ -5,13 +5,15 @@ ratios are `fractions.Fraction` in lowest terms.  Floating point appears only
 in the explicitly error-bounded large-argument paths of `landau_sum` /
 `ward_sum` and in asymptotic predictions, which return ErrBoundedReal.
 
-The factorization workhorse is a smallest-prime-factor sieve (32-bit
-entries, O(limit) memory, O(log k) factorization per query).  The sieve is
-immutable once built and safe for unsynchronized concurrent reads.  Its
-limit is checked against SIEVE_CAP before anything is allocated; a larger
-request raises CapExceededError.  Without a sieve, trial division stops at
-TRIAL_DIVISION_LIMIT, so a number with a large cofactor raises
-CapExceededError instead of running for hours.
+Prime lists come from `primes_upto`, a bytearray sieve of Eratosthenes.
+The factorization workhorse is a smallest-prime-factor table (`SieveTable`,
+32-bit entries, O(limit) memory, O(log k) factorization per query),
+immutable once built.  numpy is imported only to build that table and the
+vector tables `totient_table` and `squarefree_mask`, so importing the
+package does not load it.  Both sieves check their limit against SIEVE_CAP
+before anything is allocated; a larger request raises CapExceededError.
+Without a sieve, trial division stops at TRIAL_DIVISION_LIMIT, so a number
+with a large cofactor raises CapExceededError instead of running for hours.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
@@ -46,6 +46,28 @@ EXACT_SUM_LIMIT = 10**4
 _FLOAT_EPS = 2.0**-52
 
 
+def _check_sieve_limit(limit: int) -> None:
+    if limit > SIEVE_CAP:
+        raise CapExceededError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
+
+
+def primes_upto(limit: int) -> list[int]:
+    """All primes <= limit, ascending ([] below 2): a sieve of Eratosthenes
+    on one byte per odd number, refused above SIEVE_CAP before allocating."""
+    _check_sieve_limit(limit)
+    if limit < 2:
+        return []
+    half = (limit - 1) // 2  # byte i stands for 2i + 1
+    odd_prime = bytearray(b"\x01") * (half + 1)
+    odd_prime[0] = 0
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if odd_prime[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd_prime[start::p] = bytes((half - start) // p + 1)
+    return [2, *itertools.compress(range(1, limit + 1, 2), odd_prime)]
+
+
 class SieveTable:
     """Smallest-prime-factor table for 2 <= k <= limit.
 
@@ -53,13 +75,14 @@ class SieveTable:
     prime.  Immutable after construction.
     """
 
-    __slots__ = ("limit", "spf", "_primes")
+    __slots__ = ("limit", "spf")
 
     def __init__(self, limit: int):
+        import numpy as np
+
         if limit < 2:
             raise ValueError("sieve limit must be >= 2")
-        if limit > SIEVE_CAP:
-            raise CapExceededError(f"sieve limit {limit} exceeds cap {SIEVE_CAP}")
+        _check_sieve_limit(limit)
         self.limit = limit
         spf = np.zeros(limit + 1, dtype=np.int32)
         for i in range(2, math.isqrt(limit) + 1):
@@ -71,16 +94,10 @@ class SieveTable:
         spf[0] = spf[1] = 0
         self.spf = spf
         self.spf.setflags(write=False)
-        self._primes = None
 
-    def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending (int64 array, cached)."""
-        if self._primes is None:
-            idx = np.arange(self.limit + 1)
-            prm = idx[self.spf == idx]
-            self._primes = prm[prm >= 2].astype(np.int64)
-            self._primes.setflags(write=False)
-        return self._primes
+    def primes(self) -> list[int]:
+        """All primes <= limit, ascending (`primes_upto(limit)`)."""
+        return primes_upto(self.limit)
 
     def factor_pairs(self, k: int) -> list[tuple[int, int]]:
         """(prime, exponent) pairs of k <= limit, primes ascending."""
@@ -343,27 +360,24 @@ def abelian_group_count(n) -> int:
 # ---------------------------------------------------------------------------
 
 
-def totient_table(limit: int) -> np.ndarray:
-    """phi(0..limit) as int64 (phi(0) set to 0)."""
-    sieve = shared_sieve(max(limit, 2))
+def totient_table(limit: int):
+    """phi(0..limit) as an int64 numpy array (phi(0) set to 0)."""
+    import numpy as np
+
     phi = np.arange(limit + 1, dtype=np.int64)
     phi[0] = 0
-    for p in sieve.primes():
-        p = int(p)
-        if p > limit:
-            break
+    for p in primes_upto(limit):
         phi[p::p] = phi[p::p] // p * (p - 1)
     return phi
 
 
-def squarefree_mask(limit: int) -> np.ndarray:
-    """Boolean mask: mask[k] iff k is squarefree (mask[0] False)."""
+def squarefree_mask(limit: int):
+    """Boolean numpy mask: mask[k] iff k is squarefree (mask[0] False)."""
+    import numpy as np
+
     mask = np.ones(limit + 1, dtype=bool)
     mask[0] = False
-    for p in shared_sieve(max(2, math.isqrt(limit))).primes():
-        p = int(p)
-        if p * p > limit:
-            break
+    for p in primes_upto(math.isqrt(limit)):
         mask[p * p :: p * p] = False
     return mask
 
@@ -432,6 +446,8 @@ def ward_constant_ladder(bounds: Iterable[int]) -> list[tuple[int, float]]:
 
 def squarefree_coprime_count(x: int, d) -> int:
     """Exact number of squarefree k <= x with gcd(k, d) = 1, by sieve."""
+    import numpy as np
+
     if x < 1:
         raise ValueError("squarefree_coprime_count requires x >= 1")
     f = ensure_factored(d)

@@ -40,21 +40,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import groups
-from .arith import EULER_MASCHERONI, bernoulli, shared_sieve
+from .arith import EULER_MASCHERONI, bernoulli, primes_upto
 from .errbound import CTX, ErrBoundedReal, _EPS
 from .errors import PrecisionError
 
 DEFAULT_TOL = 1e-10
 
 Poly = tuple[int, ...]  # integer coefficients of 1, x, x^2, ... with x = 1/p
-
-
-def _primes_upto(limit: int) -> list[int]:
-    prm = shared_sieve(limit).primes()
-    return [int(p) for p in prm[prm <= limit]]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +233,7 @@ def _explicit_product(N: Poly, D: Poly, P0: int) -> ErrBoundedReal:
     """prod_{p<=P0} N(1/p)/D(1/p), from exact integer products."""
     num = den = 1
     shift = len(D) - len(N)  # p^deg N(1/p) / p^deg D(1/p) needs p^(deg D - deg N)
-    for p in _primes_upto(P0):
+    for p in primes_upto(P0):
         num *= _at_prime(N, p)
         den *= _at_prime(D, p)
         if shift > 0:
@@ -443,13 +436,15 @@ def _prime_sum_tail(P: int) -> float:
 def prime_log_weight_sum(tol: float = 2e-5) -> ErrBoundedReal:
     """sum_p log p / (p^2 - p + 1), with the tail over p > P bounded by
     sum_{m>P} 1.25 log m / m^2 <= 1.25 (log P + 1)/P."""
+    import numpy as np
+
     P = next((c for c in _PRIME_SUM_CUTOFFS if _prime_sum_tail(c) <= tol / 2), None)
     if P is None:
         reachable = 2 * _prime_sum_tail(_PRIME_SUM_CUTOFFS[-1])
         raise PrecisionError(
             f"prime_log_weight_sum tolerance {tol} unreachable; the smallest reachable is {reachable:.2g}"
         )
-    primes = np.asarray(_primes_upto(P), dtype=np.float64)
+    primes = np.asarray(primes_upto(P), dtype=np.float64)
     terms = np.log(primes) / (primes * primes - primes + 1)
     value = math.fsum(terms)
     tail = _prime_sum_tail(P)

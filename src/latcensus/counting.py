@@ -50,8 +50,6 @@ from itertools import accumulate
 from operator import add, mul
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 from . import lattice
 from .arith import (
     SIEVE_CAP,
@@ -61,12 +59,13 @@ from .arith import (
     ensure_factored,
     euler_phi,
     is_squarefree,
+    primes_upto,
     shared_sieve,
 )
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
 
-DEFAULT_MATERIALIZE_CAP = 300_000
+DEFAULT_MATERIALIZE_CAP = 10**7
 DEFAULT_ENUM_CAP = 10**8
 DEFAULT_FLOOR_VALUE_CAP = 10**8
 
@@ -96,19 +95,26 @@ def count_primitive_classes(n: int, q) -> int:
     return out
 
 
-def _canonical_class_vectors(n: int, q: int) -> np.ndarray:
-    """Packed canonical representatives of every primitive class mod q.
+def _canonical_class_vectors(n: int, q: int):
+    """Packed canonical representatives of every primitive class mod q, as
+    an int64 numpy array.
 
     Vectors are packed in base q (lexicographic order == numeric order);
     the canonical representative of a class is the lexicographically
-    smallest vector among its unit scalings.  q^n above
+    smallest vector among its unit scalings.  The scan's work, q^n vectors
+    times (n components + phi(q) unit scalings), above
     DEFAULT_MATERIALIZE_CAP raises CapExceededError before allocating.
     """
+    import numpy as np
+
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
     size = q**n
-    if size > DEFAULT_MATERIALIZE_CAP:
-        raise CapExceededError(f"{q}^{n} vectors exceed cap {DEFAULT_MATERIALIZE_CAP}")
+    # the q^n test alone refuses a huge q before euler_phi factors it
+    if size > DEFAULT_MATERIALIZE_CAP or size * (n + euler_phi(q)) > DEFAULT_MATERIALIZE_CAP:
+        raise CapExceededError(
+            f"class scan of {q}^{n} vectors times ({n} + phi({q})) exceeds cap {DEFAULT_MATERIALIZE_CAP}"
+        )
     idx = np.arange(size, dtype=np.int64)
     comps = [(idx // q ** (n - 1 - i)) % q for i in range(n)]
     g = np.full(size, q, dtype=np.int64)
@@ -132,6 +138,8 @@ def _primitive_vector_count(n: int, q: int) -> int:
     distribution (one q-element scan, then an n-fold fold over the divisor
     lattice; no Moebius inversion and no multiplicativity in q).  q fits
     int32 below the caller's SIEVE_CAP check."""
+    import numpy as np
+
     g = np.gcd(np.arange(q, dtype=np.int32), q)
     divs, counts = np.unique(g, return_counts=True)
     base = [(int(d), int(c)) for d, c in zip(divs, counts)]
@@ -168,7 +176,7 @@ def count_primitive_classes_bruteforce(n: int, q: int) -> int:
 
 def primitive_class_representatives(n: int, q: int) -> list[tuple[int, ...]]:
     """One canonical (lex-least) vector per primitive class mod q
-    (n >= 1, q >= 1, q^n at most DEFAULT_MATERIALIZE_CAP)."""
+    (n >= 1, q >= 1, q^n (n + phi(q)) at most DEFAULT_MATERIALIZE_CAP)."""
     packed = _canonical_class_vectors(n, q)
     return [tuple(int(val) // q ** (n - 1 - i) % q for i in range(n)) for val in packed]
 
@@ -307,11 +315,12 @@ def _census_table(n: int, V: int) -> Callable[[int], int]:
         p_large = [0] + [_power_sum(k - 1, V // j) for j in range(1, s + 1)]
         top = _hyperbola(V, pw, p_small, p_large, point, small, large)
         # c_k = c_(k-1) * Id^(k-1) pointwise on [1, s]
-        conv = np.zeros(s + 1, dtype=object)
-        prev = np.array(point, dtype=object)
+        conv = [0] * (s + 1)
         for d in range(1, s + 1):
-            conv[d::d] += pw[d] * prev[1 : s // d + 1]
-        point = conv.tolist()
+            w = pw[d]
+            for m in range(1, s // d + 1):
+                conv[d * m] += w * point[m]
+        point = conv
         small = list(accumulate(point))
     return lambda h: small[V // h] if V // h <= s else top(h)
 
@@ -341,9 +350,7 @@ def _powerful_sum(
     f(p^e) = local(p, e), as sum_{h powerful <= V} H(h) T_n(V//h);
     `census` is the _census_table(n, V) to reuse, if one is built."""
     census = census or _census_table(n, V)
-    s = math.isqrt(V)
-    primes = shared_sieve(max(s, 2)).primes()
-    primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
+    primes = primes_upto(math.isqrt(V))
     h_cache: dict[int, list[int]] = {}
 
     def h_series(p: int) -> list[int]:

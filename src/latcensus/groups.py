@@ -34,14 +34,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 from .arith import (
     SIEVE_CAP,
     _aut_order_pgroup,
     _partitions_of,
     factorize,
     partition_count,
+    primes_upto,
     shared_sieve,
 )
 from .counting import _check_census, _powerful_sum
@@ -273,6 +272,8 @@ class _GroupTable:
     __slots__ = ("factors", "order", "elements", "orders", "add_table", "_join", "_full")
 
     def __init__(self, G: AbelianGroup, cap: int = DEFAULT_TABLE_CAP):
+        import numpy as np
+
         factors = []
         for p, exps in G.parts:
             factors.extend(p**e for e in exps)
@@ -487,8 +488,8 @@ def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
 
     Exact Fraction for V <= exact_limit; above that, an error-bounded float
     accumulated through a multiplicative sieve (the mass of order n is the
-    product of its prime-power masses), a (V+1)-entry array plus the shared
-    sieve, so V above arith.SIEVE_CAP raises CapExceededError up front.
+    product of its prime-power masses), a (V+1)-entry array plus the primes
+    up to V, so V above arith.SIEVE_CAP raises CapExceededError up front.
     """
     if V < 1:
         raise ValueError("V must be >= 1")
@@ -499,12 +500,10 @@ def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
         for G in enumerate_groups(V):
             total += Fraction(1, aut_order(G))
         return total
-    sieve = shared_sieve(V)
+    import numpy as np
+
     acc = np.ones(V + 1, dtype=np.float64)
-    for p in sieve.primes():
-        p = int(p)
-        if p > V:
-            break
+    for p in primes_upto(V):
         pk = p
         k = 1
         prev = 1.0

@@ -219,7 +219,7 @@ def check_accelerated_vs_plain(P: int = 10**4):
     factors += [(f"theta-n n={n}", constants.theta_n_factor(n)) for n in range(2, 17)]
     factors += [(f"rho-n-product n={n}", constants.rho_n_factor(n)) for n in range(2, 17)]
     factors += [(f"delta-rank-le r={r}", groups.delta_rank_factor(r)) for r in range(1, 5)]
-    primes = [int(p) for p in arith.shared_sieve(P).primes() if p <= P]
+    primes = arith.primes_upto(P)
     for label, (num, den) in factors:
         fast, _ = constants.euler_product(num, den, 1e-20)
         plain = _plain_euler_product(num, den, primes, P)

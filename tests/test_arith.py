@@ -231,3 +231,28 @@ def test_sieve_cap_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(arith, "SIEVE_CAP", 1000)
     with pytest.raises(CapExceededError):
         arith.SieveTable(1001)
+
+
+def test_primes_upto_matches_trial_division():
+    primes = []
+    for limit in range(-2, 3001):
+        if limit >= 2 and all(limit % p for p in primes if p * p <= limit):
+            primes.append(limit)
+        assert arith.primes_upto(limit) == primes, limit
+    assert arith.primes_upto(1) == [] and arith.primes_upto(0) == []
+
+
+def test_primes_upto_cap_checked_before_allocation():
+    with pytest.raises(CapExceededError):
+        arith.primes_upto(arith.SIEVE_CAP + 1)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        arith.primes_upto(10**15)  # a petabyte sieve: refused, not attempted
+    assert time.perf_counter() - start < 0.1
+
+
+def test_sieve_table_primes_are_primes_upto():
+    for limit in (2, 1000, 10**5):
+        primes = arith.SieveTable(limit).primes()
+        assert primes == arith.primes_upto(limit)
+        assert all(type(p) is int for p in primes)

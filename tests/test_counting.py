@@ -90,6 +90,18 @@ def test_class_representatives_refuse_bad_input():
     assert time.perf_counter() - t0 < 1
 
 
+def test_class_representatives_cap_on_work_not_only_memory():
+    # 547^2 vectors fit in memory, but 546 unit scalings of each took 6 s
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        counting.primitive_class_representatives(2, 547)
+    assert time.perf_counter() - t0 < 1
+    # sizes near the cap, and (3, 30), the largest grid of verify and the tests
+    for n, q in ((3, 66), (4, 23), (5, 12), (3, 30)):
+        reps = counting.primitive_class_representatives(n, q)
+        assert len(reps) == counting.count_primitive_classes(n, q)
+
+
 def test_count_cocyclic_examples():
     assert counting.count_cocyclic(2, 4) == 14  # 1 + 3 + 4 + 6
     for n in (2, 3, 5):
