@@ -7,10 +7,9 @@ in the explicitly error-bounded large-argument paths of `landau_sum` /
 
 Prime lists come from `primes_upto`, a bytearray sieve of Eratosthenes.
 The factorization workhorse is a smallest-prime-factor table (`SieveTable`,
-32-bit entries, O(limit) memory, O(log k) factorization per query),
-immutable once built.  numpy is imported only to build that table and the
-vector tables `totient_table` and `squarefree_mask`, so importing the
-package does not load it.  Both sieves check their limit against SIEVE_CAP
+a read-only view of 32-bit `array` entries, O(limit) memory, O(log k)
+factorization per query).  The tables are lists, bytearrays and arrays of
+the standard library.  Both sieves check their limit against SIEVE_CAP
 before anything is allocated; a larger request raises CapExceededError.
 Without a sieve, trial division stops at TRIAL_DIVISION_LIMIT, so a number
 with a large cofactor raises CapExceededError instead of running for hours.
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,28 +72,26 @@ class SieveTable:
     """Smallest-prime-factor table for 2 <= k <= limit.
 
     spf[k] is the smallest prime factor of k; spf[p] == p exactly when p is
-    prime.  Immutable after construction.
+    prime.  spf is a read-only memoryview of 32-bit ints.
     """
 
     __slots__ = ("limit", "spf")
 
     def __init__(self, limit: int):
-        import numpy as np
-
         if limit < 2:
             raise ValueError("sieve limit must be >= 2")
         _check_sieve_limit(limit)
         self.limit = limit
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        for i in range(2, math.isqrt(limit) + 1):
-            if spf[i] == 0:
-                sl = spf[i * i :: i]
-                sl[sl == 0] = i
-        rest = np.nonzero(spf[2:] == 0)[0] + 2
-        spf[rest] = rest
-        spf[0] = spf[1] = 0
-        self.spf = spf
-        self.spf.setflags(write=False)
+        spf = array("i", [2, 0]) * (limit // 2 + 1)  # even k: 2; odd k: unknown
+        del spf[limit + 1 :]
+        spf[0] = 0
+        # odd multiples of each odd p <= sqrt(limit); descending, so the
+        # smallest prime factor writes last
+        for p in reversed(primes_upto(math.isqrt(limit))[1:]):
+            spf[p * p :: 2 * p] = array("i", [p]) * len(range(p * p, limit + 1, 2 * p))
+        for p in primes_upto(limit):
+            spf[p] = p
+        self.spf = memoryview(spf).toreadonly()
 
     def primes(self) -> list[int]:
         """All primes <= limit, ascending (`primes_upto(limit)`)."""
@@ -106,7 +104,7 @@ class SieveTable:
         spf = self.spf
         out = []
         while k > 1:
-            p = int(spf[k])
+            p = spf[k]
             e = 0
             while k % p == 0:
                 k //= p
@@ -356,29 +354,24 @@ def abelian_group_count(n) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numpy tables (exact integer sieves)
+# exact integer tables
 # ---------------------------------------------------------------------------
 
 
-def totient_table(limit: int):
-    """phi(0..limit) as an int64 numpy array (phi(0) set to 0)."""
-    import numpy as np
-
-    phi = np.arange(limit + 1, dtype=np.int64)
-    phi[0] = 0
+def totient_table(limit: int) -> list[int]:
+    """phi(0..limit) as a list (phi(0) set to 0)."""
+    phi = list(range(limit + 1))
     for p in primes_upto(limit):
-        phi[p::p] = phi[p::p] // p * (p - 1)
+        phi[p::p] = [v // p * (p - 1) for v in phi[p::p]]
     return phi
 
 
-def squarefree_mask(limit: int):
-    """Boolean numpy mask: mask[k] iff k is squarefree (mask[0] False)."""
-    import numpy as np
-
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[0] = False
+def squarefree_mask(limit: int) -> bytearray:
+    """mask[k] == 1 iff k is squarefree (mask[0] == 0)."""
+    mask = bytearray(b"\x01") * (limit + 1)
+    mask[0] = 0
     for p in primes_upto(math.isqrt(limit)):
-        mask[p * p :: p * p] = False
+        mask[p * p :: p * p] = bytes(len(range(p * p, limit + 1, p * p)))
     return mask
 
 
@@ -394,8 +387,8 @@ def landau_sum(t: int):
         raise ValueError("landau_sum requires t >= 1")
     phi = totient_table(t)
     if t <= EXACT_SUM_LIMIT:
-        return sum(Fraction(1, int(v)) for v in phi[1:])
-    total = math.fsum(1.0 / phi[1:])
+        return sum(Fraction(1, v) for v in phi[1:])
+    total = math.fsum(1 / v for v in phi[1:])
     # each 1/phi rounds within 1/2 ulp and fsum rounds once
     return ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
 
@@ -411,8 +404,8 @@ def ward_sum(v: int):
     phi = totient_table(v)
     mask = squarefree_mask(v)
     if v <= EXACT_SUM_LIMIT:
-        return sum(Fraction(1, int(p)) for p, m in zip(phi[1:], mask[1:]) if m)
-    total = math.fsum(1.0 / phi[1:][mask[1:]])
+        return sum(Fraction(1, f) for f, m in zip(phi[1:], mask[1:]) if m)
+    total = math.fsum(1 / f for f, m in zip(phi[1:], mask[1:]) if m)
     return ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
 
 
@@ -446,16 +439,14 @@ def ward_constant_ladder(bounds: Iterable[int]) -> list[tuple[int, float]]:
 
 def squarefree_coprime_count(x: int, d) -> int:
     """Exact number of squarefree k <= x with gcd(k, d) = 1, by sieve."""
-    import numpy as np
-
     if x < 1:
         raise ValueError("squarefree_coprime_count requires x >= 1")
     f = ensure_factored(d)
     mask = squarefree_mask(x)
     for p in f.primes:
         if p <= x:
-            mask[p::p] = False
-    return int(np.count_nonzero(mask))
+            mask[p::p] = bytes(len(range(p, x + 1, p)))
+    return mask.count(1)
 
 
 def squarefree_coprime_prediction(x: int, d) -> ErrBoundedReal:

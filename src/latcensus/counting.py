@@ -44,9 +44,10 @@ All counts are arbitrary-precision integers end to end.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, product, repeat
 from operator import add, mul
 from typing import Callable, Iterator, Optional
 
@@ -95,54 +96,11 @@ def count_primitive_classes(n: int, q) -> int:
     return out
 
 
-def _canonical_class_vectors(n: int, q: int):
-    """Packed canonical representatives of every primitive class mod q, as
-    an int64 numpy array.
-
-    Vectors are packed in base q (lexicographic order == numeric order);
-    the canonical representative of a class is the lexicographically
-    smallest vector among its unit scalings.  The scan's work, q^n vectors
-    times (n components + phi(q) unit scalings), above
-    DEFAULT_MATERIALIZE_CAP raises CapExceededError before allocating.
-    """
-    import numpy as np
-
-    if n < 1 or q < 1:
-        raise ValueError("need n >= 1 and q >= 1")
-    size = q**n
-    # the q^n test alone refuses a huge q before euler_phi factors it
-    if size > DEFAULT_MATERIALIZE_CAP or size * (n + euler_phi(q)) > DEFAULT_MATERIALIZE_CAP:
-        raise CapExceededError(
-            f"class scan of {q}^{n} vectors times ({n} + phi({q})) exceeds cap {DEFAULT_MATERIALIZE_CAP}"
-        )
-    idx = np.arange(size, dtype=np.int64)
-    comps = [(idx // q ** (n - 1 - i)) % q for i in range(n)]
-    g = np.full(size, q, dtype=np.int64)
-    for c in comps:
-        g = np.gcd(g, c)
-    primitive = g == 1
-    weights = [q ** (n - 1 - i) for i in range(n)]
-    best = idx.copy()
-    for lam in range(2, q):
-        if math.gcd(lam, q) != 1:
-            continue
-        packed = np.zeros(size, dtype=np.int64)
-        for c, w in zip(comps, weights):
-            packed += ((lam * c) % q) * w
-        np.minimum(best, packed, out=best)
-    return idx[primitive & (best == idx)]
-
-
 def _primitive_vector_count(n: int, q: int) -> int:
     """Exact count of primitive vectors mod q from the per-residue gcd
     distribution (one q-element scan, then an n-fold fold over the divisor
-    lattice; no Moebius inversion and no multiplicativity in q).  q fits
-    int32 below the caller's SIEVE_CAP check."""
-    import numpy as np
-
-    g = np.gcd(np.arange(q, dtype=np.int32), q)
-    divs, counts = np.unique(g, return_counts=True)
-    base = [(int(d), int(c)) for d, c in zip(divs, counts)]
+    lattice; no Moebius inversion and no multiplicativity in q)."""
+    base = Counter(map(math.gcd, range(q), repeat(q))).items()
     dist = {q: 1}
     for _ in range(n):
         new: dict[int, int] = {}
@@ -175,10 +133,38 @@ def count_primitive_classes_bruteforce(n: int, q: int) -> int:
 
 
 def primitive_class_representatives(n: int, q: int) -> list[tuple[int, ...]]:
-    """One canonical (lex-least) vector per primitive class mod q
-    (n >= 1, q >= 1, q^n (n + phi(q)) at most DEFAULT_MATERIALIZE_CAP)."""
-    packed = _canonical_class_vectors(n, q)
-    return [tuple(int(val) // q ** (n - 1 - i) % q for i in range(n)) for val in packed]
+    """One canonical vector per primitive class mod q, in lexicographic
+    order: the lexicographically smallest of the class's unit scalings.
+
+    Its leading nonzero entry is d = gcd(entry, q), the least residue the
+    units take that entry to, so only vectors leading with a divisor d < q
+    are scanned, each against the units that fix d (those = 1 mod q/d).
+    The scan's work, q^n vectors times (n components + phi(q) unit
+    scalings), above DEFAULT_MATERIALIZE_CAP raises CapExceededError before
+    anything is built (n >= 1, q >= 1).
+    """
+    if n < 1 or q < 1:
+        raise ValueError("need n >= 1 and q >= 1")
+    size = q**n
+    # the q^n test alone refuses a huge q before euler_phi factors it
+    if size > DEFAULT_MATERIALIZE_CAP or size * (n + euler_phi(q)) > DEFAULT_MATERIALIZE_CAP:
+        raise CapExceededError(
+            f"class scan of {q}^{n} vectors times ({n} + phi({q})) exceeds cap {DEFAULT_MATERIALIZE_CAP}"
+        )
+    if q == 1:
+        return [(0,) * n]
+    fixing = [(d, [lam for lam in range(1 + q // d, q, q // d) if math.gcd(lam, q) == 1])
+              for d in range(1, q) if q % d == 0]
+    out = []
+    for lead in reversed(range(n)):  # more leading zeros first
+        for d, units in fixing:
+            head = (0,) * lead + (d,)
+            for rest in product(range(q), repeat=n - 1 - lead):
+                if d == 1 or (
+                    math.gcd(d, *rest) == 1 and all(rest <= tuple(lam * x % q for x in rest) for lam in units)
+                ):
+                    out.append(head + rest)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +229,7 @@ def _multiplicative_sum(V: int, local: Callable[[int, int], int]) -> int:
         k = q
         a = 1
         while k > 1 and a:
-            p = int(spf[k])
+            p = spf[k]
             e = 0
             while k % p == 0:
                 k //= p

@@ -27,12 +27,13 @@ arith.SIEVE_CAP for the float mass).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .arith import (
     SIEVE_CAP,
@@ -266,14 +267,13 @@ class _GroupTable:
     cyclic factors (index 0 is the identity), `add_table[i][j]` the index of
     their sum, and subgroups are frozensets of indices.  The subgroup join
     table behind the exact generating-tuple counts is built on demand.  The
-    addition table holds |G|^2 entries: about 0.2 GB at the default cap.
+    addition table is |G| lists of |G| shared ints: about 0.14 GB at the
+    default cap.
     """
 
     __slots__ = ("factors", "order", "elements", "orders", "add_table", "_join", "_full")
 
     def __init__(self, G: AbelianGroup, cap: int = DEFAULT_TABLE_CAP):
-        import numpy as np
-
         factors = []
         for p, exps in G.parts:
             factors.extend(p**e for e in exps)
@@ -285,17 +285,21 @@ class _GroupTable:
         self.orders = [
             math.lcm(*(m // math.gcd(x, m) for x, m in zip(e, factors))) for e in self.elements
         ]
-        # mixed radix, last factor fastest (the itertools.product order)
-        digits = np.array(self.elements, dtype=np.int32).reshape(self.order, len(factors))
-        table = np.zeros((self.order, self.order), dtype=np.int32)
-        stride = 1
-        for c in reversed(range(len(factors))):
-            d = digits[:, c]
-            table += (np.add.outer(d, d) % factors[c]) * stride
-            stride *= factors[c]
-        # rows share the int objects of `ids`: one pointer per entry
+        # Mixed radix, last factor fastest (the itertools.product order).  With
+        # the table `rows` of the last factors, of order r, prepend a factor m:
+        # element a*r + i plus b*r + j is ((a + b) % m)*r + rows[i][j], so row
+        # a*r + i is row i lifted to every block c*r (flat) rotated by a*r.
+        # Every row holds the int objects of `ids`: one pointer per entry.
         ids = list(range(self.order))
-        self.add_table = [list(map(ids.__getitem__, row.tolist())) for row in table]
+        rows, r = [ids[:1]], 1
+        for m in reversed(factors):
+            blocks = [ids[c * r : (c + 1) * r].__getitem__ for c in range(m)]
+            lifted = [None] * (m * r)
+            for i, row in enumerate(rows):
+                flat = list(itertools.chain.from_iterable(map(b, row) for b in blocks))
+                lifted[i::r] = [flat[a * r :] + flat[: a * r] for a in range(m)]
+            rows, r = lifted, r * m
+        self.add_table = rows
         self._join = None
         self._full = None
 
@@ -475,8 +479,7 @@ class MassAccumulator:
 
 def _pgroup_mass(p: int, k: int) -> Fraction:
     """Total mass of abelian p-groups of order p^k.  Not memoized: the float
-    mass sieve asks once per prime power up to V, and a memo (here or of the
-    automorphism orders) would keep one entry per prime."""
+    mass walk asks once per power p^k <= V of each prime p <= sqrt(V)."""
     return sum(
         (Fraction(1, _aut_order_pgroup.__wrapped__(p, exps)) for exps in _partitions_of(k)),
         Fraction(0),
@@ -486,10 +489,11 @@ def _pgroup_mass(p: int, k: int) -> Fraction:
 def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
     """Total mass of the census of order <= V.
 
-    Exact Fraction for V <= exact_limit; above that, an error-bounded float
-    accumulated through a multiplicative sieve (the mass of order n is the
-    product of its prime-power masses), a (V+1)-entry array plus the primes
-    up to V, so V above arith.SIEVE_CAP raises CapExceededError up front.
+    Exact Fraction for V <= exact_limit; above that, an error-bounded float:
+    the fsum of the float masses of orders 1..V (`_mass_terms`, the mass of
+    order n is the product of its prime-power masses).  That walk holds the
+    primes up to V, so V above arith.SIEVE_CAP raises CapExceededError up
+    front.
     """
     if V < 1:
         raise ValueError("V must be >= 1")
@@ -500,25 +504,45 @@ def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
         for G in enumerate_groups(V):
             total += Fraction(1, aut_order(G))
         return total
-    import numpy as np
-
-    acc = np.ones(V + 1, dtype=np.float64)
-    for p in primes_upto(V):
-        pk = p
-        k = 1
-        prev = 1.0
-        while pk <= V:
-            cur = float(_pgroup_mass(p, k))
-            acc[pk::pk] *= cur / prev
-            prev = cur
-            pk *= p
-            k += 1
-    total = math.fsum(acc[1:])
-    # acc[n] takes one ratio fl(fl(cur) / fl(prev)) and one multiply per
+    total = math.fsum(itertools.chain.from_iterable(_mass_terms(V)))
+    # term n takes one ratio fl(fl(cur) / fl(prev)) and one multiply per
     # prime-power divisor p^k | n, at most floor(log2 V) of them: 4 roundings
     # of eps/2 each.  fsum adds one more; the last eps/2 covers second order.
     rounding = 2 * (V.bit_length() - 1) + 1
     return ErrBoundedReal(total, rounding * _FLOAT_EPS * total)
+
+
+def _mass_terms(V: int) -> Iterator[Iterable[float]]:
+    """The float masses of orders 1..V, in batches.  With P^e || n for the
+    largest prime P | n, mass(n) = mass(n / P^e) * r(P, 1) * ... * r(P, e),
+    r(p, k) = fl(mass(p^k) / mass(p^(k-1))), rounded product by product as a
+    sieve multiplying every multiple of p^k by r(p, k) would.  A depth-first
+    walk extends n by the primes p with n p^2 <= V; the larger primes with
+    n p <= V end their branch and come as one batch, mass(n) times r(p, 1)."""
+    primes = primes_upto(V)
+    r1 = [1 / (p - 1) for p in primes]  # mass(p): Z/p has p - 1 automorphisms
+    ratios = []
+    for p in primes[: bisect.bisect_right(primes, math.isqrt(V))]:
+        masses = [1.0]
+        while p ** len(masses) <= V:
+            masses.append(float(_pgroup_mass(p, len(masses))))
+        ratios.append([b / a for a, b in zip(masses, masses[1:])])
+    yield (1.0,)
+    stack = [(1, 1.0, 0)]  # (n, mass of n, index of the least prime allowed)
+    while stack:
+        n, mass, j = stack.pop()
+        top = V // n
+        deep = max(j, bisect.bisect_right(primes, math.isqrt(top)))
+        yield map(mass.__mul__, r1[deep : bisect.bisect_right(primes, top)])
+        for i in range(j, deep):
+            m, b = n, mass
+            for ratio in ratios[i]:
+                m *= primes[i]
+                if m > V:
+                    break
+                b *= ratio
+                yield (b,)
+                stack.append((m, b, i + 1))
 
 
 _PREDICATES = ("cyclic", "squarefree-order", "rank-at-most")

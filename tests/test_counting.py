@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -45,7 +46,7 @@ def test_bruteforce_refuses_q_over_the_sieve_cap_before_allocating(monkeypatch):
 
 def test_bruteforce_reference_reimplementation():
     # a 12-line literal re-implementation of the seen-set oracle, to pin the
-    # gcd scan and the numpy canonicalization on small moduli
+    # gcd scan and the class representatives on small moduli
     def classes_naive(n, q):
         if q == 1:
             return 1
@@ -63,6 +64,21 @@ def test_bruteforce_reference_reimplementation():
             naive = classes_naive(n, q)
             assert counting.count_primitive_classes_bruteforce(n, q) == naive
             assert len(counting.primitive_class_representatives(n, q)) == naive
+
+
+def test_class_representatives_equal_the_naive_lex_min_set():
+    # every primitive vector scaled by every unit, the least scaling kept
+    def naive(n, q):
+        units = [lam for lam in range(q) if math.gcd(lam, q) == 1]  # [0] at q = 1
+        return sorted({
+            min(tuple(lam * x % q for x in vec) for lam in units)
+            for vec in itertools.product(range(q), repeat=n)
+            if math.gcd(*vec, q) == 1
+        })
+
+    for n, top in ((1, 40), (2, 30), (3, 12), (4, 6)):
+        for q in range(1, top + 1):
+            assert counting.primitive_class_representatives(n, q) == naive(n, q), (n, q)
 
 
 def test_bruteforce_tiers_agree():

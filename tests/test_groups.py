@@ -85,6 +85,15 @@ def _naive_span(gens, add, zero):
     return span
 
 
+def test_group_table_matches_tuple_addition():
+    for g in groups.enumerate_groups(64):
+        factors, elements, add, _ = _naive_group(g)
+        table = groups._GroupTable(g)
+        assert table.elements == elements
+        index = {x: i for i, x in enumerate(elements)}
+        assert table.add_table == [[index[add(x, y)] for y in elements] for x in elements], g
+
+
 def test_aut_order_matches_naive_image_enumeration():
     # literal oracle: enumerate all order-compatible generator images and
     # test bijectivity through the induced map

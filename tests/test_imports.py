@@ -1,5 +1,5 @@
-"""Import contract: numpy is loaded only by the functions that run a vector
-kernel, so `import latcensus` and the commands without one never load it.
+"""Import contract: the package runs on the standard library and mpmath, so
+neither `import latcensus` nor any command nor any table kernel loads numpy.
 
 Each check runs a fresh interpreter; `-X importtime` lists on stderr every
 module the process imported."""
@@ -45,8 +45,14 @@ def test_import_latcensus_leaves_numpy_out():
         ["constants", "--name", "rho-n", "--n", "4"],
         ["sample", "--n", "3", "--q", str(10**20), "--seed", "1", "--count", "3"],
         ["enumerate", "--n", "2", "--q", "12"],
+        ["clmass", "--V", "3000", "--predicate", "cyclic"],
+        ["groups", "--V", "3000", "--dump"],
+        ["verify", "--suite", "bijection"],
+        ["verify", "--suite", "sampler"],
+        ["constants", "--name", "landau-prime-sum", "--tol", "1e-5"],
     ],
-    ids=["count", "count-csv-ladder", "constants-rho-n", "sample-q-1e20", "enumerate"],
+    ids=["count", "count-csv-ladder", "constants-rho-n", "sample-q-1e20", "enumerate", "clmass",
+         "groups-dump", "verify-bijection", "verify-sampler", "constants-landau-prime-sum"],
 )
 def test_commands_without_a_vector_kernel_leave_numpy_out(argv):
     proc = _python("-m", "latcensus.cli", *argv)
@@ -60,3 +66,25 @@ def test_import_cli_loads_every_layer_module():
     assert proc.returncode == 0, proc.stderr
     imported = _imported(proc.stderr)
     assert {f"latcensus.{m}" for m in LAYER_MODULES} <= imported
+
+
+# One call of each table kernel that once ran on numpy, at a small size.
+_KERNELS = """
+from latcensus import arith, constants, counting, groups
+assert arith.SieveTable(1000).factor_pairs(360) == [(2, 3), (3, 2), (5, 1)]
+assert arith.totient_table(10)[1:] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+assert list(arith.squarefree_mask(10)) == [0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 1]
+assert arith.squarefree_coprime_count(10, 2) == 4
+assert len(counting.primitive_class_representatives(3, 6)) == counting.count_primitive_classes(3, 6)
+assert counting._primitive_vector_count(2, 6) == 24
+assert groups.aut_order_bruteforce(groups.AbelianGroup.from_invariant_factors((2, 4))) == 8
+assert 0.608 < float(constants.prime_log_weight_sum(1e-5).value) < 0.609
+assert groups.cl_total_mass(3000, exact_limit=0).contains(groups.cl_total_mass(3000))
+"""
+
+
+def test_every_former_numpy_kernel_runs_with_numpy_blocked():
+    # a None entry in sys.modules makes any `import numpy` raise ImportError
+    proc = _python("-c", "import sys; sys.modules['numpy'] = None\n" + _KERNELS)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy" not in _imported(proc.stderr)

@@ -4,7 +4,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latcensus import counting, lattice
@@ -81,6 +81,80 @@ def test_smith_order_equals_index():
             inv = lattice.smith_invariants(b)
             assert inv.order == q
             assert inv.rank <= n
+
+
+def _det(rows):
+    """Determinant by fraction-free (Bareiss) elimination, exact in integers."""
+    m = [list(r) for r in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+_BIG_ENTRY = st.integers(-(2**64), 2**64)
+
+
+@st.composite
+def _big_nonsingular(draw):
+    # small entries and a common column factor give non-trivial Smith chains
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(_BIG_ENTRY, st.integers(-4, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    col, scale = draw(st.integers(0, n - 1)), draw(st.sampled_from((1, 2, 6)))
+    rows = [r[:col] + [scale * r[col]] + r[col + 1 :] for r in rows]
+    det = _det(rows)
+    assume(det != 0)
+    return rows, det
+
+
+@settings(deadline=None, max_examples=100)
+@given(_big_nonsingular(), st.data())
+def test_hnf_canonicality_with_entries_up_to_two_to_the_64(case, data):
+    rows, det = case
+    n = len(rows)
+    h = lattice.hnf_canonicalize(rows)
+    assert h.index == abs(det)
+    assert lattice.hnf_canonicalize(h.rows) == h
+    # a unimodular image: row additions with 64-bit multipliers, a row
+    # permutation and sign flips
+    mixed = [list(r) for r in rows]
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _BIG_ENTRY)
+    for i, j, c in data.draw(st.lists(moves, max_size=8)):
+        if i != j:
+            mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+    mixed = [r if flip else [-a for a in r] for r, flip in zip(
+        data.draw(st.permutations(mixed)), data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))]
+    assert lattice.hnf_canonicalize(mixed) == h
+    assert lattice.smith_invariants(lattice.hnf_canonicalize(mixed)) == lattice.smith_invariants(h)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_big_nonsingular())
+def test_smith_order_with_entries_up_to_two_to_the_64(case):
+    rows, det = case
+    n = len(rows)
+    inv = lattice.smith_invariants(rows)
+    assert inv.order == abs(det) and inv.rank <= n
+    assert inv == lattice.smith_invariants(lattice.hnf_canonicalize(rows))
+    # s_1 is the gcd of the entries; s_n is |det| over the gcd of the
+    # (n-1)-minors, the entries of adj(B)
+    factors = (1,) * (n - inv.rank) + inv.chain
+    assert factors[0] == math.gcd(*(a for r in rows for a in r))
+    minors = [
+        _det([r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]) if n > 1 else 1
+        for i in range(n)
+        for j in range(n)
+    ]
+    assert factors[-1] == abs(det) // math.gcd(*minors)
 
 
 def test_invariant_factors_validation():
