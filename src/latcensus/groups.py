@@ -22,7 +22,10 @@ The census assigns each group the mass 1/#Aut(G); totals are exact
 rationals up to 1e4 and error-bounded floats beyond.  Census sizes are
 checked against their caps before any work (DEFAULT_CENSUS_CAP for the
 group enumeration, counting.DEFAULT_FLOOR_VALUE_CAP for the class count,
-arith.SIEVE_CAP for the float mass).
+arith.SIEVE_CAP for the float mass).  The explicit oracles are capped too:
+DEFAULT_TABLE_CAP on |G| for the addition table, LATTICE_CAP on (number of
+subgroups) x |G| for the join table, checked before each new row, and
+AUT_MAPS_CAP on #Aut(G) x |G| for `automorphism_maps`, checked up front.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ from .lattice import InvariantFactors
 
 DEFAULT_CENSUS_CAP = 10**6
 DEFAULT_TABLE_CAP = 4096
+LATTICE_CAP = 10**7
+AUT_MAPS_CAP = 10**6
 EXACT_MASS_LIMIT = 10**4
 
 _FLOAT_EPS = 2.0**-52
@@ -187,13 +192,13 @@ class AbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_groups(V: int, cap: int = DEFAULT_CENSUS_CAP) -> Iterator[AbelianGroup]:
+def enumerate_groups(V: int) -> Iterator[AbelianGroup]:
     """All isomorphism classes of abelian groups of order <= V, ascending by
     order, then lexicographic in (prime, partition) data."""
     if V < 1:
         raise ValueError("V must be >= 1")
-    if V > cap:
-        raise CapExceededError(f"census bound {V} exceeds cap {cap}")
+    if V > DEFAULT_CENSUS_CAP:
+        raise CapExceededError(f"census bound {V} exceeds cap {DEFAULT_CENSUS_CAP}")
     sieve = shared_sieve(max(V, 2))
     yield AbelianGroup.trivial()
     for order in range(2, V + 1):
@@ -268,19 +273,20 @@ class _GroupTable:
     their sum, and subgroups are frozensets of indices.  The subgroup join
     table behind the exact generating-tuple counts is built on demand.  The
     addition table is |G| lists of |G| shared ints: about 0.14 GB at the
-    default cap.
+    default cap.  The join table has one such row per subgroup; more than
+    LATTICE_CAP entries raise while it is built.
     """
 
     __slots__ = ("factors", "order", "elements", "orders", "add_table", "_join", "_full")
 
-    def __init__(self, G: AbelianGroup, cap: int = DEFAULT_TABLE_CAP):
+    def __init__(self, G: AbelianGroup):
         factors = []
         for p, exps in G.parts:
             factors.extend(p**e for e in exps)
         self.factors = tuple(factors)
         self.order = math.prod(factors)
-        if self.order > cap:
-            raise CapExceededError(f"group order {self.order} exceeds table cap {cap}")
+        if self.order > DEFAULT_TABLE_CAP:
+            raise CapExceededError(f"group order {self.order} exceeds table cap {DEFAULT_TABLE_CAP}")
         self.elements = list(itertools.product(*[range(m) for m in factors]))
         self.orders = [
             math.lcm(*(m // math.gcd(x, m) for x, m in zip(e, factors))) for e in self.elements
@@ -325,6 +331,8 @@ class _GroupTable:
         join: list[list[int]] = []
         head = 0
         while head < len(sub_list):
+            if len(sub_list) * self.order > LATTICE_CAP:
+                raise CapExceededError(f"{len(sub_list)} subgroups x order {self.order} exceed cap {LATTICE_CAP}")
             H = sub_list[head]
             row = [-1] * self.order
             for e in range(self.order):
@@ -361,31 +369,31 @@ class _GroupTable:
         return f.get(self._full, 0)
 
 
-def generating_tuples_count(G: AbelianGroup, n: int, cap: int = DEFAULT_TABLE_CAP) -> int:
+def generating_tuples_count(G: AbelianGroup, n: int) -> int:
     """Number of n-tuples over G whose components generate G, exactly."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    table = _GroupTable(G, cap)
+    table = _GroupTable(G)
     all_ids = range(table.order)
     return table.count_spanning_tuples([all_ids] * n)
 
 
-def primitive_class_count(G: AbelianGroup, n: int, cap: int = DEFAULT_TABLE_CAP) -> int:
+def primitive_class_count(G: AbelianGroup, n: int) -> int:
     """Generating n-tuples counted up to Aut(G) (the action is free on
     generating tuples, so the division below is exact); 0 when n < rank."""
     if n < G.rank:
         return 0
-    tuples = generating_tuples_count(G, n, cap)
+    tuples = generating_tuples_count(G, n)
     aut = aut_order(G)
     if tuples % aut:
         raise RuntimeError("Aut action on generating tuples is not free")
     return tuples // aut
 
 
-def aut_order_bruteforce(G: AbelianGroup, cap: int = DEFAULT_TABLE_CAP) -> int:
+def aut_order_bruteforce(G: AbelianGroup) -> int:
     """#Aut(G) counted directly: images of the standard generators with
     compatible orders that together span G (no p-group formula involved)."""
-    table = _GroupTable(G, cap)
+    table = _GroupTable(G)
     if table.order == 1:
         return 1
     candidate_ids = []
@@ -396,14 +404,17 @@ def aut_order_bruteforce(G: AbelianGroup, cap: int = DEFAULT_TABLE_CAP) -> int:
     return table.count_spanning_tuples(candidate_ids)
 
 
-def automorphism_maps(G: AbelianGroup, cap: int = 256) -> list[dict]:
+def automorphism_maps(G: AbelianGroup) -> list[dict]:
     """All automorphisms of a small group, as element->element dicts of
     exponent tuples.
 
     Enumerated by depth-first choice of generator images (order-compatible,
-    jointly spanning); intended for small-census freeness checks.
+    jointly spanning); intended for small-census freeness checks.  The maps
+    hold #Aut(G) * |G| entries; above AUT_MAPS_CAP that raises up front.
     """
-    table = _GroupTable(G, cap)
+    if (aut := aut_order(G)) * G.order > AUT_MAPS_CAP:
+        raise CapExceededError(f"{aut} automorphisms x order {G.order} exceed cap {AUT_MAPS_CAP}")
+    table = _GroupTable(G)
     k = len(table.factors)
     if k == 0:
         return [{(): ()}]
@@ -444,13 +455,13 @@ def pak_hypothesis(G: AbelianGroup, n: int, k: int) -> bool:
     return n > (k + 1) * math.log2(G.order) + 2
 
 
-def pak_check(G: AbelianGroup, n: int, k: int, cap: int = DEFAULT_TABLE_CAP) -> bool:
+def pak_check(G: AbelianGroup, n: int, k: int) -> bool:
     """True iff the generating fraction of uniform n-tuples is at least
     1 - #G^-k, compared exactly in rational arithmetic."""
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
     order = G.order
-    frac = Fraction(generating_tuples_count(G, n, cap), order**n)
+    frac = Fraction(generating_tuples_count(G, n), order**n)
     return frac >= 1 - Fraction(1, order**k)
 
 

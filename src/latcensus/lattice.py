@@ -8,8 +8,10 @@ plain matrix equality.
 The quotient G = Z^n/L is classified by its invariant factors (Smith form),
 an increasing divisibility chain d_1 | d_2 | ... of entries >= 2, the trivial
 quotient being the empty chain; L is co-cyclic when it has at most one entry.
-is_cocyclic reads that from adj(B) instead (no Smith form), and the congruence
-lattice {x : a.x = 0 mod q} is written down from a Bezout chain of (a, q).
+The Smith form needs full rank and reuses the HNF kernel, alternated on B and
+its transpose.  is_cocyclic reads co-cyclicity from adj(B) instead (no Smith
+form), and the congruence lattice {x : a.x = 0 mod q} is written down from a
+Bezout chain of (a, q).
 Enumeration oracles use the F_p ranks of each basis: rank G = max_p dim G/pG.
 
 All arithmetic is exact (Python ints); no floating point enters here.
@@ -221,74 +223,27 @@ class InvariantFactors:
         return len(self.chain)
 
 
-def _smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form (nonnegative, d_i | d_{i+1})."""
-    a = [[int(x) for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if a else 0
-    size = min(m, n)
-    t = 0
-    while t < size:
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    _combine_rows(a, t, i, t)
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    _combine_cols(a, t, j)
-            if any(a[i][t] for i in range(t + 1, m)):
-                continue
-            d = a[t][t]
-            bad = None
-            for i in range(t + 1, m):
-                if any(x % d for x in a[i][t:]):
-                    bad = i
-                    break
-            if bad is None:
-                break
-            arow = a[bad]
-            a[t] = [x + y for x, y in zip(a[t], arow)]
-        t += 1
-    return [abs(a[i][i]) for i in range(size)]
-
-
-def _combine_cols(a: list[list[int]], t: int, j: int) -> None:
-    att, atj = a[t][t], a[t][j]
-    if att and atj % att == 0:
-        c = atj // att
-        for row in a:
-            row[j] -= c * row[t]
-        return
-    g, x, y = _xgcd(att, atj)
-    p, q = att // g, atj // g
-    for row in a:
-        u, v = row[t], row[j]
-        row[t] = x * u + y * v
-        row[j] = p * v - q * u
-
-
 def smith_invariants(basis) -> InvariantFactors:
-    """Invariant factors of Z^n/L for a basis (HnfBasis or row matrix)."""
+    """Invariant factors of Z^n/L for a full-rank basis (HnfBasis or row
+    matrix; a rank-deficient or empty one raises SingularMatrixError).
+
+    Row HNFs of the matrix and of its transpose alternate until it is
+    diagonal: each round clears the first row and column or replaces the
+    first pivot by a proper divisor.  Pairwise (gcd, lcm) of the diagonal
+    then gives the divisibility chain."""
     rows = basis.rows if isinstance(basis, HnfBasis) else basis
-    diag = _smith_diagonal(rows)
-    if any(d == 0 for d in diag):
+    n = len(rows[0]) if rows else 0
+    a = _row_hnf(rows)
+    if not a or len(a) < n:
         raise SingularMatrixError("basis does not have full rank")
-    return InvariantFactors(tuple(d for d in diag if d != 1))
+    while any(a[i][j] for i in range(n) for j in range(i + 1, n)):
+        a = _row_hnf(zip(*a))
+    d = [a[i][i] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return InvariantFactors(tuple(x for x in d if x != 1))
 
 
 def quotient_rank(basis: HnfBasis) -> int:

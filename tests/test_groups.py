@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -288,4 +289,17 @@ def test_uniform_densities():
 
 def test_table_cap():
     with pytest.raises(CapExceededError):
-        groups.generating_tuples_count(groups.AbelianGroup.cyclic(5000), 2, cap=1000)
+        groups.generating_tuples_count(groups.AbelianGroup.cyclic(5000), 2)
+
+
+def test_subgroup_lattice_and_automorphism_caps():
+    # regression: (Z/2)^8 has 417,199 subgroups, a join table of 1.1 * 10^8
+    # entries, which was built in full; it is refused early instead
+    g = groups.AbelianGroup.power_of_cyclic(2, 8)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        groups.generating_tuples_count(g, 8)
+    assert time.perf_counter() - start < 2
+    # and #GL_8(F_2) maps are refused before any is listed
+    with pytest.raises(CapExceededError):
+        groups.automorphism_maps(g)

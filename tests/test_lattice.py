@@ -68,6 +68,19 @@ def test_smith_examples():
     assert lattice.smith_invariants(lattice.HnfBasis.identity(3)).chain == ()
     # regression: entries both left and above pivots (used to cycle forever)
     assert lattice.smith_invariants(lattice.HnfBasis([[1, 0, 1], [0, 1, 1], [0, 0, 3]])).chain == (3,)
+    # a diagonal out of divisibility order: every (gcd, lcm) pair is needed
+    diag = [[x if i == j else 0 for j in range(4)] for i, x in enumerate((1, 4, 2, 8))]
+    assert lattice.smith_invariants(diag).chain == (2, 4, 8)
+
+
+def test_smith_needs_full_rank():
+    # regression: a rank-deficient matrix (Z^2/L infinite) and the empty one
+    # used to get a finite chain
+    for rows in ([[2, 0]], []):
+        with pytest.raises(SingularMatrixError):
+            lattice.smith_invariants(rows)
+    # tall full-rank input spans a full-rank lattice: Z^2/L = Z/6
+    assert lattice.smith_invariants([[2, 0], [0, 3], [4, 6]]).chain == (6,)
 
 
 def test_smith_order_equals_index():
@@ -155,6 +168,15 @@ def test_smith_order_with_entries_up_to_two_to_the_64(case):
         for j in range(n)
     ]
     assert factors[-1] == abs(det) // math.gcd(*minors)
+    # every determinantal divisor: s_1 ... s_k is the gcd of the k x k minors
+    if n <= 4:
+        for k in range(1, n + 1):
+            d_k = math.gcd(*(
+                _det([[rows[i][j] for j in cols] for i in sel])
+                for sel in itertools.combinations(range(n), k)
+                for cols in itertools.combinations(range(n), k)
+            ))
+            assert math.prod(factors[:k]) == d_k
 
 
 def test_invariant_factors_validation():
