@@ -7,7 +7,6 @@ evaluation of the limiting density constants.
 """
 
 from .arith import (
-    EULER_MASCHERONI,
     FactoredInt,
     SieveTable,
     abelian_group_count,
@@ -15,27 +14,33 @@ from .arith import (
     factorize,
     fn_weight,
     is_squarefree,
-    landau_prediction,
     landau_sum,
     mobius,
     omega,
     partition_count,
     squarefree_coprime_count,
-    squarefree_coprime_prediction,
     ward_sum,
 )
 from .constants import (
+    EULER_MASCHERONI,
+    delta_rank_at_least_bound,
+    delta_rank_at_most,
     density_cocyclic_limit,
     density_squarefree_limit,
     gekeler_cyclic,
     gekeler_squarefree,
+    landau_prediction,
+    rank_prob,
     rho,
     rho_n,
     rho_n_product,
+    squarefree_coprime_prediction,
     theta,
     theta_n,
     theta_product,
     theta_sandwich,
+    uniform_density_cyclic,
+    uniform_density_squarefree,
     xi,
     xi_inf,
     zeta,
@@ -60,22 +65,16 @@ from .errors import (
 )
 from .groups import (
     AbelianGroup,
-    MassAccumulator,
     aut_order,
     aut_order_bruteforce,
     aut_order_pgroup,
     aut_order_qm,
     cl_predicate_mass,
     cl_total_mass,
-    delta_rank_at_least_bound,
-    delta_rank_at_most,
     enumerate_groups,
     generating_tuples_count,
     pak_check,
     primitive_class_count,
-    rank_prob,
-    uniform_density_cyclic,
-    uniform_density_squarefree,
 )
 from .lattice import (
     CongruenceVector,

@@ -3,7 +3,7 @@
 Everything here is exact: counts are Python ints of arbitrary precision and
 ratios are `fractions.Fraction` in lowest terms.  Floating point appears only
 in the explicitly error-bounded large-argument paths of `landau_sum` /
-`ward_sum` and in asymptotic predictions, which return ErrBoundedReal.
+`ward_sum`, which return ErrBoundedReal.
 
 Prime lists come from `primes_upto`, a bytearray sieve of Eratosthenes.
 The factorization workhorse is a smallest-prime-factor table (`SieveTable`,
@@ -11,8 +11,9 @@ a read-only view of 32-bit `array` entries, O(limit) memory, O(log k)
 factorization per query).  The tables are lists, bytearrays and arrays of
 the standard library.  Both sieves check their limit against SIEVE_CAP
 before anything is allocated; a larger request raises CapExceededError.
-Without a sieve, trial division stops at TRIAL_DIVISION_LIMIT, so a number
-with a large cofactor raises CapExceededError instead of running for hours.
+`factorize` is trial division, which stops at TRIAL_DIVISION_LIMIT, so a
+number with a large cofactor raises CapExceededError instead of running for
+hours.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
@@ -34,10 +35,6 @@ SIEVE_CAP = 2 * 10**7
 # Largest trial divisor (about a second of Python work): a cofactor below its
 # square left after trial division is prime, a larger one is refused.
 TRIAL_DIVISION_LIMIT = 10**7
-
-# Euler-Mascheroni constant to 20 digits (standard references); the stored
-# truncation error is below 1e-19.
-EULER_MASCHERONI = ErrBoundedReal("0.57721566490153286061", "1e-19")
 
 # landau_sum/ward_sum return exact rationals up to this bound and switch to
 # error-bounded floating accumulation above it (exact denominators blow up).
@@ -116,19 +113,6 @@ class SieveTable:
         return FactoredInt(k, tuple(self.factor_pairs(k)))
 
 
-_shared: Optional[SieveTable] = None
-
-
-def shared_sieve(limit: int) -> SieveTable:
-    """Process-wide sieve cache, grown geometrically (up to SIEVE_CAP) on
-    demand; a limit above SIEVE_CAP raises CapExceededError."""
-    global _shared
-    if _shared is None or _shared.limit < limit:
-        grown = 2 if _shared is None else min(2 * _shared.limit, SIEVE_CAP)
-        _shared = SieveTable(max(limit, grown))
-    return _shared
-
-
 @dataclass(frozen=True)
 class FactoredInt:
     """A positive integer with its full prime factorization.
@@ -170,14 +154,12 @@ class FactoredInt:
         return self.value
 
 
-def factorize(n: int, sieve: Optional[SieveTable] = None) -> FactoredInt:
-    """Factor n >= 1 by sieve lookup when available, else trial division by
-    d <= TRIAL_DIVISION_LIMIT; a cofactor above TRIAL_DIVISION_LIMIT^2 with no
-    such divisor raises CapExceededError."""
+def factorize(n: int) -> FactoredInt:
+    """Factor n >= 1 by trial division by d <= TRIAL_DIVISION_LIMIT; a
+    cofactor above TRIAL_DIVISION_LIMIT^2 with no such divisor raises
+    CapExceededError."""
     if n < 1:
         raise ValueError("factorize requires a positive integer")
-    if sieve is not None and n <= sieve.limit:
-        return sieve.factorize(n)
     factors = []
     m = n
     for d in itertools.chain((2,), range(3, TRIAL_DIVISION_LIMIT + 1, 2)):
@@ -200,10 +182,10 @@ def factorize(n: int, sieve: Optional[SieveTable] = None) -> FactoredInt:
     return FactoredInt(n, tuple(factors))
 
 
-def ensure_factored(n, sieve: Optional[SieveTable] = None) -> FactoredInt:
+def ensure_factored(n) -> FactoredInt:
     if isinstance(n, FactoredInt):
         return n
-    return factorize(int(n), sieve)
+    return factorize(int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -409,22 +391,6 @@ def ward_sum(v: int):
     return ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
 
 
-def landau_prediction(t: int, tol: float = 1e-4) -> ErrBoundedReal:
-    """Leading term of the classical asymptotic for sum_{d<=t} 1/phi(d):
-    theta * (log t + gamma - sum_p log p / (p^2 - p + 1)).
-
-    The O(log t / t) remainder is not included; the returned error bound
-    covers only the constant evaluation.
-    """
-    from .constants import theta, prime_log_weight_sum  # deferred: avoids cycle
-
-    if t < 1:
-        raise ValueError("landau_prediction requires t >= 1")
-    lt = math.log(t)
-    log_t = ErrBoundedReal(lt, 4 * _FLOAT_EPS * max(1.0, lt))
-    return theta() * (log_t + EULER_MASCHERONI - prime_log_weight_sum(tol=tol / 4))
-
-
 def ward_constant_ladder(bounds: Iterable[int]) -> list[tuple[int, float]]:
     """(V, ward_sum(V) - log V) pairs: the shifted values stabilize toward
     the limiting constant, which is reported empirically and never
@@ -447,17 +413,6 @@ def squarefree_coprime_count(x: int, d) -> int:
         if p <= x:
             mask[p::p] = bytes(len(range(p, x + 1, p)))
     return mask.count(1)
-
-
-def squarefree_coprime_prediction(x: int, d) -> ErrBoundedReal:
-    """Companion first-order prediction (6x/pi^2) prod_{p|d} (1 + 1/p)^-1."""
-    from .constants import inv_zeta2  # deferred: avoids import cycle
-
-    f = ensure_factored(d)
-    scale = Fraction(x)
-    for p in f.primes:
-        scale *= Fraction(p, p + 1)
-    return inv_zeta2() * ErrBoundedReal.exact(scale)
 
 
 def divisor_mobius_sum(q, n: int) -> Fraction:

@@ -53,18 +53,19 @@ def cmd_count(args) -> int:
         raise ValueError("--ladder needs --format csv and at least one rung")
     if (args.mode == "rank") != (args.rank is not None):
         raise ValueError("--rank goes with --mode rank, and --mode rank needs --rank")
-    fast, oracle, leading = counting.CENSUS[args.mode]
+    fast, oracle, density = counting.CENSUS[args.mode]
     if n < 2:
-        leading = None
-    if (tol is not None and leading is None) or (cap is not None and args.method == "formula"):
+        density = None
+    if (tol is not None and density is None) or (cap is not None and args.method == "formula"):
         raise ValueError("--tol needs a printed prediction, --enum-cap an enumerating --method")
     tol = 1e-10 if tol is None else tol
     cap = counting.DEFAULT_ENUM_CAP if cap is None else cap
     rank = () if args.rank is None else (args.rank,)  # the rank row takes (n, m, V)
     second = lambda v: oracle(n, *rank, v, cap)
     first = second if args.method == "bruteforce" else lambda v: fast(n, *rank, v)
+    leading = None if density is None else lambda v: density(n, tol) * ErrBoundedReal.exact(v**n) / n
     # CSV rows scale one V = 1 prediction by V_i^n
-    unit = leading(n, 1, tol) if csv and leading is not None else None
+    unit = leading(1) if csv and leading is not None else None
 
     rungs = args.ladder or 1
     rows = []
@@ -92,7 +93,7 @@ def cmd_count(args) -> int:
             rows.append(f"{v},{count},{pred:.12g},{count / pred:.12g}")
             continue
         if leading is not None:
-            pred = leading(n, v, tol)
+            pred = leading(v)
             doc["prediction"] = format_errbounded(pred)
             doc["prediction_kind"] = "leading-order"
             doc["ratio"] = format_errbounded(ErrBoundedReal.exact(count) / pred)

@@ -5,6 +5,12 @@ contains the exact constant: every truncation is paired with an explicit
 remainder bound, never a heuristic.  All evaluation runs in the package's
 private 120-bit mpmath context (see errbound).
 
+This is the one module that evaluates constants: the census densities, the
+rank and uniform densities of the 1/#Aut group census, and the first-order
+predictions for the totient-reciprocal and squarefree-coprime sums.  It
+imports only arith, errbound and errors, so every other module can import
+it at module level.
+
 Zeta values.  ``zeta(k, tol)`` is Euler-Maclaurin summation: the terms
 j < N, the integral and half-term at N, and M Bernoulli corrections, summed
 as one exact rational, with the remainder bounded by
@@ -40,12 +46,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from . import groups
-from .arith import EULER_MASCHERONI, bernoulli, primes_upto
+from .arith import bernoulli, ensure_factored, factorize, primes_upto
 from .errbound import CTX, ErrBoundedReal, _EPS
 from .errors import PrecisionError
 
 DEFAULT_TOL = 1e-10
+
+# Euler-Mascheroni constant to 20 digits (standard references); the stored
+# truncation error is below 1e-19.
+EULER_MASCHERONI = ErrBoundedReal("0.57721566490153286061", "1e-19")
 
 Poly = tuple[int, ...]  # integer coefficients of 1, x, x^2, ... with x = 1/p
 
@@ -421,7 +430,94 @@ def gekeler_squarefree(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
 
 
 # ---------------------------------------------------------------------------
-# the prime sum in the totient-reciprocal asymptotic
+# rank statistics under the 1/#Aut distribution
+# ---------------------------------------------------------------------------
+
+
+def rank_prob(p: int, r: int, tol: float = 1e-10) -> ErrBoundedReal:
+    """Probability that a random abelian p-group (mass 1/#Aut) has rank r:
+    p^(-r^2) prod_{i>=1} (1 - p^-i) / prod_{i=1}^r (1 - p^-i)^2."""
+    if p < 2 or factorize(p).factors != ((p, 1),):
+        raise ValueError(f"{p} is not prime")
+    if r < 0:
+        raise ValueError("rank must be >= 0")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    # truncation depth: tail of the infinite product is >= 1 - p^-I/(p-1)
+    I = 1
+    tail_bound = 1.0 / (p * (p - 1))
+    while tail_bound > tol / 4 and I < 400:
+        I += 1
+        tail_bound /= p
+    finite = Fraction(1)
+    for i in range(1, I + 1):
+        finite *= 1 - Fraction(1, p**i)
+    denom = Fraction(1)
+    for i in range(1, r + 1):
+        denom *= (1 - Fraction(1, p**i)) ** 2
+    value = Fraction(1, p ** (r * r)) * finite / denom
+    tail = ErrBoundedReal.from_interval(1 - Fraction(1, p**I * (p - 1)), 1)
+    return ErrBoundedReal.exact(value) * tail
+
+
+def delta_rank_at_most(r: int, tol: float = 1e-10) -> ErrBoundedReal:
+    """Census density of rank <= r: Xi_2^-1 prod_p sum_{k<=r} P(p, k)-local
+    factors, evaluated as an accelerated Euler product."""
+    return _delta_rank_at_most(r, tol)[0]
+
+
+@lru_cache(maxsize=None)
+def _delta_rank_at_most(r: int, tol: float) -> tuple[ErrBoundedReal, int]:
+    prod, P = euler_product(*delta_rank_factor(r), tol / 2)
+    return prod / xi_inf(2, tol / 8), P
+
+
+def delta_rank_factor(r: int) -> tuple[Poly, Poly]:
+    """Local factor sum_{k<=r} P(p, k) = (1 - x) sum_{k<=r} x^(k^2) /
+    prod_{i<=k} (1 - x^i)^2 with x = 1/p, as integer polynomials (N, D)
+    over the common denominator D = prod_{i<=r} (1 - x^i)^2."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    squares = [_poly_mul(f, f) for f in ((1,) + (0,) * (i - 1) + (-1,) for i in range(1, r + 1))]
+    num = [0] * (1 + r * (r + 1))
+    for k in range(r + 1):
+        term = (0,) * (k * k) + (1,)
+        for sq in squares[k:]:
+            term = _poly_mul(term, sq)
+        for i, a in enumerate(term):
+            num[i] += a
+    den = (1,)
+    for sq in squares:
+        den = _poly_mul(den, sq)
+    return _poly_mul(tuple(num), (1, -1)), den
+
+
+def delta_rank_at_least_bound(r: int) -> ErrBoundedReal:
+    """Explicit upper bound for the census density of rank >= r, evaluated
+    as 1 - exp(-8 (zeta(r^2) - 1)); decreasing in r and ~ 8 * 2^(-r^2)."""
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    z = zeta(r * r, 1e-14)
+    return 1 - ((z - 1) * (-8)).exp()
+
+
+# ---------------------------------------------------------------------------
+# uniform-distribution densities
+# ---------------------------------------------------------------------------
+
+
+def uniform_density_cyclic(tol: float = 1e-10) -> ErrBoundedReal:
+    """Limit fraction of cyclic classes among all classes: 1/Xi_2 ~ 0.4358."""
+    return 1 / xi_inf(2, _power_of_ten_below(tol / 5))
+
+
+def uniform_density_squarefree(tol: float = 1e-10) -> ErrBoundedReal:
+    """Limit fraction of squarefree-order classes: 1/(zeta(2) Xi_2) ~ 0.2649."""
+    return 1 / (zeta(2, tol / 100) * xi_inf(2, _power_of_ten_below(tol / 5)))
+
+
+# ---------------------------------------------------------------------------
+# the totient-reciprocal asymptotic and the squarefree-coprime prediction
 # ---------------------------------------------------------------------------
 
 
@@ -450,6 +546,29 @@ def prime_log_weight_sum(tol: float = 2e-5) -> ErrBoundedReal:
     return ErrBoundedReal.from_interval(value - float_slack, value + tail + float_slack)
 
 
+def landau_prediction(t: int, tol: float = 1e-4) -> ErrBoundedReal:
+    """Leading term of the classical asymptotic for sum_{d<=t} 1/phi(d):
+    theta * (log t + gamma - sum_p log p / (p^2 - p + 1)).
+
+    The O(log t / t) remainder is not included; the returned error bound
+    covers only the constant evaluation.
+    """
+    if t < 1:
+        raise ValueError("landau_prediction requires t >= 1")
+    lt = math.log(t)
+    log_t = ErrBoundedReal(lt, 4 * 2.0**-52 * max(1.0, lt))
+    return theta() * (log_t + EULER_MASCHERONI - prime_log_weight_sum(tol=tol / 4))
+
+
+def squarefree_coprime_prediction(x: int, d) -> ErrBoundedReal:
+    """Companion first-order prediction (6x/pi^2) prod_{p|d} (1 + 1/p)^-1."""
+    f = ensure_factored(d)
+    scale = Fraction(x)
+    for p in f.primes:
+        scale *= Fraction(p, p + 1)
+    return inv_zeta2() * ErrBoundedReal.exact(scale)
+
+
 # ---------------------------------------------------------------------------
 # named-constant registry (CLI surface)
 # ---------------------------------------------------------------------------
@@ -474,12 +593,11 @@ _EVALUATORS = {
     "gekeler-squarefree": ((), lambda tol: euler_product(*GEKELER_SQUAREFREE_FACTOR, tol)),
     "gamma": ((), lambda tol: (EULER_MASCHERONI, None)),
     "landau-prime-sum": ((), lambda tol: (prime_log_weight_sum(tol), None)),
-    "uniform-cyclic": ((), lambda tol: (groups.uniform_density_cyclic(min(tol, DEFAULT_TOL)), None)),
-    "uniform-squarefree": (
-        (), lambda tol: (groups.uniform_density_squarefree(min(tol, DEFAULT_TOL)), None)),
-    "rank-prob": (("p", "r"), lambda p, r, tol: (groups.rank_prob(p, r, tol), None)),
-    "delta-rank-le": (("r",), lambda r, tol: groups._delta_rank_at_most(r, tol)),
-    "delta-rank-ge-bound": (("r",), lambda r, tol: (groups.delta_rank_at_least_bound(r), None)),
+    "uniform-cyclic": ((), lambda tol: (uniform_density_cyclic(min(tol, DEFAULT_TOL)), None)),
+    "uniform-squarefree": ((), lambda tol: (uniform_density_squarefree(min(tol, DEFAULT_TOL)), None)),
+    "rank-prob": (("p", "r"), lambda p, r, tol: (rank_prob(p, r, tol), None)),
+    "delta-rank-le": (("r",), _delta_rank_at_most),
+    "delta-rank-ge-bound": (("r",), lambda r, tol: (delta_rank_at_least_bound(r), None)),
 }
 
 CONSTANT_NAMES = tuple(_EVALUATORS)

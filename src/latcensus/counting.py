@@ -36,8 +36,9 @@ O(V) time and memory; it is never the default and serves the tests and
 `verify` as an exact cross-check.
 
 `CENSUS` maps each census mode to its fast route, enumeration oracle and
-leading term, for the CLI and `verify`.  The rank row's routes take the
-rank as a second argument, (n, m, V), and it has no leading term.
+density constant c(n, tol) (`constants`), whose leading term is
+c(n, tol) V^n / n, for the CLI and `verify`.  The rank row's routes take
+the rank as a second argument, (n, m, V), and it has no density constant.
 
 All counts are arbitrary-precision integers end to end.
 """
@@ -54,6 +55,7 @@ from typing import Callable, Iterator, Optional
 from . import lattice
 from .arith import (
     SIEVE_CAP,
+    SieveTable,
     _aut_order_pgroup,
     _partitions_of,
     bernoulli,
@@ -61,9 +63,8 @@ from .arith import (
     euler_phi,
     is_squarefree,
     primes_upto,
-    shared_sieve,
 )
-from .errbound import ErrBoundedReal
+from .constants import rho_n, theta_n, xi
 from .errors import CapExceededError
 
 DEFAULT_MATERIALIZE_CAP = 10**7
@@ -183,8 +184,8 @@ def primitive_class_representatives(n: int, q: int) -> list[tuple[int, ...]]:
 # at prime index, so H(p) = 0, H lives on powerful numbers, and
 #     sum_{q<=V} f(q) = sum_{h powerful <= V} H(h) T_n(V//h).
 #
-# Second route.  `_multiplicative_sum` factors every q <= V with the shared
-# sieve and sums f(q) from the same local factors, O(V) time and memory.
+# Second route.  `_multiplicative_sum` factors every q <= V with a sieve of
+# [1, V] and sums f(q) from the same local factors, O(V) time and memory.
 # Tests and `verify` compare the two routes exactly; it is never the default.
 
 
@@ -220,9 +221,9 @@ def _rank_factor(n: int, m: int) -> Callable[[int, int], int]:
 
 def _multiplicative_sum(V: int, local: Callable[[int, int], int]) -> int:
     """Second route: sum of f(q) over q <= V for the multiplicative f with
-    f(p^e) = local(p, e), factoring each q with the shared sieve (local is
+    f(p^e) = local(p, e), factoring each q with a sieve of [1, V] (local is
     memoized per prime power, at most V entries like the sieve)."""
-    spf = shared_sieve(max(V, 2)).spf
+    spf = SieveTable(max(V, 2)).spf
     local = cache(local)
     total = 0
     for q in range(1, V + 1):
@@ -420,32 +421,6 @@ def count_by_rank(n: int, m: int, V: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# leading-order predictions (no lower-order/error terms included)
-# ---------------------------------------------------------------------------
-
-
-def cocyclic_leading_term(n: int, V: int, tol: float = 1e-10) -> ErrBoundedReal:
-    """theta_n * V^n / n; leading order only."""
-    from .constants import theta_n
-
-    return theta_n(n, tol) * ErrBoundedReal.exact(V**n) / n
-
-
-def squarefree_leading_term(n: int, V: int, tol: float = 1e-10) -> ErrBoundedReal:
-    """rho_n * V^n / n; leading order only."""
-    from .constants import rho_n
-
-    return rho_n(n, tol) * ErrBoundedReal.exact(V**n) / n
-
-
-def total_leading_term(n: int, V: int, tol: float = 1e-10) -> ErrBoundedReal:
-    """Xi_{2,n} * V^n / n; leading order only."""
-    from .constants import xi
-
-    return xi(2, n, tol) * ErrBoundedReal.exact(V**n) / n
-
-
-# ---------------------------------------------------------------------------
 # enumeration oracles
 # ---------------------------------------------------------------------------
 
@@ -519,11 +494,12 @@ def _guard_enumeration(n: int, V: int, cap: int) -> None:
         raise CapExceededError(f"enumerating {total} lattices exceeds cap {cap}")
 
 
-# mode -> (fast route, enumeration oracle, leading term)
+# mode -> (fast route, enumeration oracle, density constant c(n, tol)); the
+# leading term of the census is c(n, tol) V^n / n
 CENSUS = {
-    "cyclic": (count_cocyclic, census_cocyclic_bruteforce, cocyclic_leading_term),
-    "squarefree": (count_squarefree, census_squarefree_bruteforce, squarefree_leading_term),
-    "all": (total_count, census_total_bruteforce, total_leading_term),
+    "cyclic": (count_cocyclic, census_cocyclic_bruteforce, theta_n),
+    "squarefree": (count_squarefree, census_squarefree_bruteforce, rho_n),
+    "all": (total_count, census_total_bruteforce, lambda n, tol: xi(2, n, tol)),
     "rank": (count_by_rank, count_by_rank_bruteforce, None),  # both take (n, m, V)
 }
 

@@ -33,19 +33,18 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .arith import (
     SIEVE_CAP,
+    SieveTable,
     _aut_order_pgroup,
     _partitions_of,
     factorize,
     partition_count,
     primes_upto,
-    shared_sieve,
 )
 from .counting import _check_census, _powerful_sum
 from .errbound import ErrBoundedReal
@@ -199,7 +198,7 @@ def enumerate_groups(V: int) -> Iterator[AbelianGroup]:
         raise ValueError("V must be >= 1")
     if V > DEFAULT_CENSUS_CAP:
         raise CapExceededError(f"census bound {V} exceeds cap {DEFAULT_CENSUS_CAP}")
-    sieve = shared_sieve(max(V, 2))
+    sieve = SieveTable(max(V, 2))
     yield AbelianGroup.trivial()
     for order in range(2, V + 1):
         factors = sieve.factor_pairs(order)
@@ -470,24 +469,6 @@ def pak_check(G: AbelianGroup, n: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MassAccumulator:
-    """Total census mass (weight 1/#Aut per class) up to order V, with any
-    predicate-restricted masses recorded alongside."""
-
-    V: int
-    total: object  # Fraction when exact, ErrBoundedReal beyond the exact cap
-    predicate_masses: dict
-
-    def __post_init__(self):
-        total = self.total.value if isinstance(self.total, ErrBoundedReal) else self.total
-        for mass in self.predicate_masses.values():
-            if mass < 0:
-                raise ValueError("masses are nonnegative")
-            if float(mass) > float(total) * (1 + 1e-12) + 1e-9:
-                raise ValueError("predicate mass exceeds total mass")
-
-
 def _pgroup_mass(p: int, k: int) -> Fraction:
     """Total mass of abelian p-groups of order p^k.  Not memoized: the float
     mass walk asks once per power p^k <= V of each prime p <= sqrt(V)."""
@@ -583,110 +564,6 @@ def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fracti
     return total
 
 
-def cl_mass_report(V: int, predicates: Sequence[str] = ("cyclic", "squarefree-order")) -> MassAccumulator:
-    masses = {}
-    for pred in predicates:
-        masses[pred] = cl_predicate_mass(V, pred)
-    return MassAccumulator(V=V, total=cl_total_mass(V), predicate_masses=masses)
-
-
-# ---------------------------------------------------------------------------
-# rank statistics under the 1/#Aut distribution
-# ---------------------------------------------------------------------------
-
-
-def rank_prob(p: int, r: int, tol: float = 1e-10) -> ErrBoundedReal:
-    """Probability that a random abelian p-group (mass 1/#Aut) has rank r:
-    p^(-r^2) prod_{i>=1} (1 - p^-i) / prod_{i=1}^r (1 - p^-i)^2."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if r < 0:
-        raise ValueError("rank must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    # truncation depth: tail of the infinite product is >= 1 - p^-I/(p-1)
-    I = 1
-    tail_bound = 1.0 / (p * (p - 1))
-    while tail_bound > tol / 4 and I < 400:
-        I += 1
-        tail_bound /= p
-    finite = Fraction(1)
-    for i in range(1, I + 1):
-        finite *= 1 - Fraction(1, p**i)
-    denom = Fraction(1)
-    for i in range(1, r + 1):
-        denom *= (1 - Fraction(1, p**i)) ** 2
-    value = Fraction(1, p ** (r * r)) * finite / denom
-    tail = ErrBoundedReal.from_interval(1 - Fraction(1, p**I * (p - 1)), 1)
-    return ErrBoundedReal.exact(value) * tail
-
-
-def delta_rank_at_most(r: int, tol: float = 1e-10) -> ErrBoundedReal:
-    """Census density of rank <= r: Xi_2^-1 prod_p sum_{k<=r} P(p, k)-local
-    factors, evaluated as an accelerated Euler product."""
-    return _delta_rank_at_most(r, tol)[0]
-
-
-@lru_cache(maxsize=None)
-def _delta_rank_at_most(r: int, tol: float) -> tuple[ErrBoundedReal, int]:
-    from .constants import euler_product, xi_inf
-
-    prod, P = euler_product(*delta_rank_factor(r), tol / 2)
-    return prod / xi_inf(2, tol / 8), P
-
-
-def delta_rank_factor(r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Local factor sum_{k<=r} P(p, k) = (1 - x) sum_{k<=r} x^(k^2) /
-    prod_{i<=k} (1 - x^i)^2 with x = 1/p, as integer polynomials (N, D)
-    over the common denominator D = prod_{i<=r} (1 - x^i)^2."""
-    from .constants import _poly_mul
-
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    squares = [_poly_mul(f, f) for f in ((1,) + (0,) * (i - 1) + (-1,) for i in range(1, r + 1))]
-    num = [0] * (1 + r * (r + 1))
-    for k in range(r + 1):
-        term = (0,) * (k * k) + (1,)
-        for sq in squares[k:]:
-            term = _poly_mul(term, sq)
-        for i, a in enumerate(term):
-            num[i] += a
-    den = (1,)
-    for sq in squares:
-        den = _poly_mul(den, sq)
-    return _poly_mul(tuple(num), (1, -1)), den
-
-
-def delta_rank_at_least_bound(r: int) -> ErrBoundedReal:
-    """Explicit upper bound for the census density of rank >= r, evaluated
-    as 1 - exp(-8 (zeta(r^2) - 1)); decreasing in r and ~ 8 * 2^(-r^2)."""
-    from .constants import zeta
-
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    z = zeta(r * r, 1e-14)
-    return 1 - ((z - 1) * (-8)).exp()
-
-
-# ---------------------------------------------------------------------------
-# uniform-distribution densities
-# ---------------------------------------------------------------------------
-
-
-def uniform_density_cyclic(tol: float = 1e-10) -> ErrBoundedReal:
-    """Limit fraction of cyclic classes among all classes: 1/Xi_2 ~ 0.4358."""
-    from .constants import _power_of_ten_below, xi_inf
-
-    return 1 / xi_inf(2, _power_of_ten_below(tol / 5))
-
-
-def uniform_density_squarefree(tol: float = 1e-10) -> ErrBoundedReal:
-    """Limit fraction of squarefree-order classes: 1/(zeta(2) Xi_2) ~ 0.2649."""
-    from .constants import _power_of_ten_below, xi_inf, zeta
-
-    return 1 / (zeta(2, tol / 100) * xi_inf(2, _power_of_ten_below(tol / 5)))
-
-
 def empirical_cyclic_fraction(V: int) -> Fraction:
     """(#cyclic classes of order <= V) / (#classes of order <= V), exactly."""
     return Fraction(V, count_isomorphism_classes(V))
@@ -694,25 +571,18 @@ def empirical_cyclic_fraction(V: int) -> Fraction:
 
 __all__ = [
     "AbelianGroup",
-    "MassAccumulator",
     "aut_order",
     "aut_order_bruteforce",
     "aut_order_pgroup",
     "aut_order_qm",
     "automorphism_maps",
-    "cl_mass_report",
     "cl_predicate_mass",
     "cl_total_mass",
     "count_isomorphism_classes",
-    "delta_rank_at_least_bound",
-    "delta_rank_at_most",
     "empirical_cyclic_fraction",
     "enumerate_groups",
     "generating_tuples_count",
     "pak_check",
     "pak_hypothesis",
     "primitive_class_count",
-    "rank_prob",
-    "uniform_density_cyclic",
-    "uniform_density_squarefree",
 ]

@@ -1,11 +1,7 @@
 """Seedable, reproducible 64-bit random generator (SplitMix64).
 
 The generator is fully specified by its 64-bit seed, so identical seeds
-give bit-identical streams on every platform and Python version.  Parallel
-draws use the documented stream-split rule: child stream i of a generator
-seeded with s is seeded with mix64(s + (i + 1) * GOLDEN), where mix64 is
-the SplitMix64 output function.  Distinct children are decorrelated and
-deterministic.
+give bit-identical streams on every platform and Python version.
 """
 
 from __future__ import annotations
@@ -53,9 +49,3 @@ class SplitMix64:
                 u = (u << 64) | self.next_u64()
             if u < limit:
                 return u % n
-
-    def split(self, i: int) -> "SplitMix64":
-        """Child stream i (see module docstring for the split rule)."""
-        if i < 0:
-            raise ValueError("stream index must be nonnegative")
-        return SplitMix64(_mix64((self.seed + (i + 1) * GOLDEN) & _MASK))

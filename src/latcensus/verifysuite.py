@@ -34,12 +34,12 @@ def _fail(check_id: str, detail: str):
 def check_sieve_vs_trial():
     sieve = arith.SieveTable(10**6)
     for n in range(1, 2001):
-        if arith.factorize(n, sieve) != arith.factorize(n):
+        if sieve.factorize(n) != arith.factorize(n):
             _fail("arith.sieve-vs-trial", f"n={n}")
     rng = SplitMix64(101)
     for _ in range(500):
         n = 1 + rng.randbelow(10**6)
-        if arith.factorize(n, sieve) != arith.factorize(n):
+        if sieve.factorize(n) != arith.factorize(n):
             _fail("arith.sieve-vs-trial", f"n={n}")
 
 
@@ -70,7 +70,7 @@ def check_multiplicativity():
 
 def check_fn_weight_bound(limit: int = 10**5):
     """fn_weight(n, d) <= 2^omega(d)/d on squarefree d <= limit, n in 2..4."""
-    sieve = arith.shared_sieve(limit)
+    sieve = arith.SieveTable(max(limit, 2))
     for d in range(1, limit + 1):
         f = sieve.factorize(d)
         if not arith.is_squarefree(f):
@@ -218,7 +218,7 @@ def check_accelerated_vs_plain(P: int = 10**4):
     ]
     factors += [(f"theta-n n={n}", constants.theta_n_factor(n)) for n in range(2, 17)]
     factors += [(f"rho-n-product n={n}", constants.rho_n_factor(n)) for n in range(2, 17)]
-    factors += [(f"delta-rank-le r={r}", groups.delta_rank_factor(r)) for r in range(1, 5)]
+    factors += [(f"delta-rank-le r={r}", constants.delta_rank_factor(r)) for r in range(1, 5)]
     primes = arith.primes_upto(P)
     for label, (num, den) in factors:
         fast, _ = constants.euler_product(num, den, 1e-20)
@@ -232,9 +232,9 @@ def check_paper_value_windows():
         ("theta-window", constants.theta(), 1.94359, 1.94360),
         ("density-cocyclic", constants.density_cocyclic_limit(), 0.845, 0.855),
         ("density-squarefree", constants.density_squarefree_limit(), 0.7165, 0.7175),
-        ("uniform-cyclic", groups.uniform_density_cyclic(), 0.43, 0.45),
-        ("uniform-squarefree", groups.uniform_density_squarefree(), 0.25, 0.27),
-        ("delta-rank-le-2", groups.delta_rank_at_most(2, 1e-10), 0.994, 0.996),
+        ("uniform-cyclic", constants.uniform_density_cyclic(), 0.43, 0.45),
+        ("uniform-squarefree", constants.uniform_density_squarefree(), 0.25, 0.27),
+        ("delta-rank-le-2", constants.delta_rank_at_most(2, 1e-10), 0.994, 0.996),
         ("gekeler-cyclic", constants.gekeler_cyclic(), 0.805, 0.815),
         ("gekeler-squarefree", constants.gekeler_squarefree(), 0.435, 0.445),
     ]
@@ -649,7 +649,7 @@ def check_mass_identities(v_max: int = 10**4):
 
 def check_landau_prediction(t: int = 10**6, tolerance: float = 0.01):
     exact = arith.landau_sum(t)
-    predicted = arith.landau_prediction(t)
+    predicted = constants.landau_prediction(t)
     gap = abs(float(exact.value) - float(predicted.value))
     if gap > tolerance:
         _fail("groups.landau-prediction", f"t={t} gap={gap}")
@@ -666,27 +666,27 @@ def check_total_mass_growth(v: int = 10**6, rel_tol: float = 0.05):
 def check_rank_prob_distribution():
     total = ErrBoundedReal(0)
     for r in range(0, 11):
-        total = total + groups.rank_prob(2, r, 1e-12)
+        total = total + constants.rank_prob(2, r, 1e-12)
     if abs(float(total.value) - 1.0) > 1e-8:
         _fail("groups.rank-prob-distribution", f"sum={total}")
-    p0 = groups.rank_prob(997, 0, 1e-12)
+    p0 = constants.rank_prob(997, 0, 1e-12)
     if not 0.998 <= float(p0.value) <= 1.0:
         _fail("groups.rank-prob-large-p", f"{p0}")
 
 
 def check_delta_rank_consistency():
-    le1 = groups.delta_rank_at_most(1, 1e-10)
+    le1 = constants.delta_rank_at_most(1, 1e-10)
     cocyc = constants.density_cocyclic_limit()
     if not le1.overlaps(cocyc):
         _fail("groups.delta-le1-identity", f"{le1} vs {cocyc}")
-    le2 = groups.delta_rank_at_most(2, 1e-10)
+    le2 = constants.delta_rank_at_most(2, 1e-10)
     if not (le1.certainly_less(le2) and float(le2.upper) < 1):
         _fail("groups.delta-monotone", f"{le1} {le2}")
-    bound2 = groups.delta_rank_at_least_bound(2)
+    bound2 = constants.delta_rank_at_least_bound(2)
     tail1 = 1 - le1
     if not tail1.value <= bound2.value + bound2.err + tail1.err:
         _fail("groups.delta-bound-covers", f"{tail1} vs {bound2}")
-    b3, b4 = groups.delta_rank_at_least_bound(3), groups.delta_rank_at_least_bound(4)
+    b3, b4 = constants.delta_rank_at_least_bound(3), constants.delta_rank_at_least_bound(4)
     if not (b3.certainly_less(bound2) and b4.certainly_less(b3)):
         _fail("groups.delta-bound-monotone", f"{bound2} {b3} {b4}")
 

@@ -105,7 +105,7 @@ def test_criterion_07_paper_constants():
             (constants.density_squarefree_limit(), 0.7165, 0.7175),
             (1 / constants.xi_inf(2, 1e-10), 0.43, 0.45),
             (1 / (constants.zeta(2, 1e-12) * constants.xi_inf(2, 1e-10)), 0.25, 0.27),
-            (groups.delta_rank_at_most(2, 1e-10), 0.994, 0.996),
+            (constants.delta_rank_at_most(2, 1e-10), 0.994, 0.996),
             (constants.gekeler_cyclic(), 0.805, 0.815),
             (constants.gekeler_squarefree(), 0.435, 0.445),
         ]
@@ -158,7 +158,7 @@ def test_criterion_12_census_masses():
         v = 10**4
         assert groups.cl_predicate_mass(v, "cyclic") == arith.landau_sum(v)
         exact = arith.landau_sum(10**6)
-        predicted = arith.landau_prediction(10**6)
+        predicted = constants.landau_prediction(10**6)
         gap = abs(float(exact.value) - float(predicted.value))
         assert gap <= 0.01, gap
         total = groups.cl_total_mass(10**6)
@@ -189,7 +189,7 @@ def test_criterion_14_squarefree_coprime_prediction():
         worst = 0.0
         for d in (1, 2, 3, 6, 30):
             exact = arith.squarefree_coprime_count(10**5, d)
-            pred = float(arith.squarefree_coprime_prediction(10**5, d).value)
+            pred = float(constants.squarefree_coprime_prediction(10**5, d).value)
             rel = abs(exact - pred) / pred
             worst = max(worst, rel)
             assert rel <= 0.02, (d, rel)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latcensus import arith, counting, lattice
+from latcensus import arith, constants, counting, lattice
 from latcensus.errbound import ErrBoundedReal
 from latcensus.errors import CapExceededError
 
@@ -61,7 +61,7 @@ def test_trial_division_is_bounded():
 def test_factorize_with_sieve_matches_trial():
     s = arith.SieveTable(2000)
     for n in range(1, 2001):
-        assert arith.factorize(n, s) == arith.factorize(n)
+        assert s.factorize(n) == arith.factorize(n)
 
 
 def test_factored_int_validation():
@@ -199,7 +199,7 @@ def test_divisor_mobius_identity():
 
 
 def test_euler_mascheroni_window():
-    g = arith.EULER_MASCHERONI
+    g = constants.EULER_MASCHERONI
     # reference value to 21 digits: 0.577215664901532860607
     assert g.contains(Fraction(577215664901532860607, 10**21))
     assert float(g.err) <= 1e-18
@@ -216,7 +216,7 @@ def test_ward_constant_ladder_stabilizes():
 def test_landau_prediction_close_at_moderate_scale():
     t = 10**4
     exact = arith.landau_sum(t)
-    pred = arith.landau_prediction(t)
+    pred = constants.landau_prediction(t)
     assert abs(float(exact) - float(pred.value)) < 2e-3
 
 
@@ -226,8 +226,6 @@ def test_sieve_cap_checked_before_allocation(monkeypatch):
     assert arith.SIEVE_CAP >= 16 * 10**6  # prime_log_weight_sum's largest cutoff
     with pytest.raises(CapExceededError):
         arith.SieveTable(arith.SIEVE_CAP + 1)
-    with pytest.raises(CapExceededError):
-        arith.shared_sieve(10**9)
     monkeypatch.setattr(arith, "SIEVE_CAP", 1000)
     with pytest.raises(CapExceededError):
         arith.SieveTable(1001)

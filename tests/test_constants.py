@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from latcensus import arith, constants, groups
+from latcensus import arith, constants
 from latcensus.errors import PrecisionError
 
 PI = 3.14159265358979323846
@@ -262,8 +262,8 @@ def test_euler_products_at_1e30_hold_references():
         assert val.err <= 1e-30 and _holds(val, _euler_reference(num, den)), (num, den)
     xi2 = REF.fprod(z(k) for k in range(2, 400))
     for r in range(1, 5):
-        val = groups.delta_rank_at_most(r, 1e-30)
-        ref = _euler_reference(*groups.delta_rank_factor(r)) / xi2
+        val = constants.delta_rank_at_most(r, 1e-30)
+        ref = _euler_reference(*constants.delta_rank_factor(r)) / xi2
         assert val.err <= 1e-30 and _holds(val, ref), r
 
 
@@ -302,7 +302,7 @@ def test_refinement_nests_from_1e8_to_1e30():
         lambda t: constants.rho_n_product(7, t),
         constants.gekeler_cyclic,
         constants.gekeler_squarefree,
-        lambda t: groups.delta_rank_at_most(2, t),
+        lambda t: constants.delta_rank_at_most(2, t),
     ]
     for route in routes:
         vals = [route(t) for t in tols]
@@ -313,7 +313,7 @@ def test_refinement_nests_from_1e8_to_1e30():
 def test_named_constants_fast_at_1e30():
     # lazy tables (Bernoulli numbers, exponents, small-prime products) warm
     for r in range(1, 5):
-        groups.delta_rank_at_most(r, 1e-30)
+        constants.delta_rank_at_most(r, 1e-30)
     constants.theta_n(16, 1e-30)
     cases = [
         ("theta-product", {}), ("theta-n", {"n": 9}), ("rho-n", {"n": 9}),

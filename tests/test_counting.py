@@ -166,11 +166,12 @@ def test_divisor_resummation_identity_small():
 
 
 def test_leading_terms_scale():
+    # the CENSUS density constant c gives the leading term c V^n / n; the
     # ratio drifts toward 1 at modest V already
-    r = counting.count_cocyclic(2, 3000) / float(counting.cocyclic_leading_term(2, 3000).value)
-    assert 0.99 <= r <= 1.01
-    r = counting.total_count(2, 3000) / float(counting.total_leading_term(2, 3000).value)
-    assert 0.99 <= r <= 1.01
+    for mode in ("cyclic", "all"):
+        fast, _, density = counting.CENSUS[mode]
+        r = 2 * fast(2, 3000) / (float(density(2, 1e-10).value) * 3000**2)
+        assert 0.99 <= r <= 1.01, (mode, r)
 
 
 def test_cocyclic_share_at_desk_scale():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from latcensus import arith, counting, groups
+from latcensus import arith, constants, counting, groups
 from latcensus.errors import CapExceededError
 
 
@@ -229,13 +229,6 @@ def test_mass_examples():
         groups.cl_predicate_mass(10, "no-such-predicate")
 
 
-def test_mass_report():
-    rep = groups.cl_mass_report(20)
-    assert rep.V == 20
-    assert rep.predicate_masses["cyclic"] <= rep.total
-    assert rep.predicate_masses["squarefree-order"] <= rep.predicate_masses["cyclic"] * 1
-
-
 def test_float_mass_matches_exact_at_crossover():
     exact = groups.cl_total_mass(3000)
     approx = groups.cl_total_mass(3000, exact_limit=100)
@@ -244,47 +237,45 @@ def test_float_mass_matches_exact_at_crossover():
 
 
 def test_rank_prob():
-    p0 = groups.rank_prob(2, 0, 1e-12)
+    p0 = constants.rank_prob(2, 0, 1e-12)
     assert abs(float(p0.value) - 0.288788095) < 1e-8
-    total = sum((groups.rank_prob(2, r, 1e-12) for r in range(1, 11)), p0)
+    total = sum((constants.rank_prob(2, r, 1e-12) for r in range(1, 11)), p0)
     assert abs(float(total.value) - 1.0) < 1e-8
-    assert 0.998 <= float(groups.rank_prob(997, 0, 1e-12).value) <= 1.0
+    assert 0.998 <= float(constants.rank_prob(997, 0, 1e-12).value) <= 1.0
     with pytest.raises(ValueError):
-        groups.rank_prob(4, 1)
+        constants.rank_prob(4, 1)
 
 
 def test_delta_rank_at_most():
-    from latcensus import constants
-
-    le1 = groups.delta_rank_at_most(1)
+    le1 = constants.delta_rank_at_most(1)
     assert le1.overlaps(constants.density_cocyclic_limit())
-    le2 = groups.delta_rank_at_most(2)
+    le2 = constants.delta_rank_at_most(2)
     assert 0.994 <= float(le2.value) <= 0.996
     assert le1.certainly_less(le2)
     assert float(le2.upper) < 1
     with pytest.raises(ValueError):
-        groups.delta_rank_at_most(0)
+        constants.delta_rank_at_most(0)
 
 
 def test_delta_rank_at_least_bound():
-    b2 = groups.delta_rank_at_least_bound(2)
-    le1 = groups.delta_rank_at_most(1)
+    b2 = constants.delta_rank_at_least_bound(2)
+    le1 = constants.delta_rank_at_most(1)
     assert float((1 - le1).value) <= float(b2.upper)
     # the r=3 bound tracks its 8*2^-9 leading term (frozen from evaluation:
     # the ratio is about 1.0201)
-    b3 = groups.delta_rank_at_least_bound(3)
+    b3 = constants.delta_rank_at_least_bound(3)
     assert 8 * 2.0**-9 * 0.99 <= float(b3.value) <= 8 * 2.0**-9 * 1.021
-    b4 = groups.delta_rank_at_least_bound(4)
+    b4 = constants.delta_rank_at_least_bound(4)
     assert float(b4.upper) < float(b3.lower) < float(b3.upper) < float(b2.lower)
     with pytest.raises(ValueError):
-        groups.delta_rank_at_least_bound(1)
+        constants.delta_rank_at_least_bound(1)
 
 
 def test_uniform_densities():
-    assert 0.43 <= float(groups.uniform_density_cyclic().value) <= 0.45
-    assert 0.25 <= float(groups.uniform_density_squarefree().value) <= 0.27
+    assert 0.43 <= float(constants.uniform_density_cyclic().value) <= 0.45
+    assert 0.25 <= float(constants.uniform_density_squarefree().value) <= 0.27
     frac = groups.empirical_cyclic_fraction(10**5)
-    assert abs(float(frac) - float(groups.uniform_density_cyclic().value)) < 0.02
+    assert abs(float(frac) - float(constants.uniform_density_cyclic().value)) < 0.02
 
 
 def test_table_cap():

@@ -1,9 +1,12 @@
 """Import contract: the package runs on the standard library and mpmath, so
 neither `import latcensus` nor any command nor any table kernel loads numpy.
 
-Each check runs a fresh interpreter; `-X importtime` lists on stderr every
-module the process imported."""
+Each of those checks runs a fresh interpreter; `-X importtime` lists on
+stderr every module the process imported.  The module graph stays acyclic
+without deferred imports: every package import sits at module level, and
+`constants` imports none of the census modules."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -88,3 +91,42 @@ def test_every_former_numpy_kernel_runs_with_numpy_blocked():
     proc = _python("-c", "import sys; sys.modules['numpy'] = None\n" + _KERNELS)
     assert proc.returncode == 0, proc.stderr
     assert "numpy" not in _imported(proc.stderr)
+
+
+def _package_imports(node) -> set[str]:
+    """Dotted names of the latcensus modules imported anywhere inside node;
+    relative imports resolve against the package, which is one level deep."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            names = [a.name for a in sub.names]
+        elif isinstance(sub, ast.ImportFrom):
+            module = sub.module or ""
+            if sub.level:
+                module = f"latcensus.{module}" if module else "latcensus"
+            names = [f"{module}.{a.name}" for a in sub.names] if module == "latcensus" else [module]
+        else:
+            continue
+        out |= {name for name in names if name.split(".")[0] == "latcensus"}
+    return out
+
+
+_SOURCES = sorted(Path(SRC, "latcensus").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=[p.stem for p in _SOURCES])
+def test_package_imports_sit_at_module_level(path):
+    # an import inside a function body hides a cycle between modules
+    tree = ast.parse(path.read_text(), str(path))
+    inner = {
+        f"{node.name}: {sorted(found)}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and (found := set().union(*map(_package_imports, node.body)))
+    }
+    assert not inner
+
+
+def test_constants_imports_no_census_module():
+    tree = ast.parse(Path(SRC, "latcensus", "constants.py").read_text())
+    assert not _package_imports(tree) & {"latcensus.groups", "latcensus.counting", "latcensus.lattice"}

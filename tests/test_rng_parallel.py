@@ -54,14 +54,3 @@ def test_randbelow_roughly_uniform():
         counts[rng.randbelow(n)] += 1
     for c in counts:
         assert abs(c - draws / n) < 5 * (draws / n) ** 0.5
-
-
-def test_split_streams_differ():
-    base = SplitMix64(9)
-    s0, s1 = base.split(0), base.split(1)
-    a = [s0.next_u64() for _ in range(10)]
-    b = [s1.next_u64() for _ in range(10)]
-    assert a != b
-    assert [base.split(0).next_u64() for _ in range(1)] == a[:1]
-    with pytest.raises(ValueError):
-        base.split(-1)
