@@ -226,17 +226,19 @@ def fn_weight(n: int, d) -> Fraction:
     Its divisor sums give the co-cyclic class counts: summing over d | q and
     scaling by q^(n-1) yields count_primitive_classes(n, q), and the series
     sum_{d>=1} fn_weight(n, d)/d converges to the dimension-n density
-    constant (constants.theta_n).
+    constant (constants.theta_n).  The local numerators and denominators
+    are multiplied as integers and normalised once, in the final Fraction.
     """
     if n < 2:
         raise ValueError("fn_weight requires n >= 2")
     f = ensure_factored(d)
     if not is_squarefree(f):
         return Fraction(0)
-    out = Fraction(1)
+    num = den = 1
     for p, _ in f.factors:
-        out *= Fraction(p ** (n - 1) - 1, p**n - p ** (n - 1))
-    return out
+        num *= p ** (n - 1) - 1
+        den *= p**n - p ** (n - 1)
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

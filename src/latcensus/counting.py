@@ -429,13 +429,21 @@ def count_by_rank(n: int, m: int, V: int) -> int:
 def _rank_counts(n: int, q: int) -> tuple[int, ...]:
     """Index-q stratum of the enumeration oracle: entry r counts the
     sublattices of Z^n of index q whose quotient needs exactly r generators:
-    the F_p ranks of each enumerated HNF basis, largest over p | q.  Bases
-    are streamed, never stored; the memo holds one (n+1)-tuple per (n, q),
-    so any V reuses the strata of every smaller bound."""
+    the F_p ranks of each enumerated HNF basis, largest over p | q.  A prime
+    dividing k < 2 pivots of a diagonal gives all its bases F_p rank k, so
+    `lattice._p_rank` runs per basis only for the other primes.  Bases are
+    streamed, never stored; the memo holds one (n+1)-tuple per (n, q), so any
+    V reuses the strata of every smaller bound."""
     primes = [p for p, _ in ensure_factored(q).factors]
     counts = [0] * (n + 1)
-    for basis in lattice._enumerate_sublattices(n, q):
-        counts[max([lattice._p_rank(basis.rows, p) for p in primes], default=0)] += 1
+    for diag, bases in lattice._diagonal_blocks(n, q):
+        pivots = [sum(d % p == 0 for d in diag) for p in primes]
+        low = max([k for k in pivots if k < 2], default=0)
+        high = [p for p, k in zip(primes, pivots) if k >= 2]
+        if not high:  # no per-basis test; each basis is still built and counted
+            counts[low] += sum(1 for _ in bases)
+        for rows in bases:  # already drained when high is empty
+            counts[max([low] + [lattice._p_rank(rows, p) for p in high])] += 1
     return tuple(counts)
 
 

@@ -469,33 +469,35 @@ def pak_check(G: AbelianGroup, n: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _reciprocal_sum(ds: Sequence[int]) -> Fraction:
+    """sum of 1/d over ds, as one Fraction over the common denominator lcm(ds)
+    (0 for no terms): one normalisation instead of one per term."""
+    L = math.lcm(*ds)
+    return Fraction(sum(L // d for d in ds), L)
+
+
 def _pgroup_mass(p: int, k: int) -> Fraction:
     """Total mass of abelian p-groups of order p^k.  Not memoized: the float
     mass walk asks once per power p^k <= V of each prime p <= sqrt(V)."""
-    return sum(
-        (Fraction(1, _aut_order_pgroup.__wrapped__(p, exps)) for exps in _partitions_of(k)),
-        Fraction(0),
-    )
+    return _reciprocal_sum([_aut_order_pgroup.__wrapped__(p, exps) for exps in _partitions_of(k)])
 
 
 def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
     """Total mass of the census of order <= V.
 
-    Exact Fraction for V <= exact_limit; above that, an error-bounded float:
-    the fsum of the float masses of orders 1..V (`_mass_terms`, the mass of
-    order n is the product of its prime-power masses).  That walk holds the
-    primes up to V, so V above arith.SIEVE_CAP raises CapExceededError up
-    front.
+    Exact Fraction for V <= exact_limit: the Aut orders of the enumerated
+    groups, summed as reciprocals over one common denominator (their lcm).
+    Above that, an error-bounded float: the fsum of the float masses of
+    orders 1..V (`_mass_terms`, the mass of order n is the product of its
+    prime-power masses).  That walk holds the primes up to V, so V above
+    arith.SIEVE_CAP raises CapExceededError up front.
     """
     if V < 1:
         raise ValueError("V must be >= 1")
     if V > SIEVE_CAP:
         raise CapExceededError(f"mass bound {V} exceeds the sieve cap {SIEVE_CAP}")
     if V <= exact_limit:
-        total = Fraction(0)
-        for G in enumerate_groups(V):
-            total += Fraction(1, aut_order(G))
-        return total
+        return _reciprocal_sum([aut_order(G) for G in enumerate_groups(V)])
     total = math.fsum(itertools.chain.from_iterable(_mass_terms(V)))
     # term n takes one ratio fl(fl(cur) / fl(prev)) and one multiply per
     # prime-power divisor p^k | n, at most floor(log2 V) of them: 4 roundings
@@ -537,12 +539,18 @@ def _mass_terms(V: int) -> Iterator[Iterable[float]]:
                 stack.append((m, b, i + 1))
 
 
-_PREDICATES = ("cyclic", "squarefree-order", "rank-at-most")
+# predicate -> keep(G, r)
+_PREDICATES = {
+    "cyclic": lambda G, r: G.is_cyclic,
+    "squarefree-order": lambda G, r: G.order_squarefree,
+    "rank-at-most": lambda G, r: G.rank <= r,
+}
 
 
 def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fraction:
     """Exact census mass restricted to a predicate: 'cyclic',
-    'squarefree-order', or 'rank-at-most' (with r).
+    'squarefree-order', or 'rank-at-most' (with r, and only there).  The Aut
+    orders of the kept groups are summed as reciprocals over their lcm.
 
     By construction the cyclic mass equals the totient-reciprocal sum
     (arith.landau_sum) and the squarefree mass equals arith.ward_sum.
@@ -551,17 +559,10 @@ def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fracti
         raise ValueError(f"unknown predicate {predicate!r}")
     if predicate == "rank-at-most" and (r is None or r < 0):
         raise ValueError("rank-at-most needs r >= 0")
-    total = Fraction(0)
-    for G in enumerate_groups(V):
-        if predicate == "cyclic":
-            keep = G.is_cyclic
-        elif predicate == "squarefree-order":
-            keep = G.order_squarefree
-        else:
-            keep = G.rank <= r
-        if keep:
-            total += Fraction(1, aut_order(G))
-    return total
+    if predicate != "rank-at-most" and r is not None:
+        raise ValueError(f"r goes with rank-at-most, not {predicate!r}")
+    keep = _PREDICATES[predicate]
+    return _reciprocal_sum([aut_order(G) for G in enumerate_groups(V) if keep(G, r)])
 
 
 def empirical_cyclic_fraction(V: int) -> Fraction:

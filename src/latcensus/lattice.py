@@ -317,11 +317,19 @@ def enumerate_sublattices(n: int, q: int, cap: int = 10**8) -> Iterator[HnfBasis
     return _enumerate_sublattices(n, q)
 
 
-def _enumerate_sublattices(n: int, q: int) -> Iterator[HnfBasis]:
+def _diagonal_blocks(n: int, q: int) -> Iterator[tuple[tuple[int, ...], Iterator]]:
+    """(diag, rows) for each ordered diagonal factorization of q: rows iterates
+    the row tuples of every HNF basis with that diagonal, in enumeration order."""
     for diag in _ordered_factorizations(q, n):
         tails = [itertools.product(*map(range, diag[i + 1 :])) for i in range(n)]
         per_row = [[(0,) * i + (diag[i],) + t for t in tails[i]] for i in range(n)]
-        yield from map(partial(HnfBasis._raw, n), itertools.product(*per_row))
+        yield diag, itertools.product(*per_row)
+
+
+def _enumerate_sublattices(n: int, q: int) -> Iterator[HnfBasis]:
+    make = partial(HnfBasis._raw, n)
+    for _, rows in _diagonal_blocks(n, q):
+        yield from map(make, rows)
 
 
 def _p_rank(rows: Sequence[Sequence[int]], p: int) -> int:

@@ -8,7 +8,9 @@ the heavier routines so the two surfaces cannot drift apart.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from mpmath import gammainc
@@ -341,18 +343,17 @@ def check_paz_schnorr(q_max: int = 30):
 
 
 def check_orbit_sizes(q_max: int = 50):
+    """Unit l mod q fixes the pairs over Fix(l) = {a : l a = a}; every primitive
+    v in (Z/q)^2 must have exactly one fixer (l = 1)."""
     for q in range(2, q_max + 1):
-        units = [l for l in range(1, q) if math.gcd(l, q) == 1]
-        for a1 in range(q):
-            for a2 in range(q):
-                if math.gcd(a1, a2, q) != 1:
-                    continue
-                v = (a1, a2)
-                fixers = sum(
-                    1 for l in units if ((l * a1) % q, (l * a2) % q) == v
-                )
-                if fixers != 1:
-                    _fail("lattice.orbit-size", f"q={q} v={v} fixers={fixers}")
+        fixers = Counter()
+        for l in range(1, q):
+            if math.gcd(l, q) == 1:
+                fix = [a for a in range(q) if l * a % q == a]
+                fixers.update(v for v in itertools.product(fix, repeat=2) if math.gcd(*v, q) == 1)
+        for v in itertools.product(range(q), repeat=2):
+            if math.gcd(*v, q) == 1 and fixers[v] != 1:
+                _fail("lattice.orbit-size", f"q={q} v={v} fixers={fixers[v]}")
 
 
 def check_equivalence_relation(q_max: int = 20):

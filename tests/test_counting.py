@@ -320,12 +320,16 @@ def test_oracle_views_reuse_one_pass(monkeypatch):
     p_rank = lattice._p_rank
     monkeypatch.setattr(lattice, "_p_rank", lambda rows, p: calls.append((rows, p)) or p_rank(rows, p))
     counting.census_cocyclic_bruteforce(3, 30)
-    # one rank per lattice: an F_p rank for each prime of its index, and no
-    # prime (rank 0) for Z^3 itself
-    assert len({rows for rows, _ in calls}) + 1 == counting.total_count(3, 30)
+    # the pivot test runs per diagonal: the kernel sees each (basis, p) once,
+    # and only for the primes p that divide two or more of its pivots
     assert len(calls) == len(set(calls)) == sum(
-        lattice.count_sublattices(3, q) * len(arith.factorize(q).factors) for q in range(1, 31)
+        sum(b.rows[i][i] % p == 0 for i in range(3)) >= 2
+        for q in range(1, 31)
+        for b in lattice.enumerate_sublattices(3, q)
+        for p in arith.factorize(q).primes
     )
+    for q in range(1, 31):  # every basis is still counted
+        assert sum(counting._rank_counts(3, q)) == lattice.count_sublattices(3, q)
     calls.clear()
     counting.census_total_bruteforce(3, 30)
     counting.counts_by_rank_bruteforce(3, 20)

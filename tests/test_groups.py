@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcensus import arith, constants, counting, groups
 from latcensus.errors import CapExceededError
@@ -227,6 +229,38 @@ def test_mass_examples():
     assert le1 == groups.cl_predicate_mass(40, "cyclic")
     with pytest.raises(ValueError):
         groups.cl_predicate_mass(10, "no-such-predicate")
+
+
+def test_predicate_mass_rejects_r_without_rank_at_most():
+    for predicate in ("cyclic", "squarefree-order"):
+        with pytest.raises(ValueError):
+            groups.cl_predicate_mass(10, predicate, 3)
+    assert groups.cl_predicate_mass(10, "rank-at-most", 3) == groups.cl_total_mass(10)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.integers(1, 12), st.integers(1, 10**9)), max_size=50))
+def test_reciprocal_sum_is_the_literal_sum(ds):
+    # the small range brings repeats and 1s; the empty list sums to 0
+    assert groups._reciprocal_sum(ds) == sum((Fraction(1, d) for d in ds), Fraction(0))
+    assert groups._reciprocal_sum([]) == 0
+
+
+def test_masses_match_a_literal_fraction_loop():
+    for V in (1, 2, 12, 64, 300):
+        total, cyclic, squarefree = Fraction(0), Fraction(0), Fraction(0)
+        by_rank = [Fraction(0)] * 10
+        for G in groups.enumerate_groups(V):
+            w = Fraction(1, groups.aut_order(G))
+            total += w
+            cyclic += w if G.rank <= 1 else 0
+            squarefree += w if all(exps == (1,) for _, exps in G.parts) else 0
+            by_rank[G.rank] += w
+        assert groups.cl_total_mass(V) == total
+        assert groups.cl_predicate_mass(V, "cyclic") == cyclic
+        assert groups.cl_predicate_mass(V, "squarefree-order") == squarefree
+        for r in range(len(by_rank)):
+            assert groups.cl_predicate_mass(V, "rank-at-most", r) == sum(by_rank[: r + 1])
 
 
 def test_float_mass_matches_exact_at_crossover():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latcensus import counting, lattice
+from latcensus import arith, counting, lattice
 from latcensus.errors import CapExceededError, NotPrimitiveError, SingularMatrixError
 from latcensus.rng import SplitMix64
 
@@ -290,6 +290,18 @@ def test_p_rank_kernel_matches_smith_rank(case):
     assert max([lattice._p_rank(basis.rows, p) for p in primes], default=0) == len(chain)
     for p in primes:  # the local rank is the number of invariant factors p divides
         assert lattice._p_rank(basis.rows, p) == sum(d % p == 0 for d in chain)
+
+
+@pytest.mark.parametrize("n, top", [(1, 60), (2, 60), (3, 60), (4, 24)])
+def test_p_rank_of_a_prime_below_two_pivots_is_its_pivot_count(n, top):
+    # the premise of the per-diagonal pivot test in counting._rank_counts
+    for q in range(1, top + 1):
+        primes = arith.factorize(q).primes
+        for basis in lattice.enumerate_sublattices(n, q):
+            for p in primes:
+                k = sum(basis.rows[i][i] % p == 0 for i in range(n))
+                if k < 2:
+                    assert lattice._p_rank(basis.rows, p) == k, (basis, p)
 
 
 def test_enumerate_cap():
