@@ -22,7 +22,6 @@ from .arith import (
     ward_sum,
 )
 from .constants import (
-    EULER_MASCHERONI,
     delta_rank_at_least_bound,
     delta_rank_at_most,
     density_cocyclic_limit,
@@ -93,3 +92,9 @@ from .lattice import (
 from .rng import SplitMix64
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # PEP 562: EULER_MASCHERONI is built on first access
+    if name == "EULER_MASCHERONI":
+        return constants.EULER_MASCHERONI
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -113,31 +112,60 @@ class SieveTable:
         return FactoredInt(k, tuple(self.factor_pairs(k)))
 
 
-@dataclass(frozen=True)
-class FactoredInt:
+class _Frozen:
+    """Immutable value over __slots__: each field is set once, with
+    object.__setattr__, and equality, hash and repr go by the fields in slot
+    order (hash of the field tuple, repr as Name(field=value, ...))."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FactoredInt(_Frozen):
     """A positive integer with its full prime factorization.
 
     factors is ((p1, e1), (p2, e2), ...) with p1 < p2 < ... and ei >= 1;
     value == prod(p**e).  value == 1 iff factors is empty.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
 
-    def __post_init__(self):
-        if self.value < 1:
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]):
+        if value < 1:
             raise ValueError("FactoredInt must be a positive integer")
         prod = 1
         last_p = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last_p:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
                 raise ValueError("exponents must be >= 1")
             prod *= p**e
             last_p = p
-        if prod != self.value:
+        if prod != value:
             raise ValueError("factors do not multiply back to value")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def primes(self) -> tuple[int, ...]:

@@ -46,15 +46,28 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from . import errbound
 from .arith import bernoulli, ensure_factored, factorize, primes_upto
-from .errbound import CTX, ErrBoundedReal, _EPS
+from .errbound import ErrBoundedReal
 from .errors import PrecisionError
 
 DEFAULT_TOL = 1e-10
 
-# Euler-Mascheroni constant to 20 digits (standard references); the stored
-# truncation error is below 1e-19.
-EULER_MASCHERONI = ErrBoundedReal("0.57721566490153286061", "1e-19")
+
+def _euler_mascheroni() -> ErrBoundedReal:
+    """Euler-Mascheroni constant to 20 digits (standard references), error below
+    1e-19; built at first use, so that importing this module loads no mpmath."""
+    g = globals()
+    if "EULER_MASCHERONI" not in g:
+        g["EULER_MASCHERONI"] = ErrBoundedReal("0.57721566490153286061", "1e-19")
+    return g["EULER_MASCHERONI"]
+
+
+def __getattr__(name: str):  # PEP 562: called only while the global is unset
+    if name == "EULER_MASCHERONI":
+        return _euler_mascheroni()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 Poly = tuple[int, ...]  # integer coefficients of 1, x, x^2, ... with x = 1/p
 
@@ -142,8 +155,8 @@ def xi_inf(m: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
         raise ValueError("xi_inf requires m >= 2")
     K = max(m + 1, math.ceil(math.log2(16.0 / tol)))
     finite = xi(m, K, tol / 4)
-    bound = CTX.mpf(2) ** (1 - K)
-    tail = ErrBoundedReal.from_interval(CTX.mpf(1), 1 + 2 * bound)  # e^x <= 1+2x, x<=1
+    bound = errbound.load_mpmath().mpf(2) ** (1 - K)
+    tail = ErrBoundedReal.from_interval(1, 1 + 2 * bound)  # e^x <= 1+2x, x<=1
     return finite * tail
 
 
@@ -233,8 +246,8 @@ def _at_prime(poly: Poly, p: int) -> int:
 
 
 def _ratio(num: int, den: int) -> ErrBoundedReal:
-    v = CTX.fdiv(num, den)  # one rounding of the exact quotient
-    return ErrBoundedReal(v, abs(v) * _EPS)
+    v = errbound.load_mpmath().fdiv(num, den)  # one rounding of the exact quotient
+    return ErrBoundedReal(v, abs(v) * errbound._EPS)
 
 
 @lru_cache(maxsize=None)
@@ -376,8 +389,9 @@ def rho(tol: float = 1e-12) -> ErrBoundedReal:
 @lru_cache(maxsize=None)
 def inv_zeta2() -> ErrBoundedReal:
     """6/pi^2, the density of squarefree integers."""
-    v = 6 / (CTX.pi * CTX.pi)
-    return ErrBoundedReal(v, 6 * _EPS * v)
+    ctx = errbound.load_mpmath()
+    v = 6 / (ctx.pi * ctx.pi)
+    return ErrBoundedReal(v, 6 * errbound._EPS * v)
 
 
 def rho_n_product(n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
@@ -557,7 +571,7 @@ def landau_prediction(t: int, tol: float = 1e-4) -> ErrBoundedReal:
         raise ValueError("landau_prediction requires t >= 1")
     lt = math.log(t)
     log_t = ErrBoundedReal(lt, 4 * 2.0**-52 * max(1.0, lt))
-    return theta() * (log_t + EULER_MASCHERONI - prime_log_weight_sum(tol=tol / 4))
+    return theta() * (log_t + _euler_mascheroni() - prime_log_weight_sum(tol=tol / 4))
 
 
 def squarefree_coprime_prediction(x: int, d) -> ErrBoundedReal:
@@ -591,7 +605,7 @@ _EVALUATORS = {
     "density-squarefree": ((), lambda tol: (density_squarefree_limit(min(tol, DEFAULT_TOL)), None)),
     "gekeler-cyclic": ((), lambda tol: euler_product(*GEKELER_CYCLIC_FACTOR, tol)),
     "gekeler-squarefree": ((), lambda tol: euler_product(*GEKELER_SQUAREFREE_FACTOR, tol)),
-    "gamma": ((), lambda tol: (EULER_MASCHERONI, None)),
+    "gamma": ((), lambda tol: (_euler_mascheroni(), None)),
     "landau-prime-sum": ((), lambda tol: (prime_log_weight_sum(tol), None)),
     "uniform-cyclic": ((), lambda tol: (uniform_density_cyclic(min(tol, DEFAULT_TOL)), None)),
     "uniform-squarefree": ((), lambda tol: (uniform_density_squarefree(min(tol, DEFAULT_TOL)), None)),

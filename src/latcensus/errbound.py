@@ -15,25 +15,40 @@ it is tracked anyway to keep the interval contract honest.
 All evaluation runs in the private mpmath context ``CTX``: the package
 neither reads nor writes the caller's global ``mpmath.mp`` precision, so a
 caller lowering ``mp.prec`` cannot make a bound unsound.
+
+mpmath is imported here, on first use (only verify's chi-square p-value
+imports it elsewhere): ``load_mpmath`` creates ``CTX`` and the names that
+depend on it, and ``_to_mpf``, the entry of every interval construction,
+runs it first.  Exact counts build no interval, so they never load mpmath.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import MPContext
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_ceiling, round_floor
-
 # Working precision for all error-bounded evaluation in the package.
 PRECISION_BITS = 120
-CTX = MPContext()
-CTX.prec = PRECISION_BITS
-mpf = CTX.mpf
+CTX = None  # the private mpmath context, created by load_mpmath
 
-# Conservative relative rounding slack per basic operation (2 ulp).
-_EPS = mpf(2) ** (1 - PRECISION_BITS)
-# Extra slack for transcendental functions (exp/log), per call.
-_TRANS_EPS = mpf(2) ** (3 - PRECISION_BITS)
+
+def load_mpmath():
+    """Import mpmath and create CTX, mpf, mpf_type, the rounding slacks _EPS
+    and _TRANS_EPS and the mpmath.libmp primitives; idempotent.  Returns CTX."""
+    global CTX, mpf, mpf_type, _EPS, _TRANS_EPS
+    global fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_ceiling, round_floor
+    if CTX is None:
+        from mpmath import MPContext
+        from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_ceiling, round_floor
+        ctx = MPContext()
+        ctx.prec = PRECISION_BITS
+        mpf = ctx.mpf
+        mpf_type = type(mpf(0))
+        # Conservative relative rounding slack per basic operation (2 ulp).
+        _EPS = mpf(2) ** (1 - PRECISION_BITS)
+        # Extra slack for transcendental functions (exp/log), per call.
+        _TRANS_EPS = mpf(2) ** (3 - PRECISION_BITS)
+        CTX = ctx  # last, so a set CTX means every name above is ready
+    return CTX
 
 
 def _op(fn, a, b, rnd) -> mpf:
@@ -56,6 +71,8 @@ def _mul_up(a, b) -> mpf:
 
 def _to_mpf(x) -> tuple[mpf, mpf]:
     """Convert x to (mpf value, conversion error bound)."""
+    if CTX is None:
+        load_mpmath()
     if isinstance(x, mpf_type):
         return x, mpf(0)
     if hasattr(x, "_mpf_"):  # an mpf of another context, at any precision
@@ -81,9 +98,6 @@ def _to_mpf(x) -> tuple[mpf, mpf]:
         v = mpf(x)
         return v, abs(v) * _EPS
     raise TypeError(f"cannot convert {type(x).__name__} to ErrBoundedReal")
-
-
-mpf_type = type(mpf(0))
 
 
 class ErrBoundedReal:

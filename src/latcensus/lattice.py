@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
-from .arith import ensure_factored, factorize
+from .arith import _Frozen, ensure_factored, factorize
 from .errors import CapExceededError, NotPrimitiveError, SingularMatrixError
 from .rng import SplitMix64
 
@@ -194,22 +193,22 @@ def hnf_canonicalize(rows: Sequence[Sequence[int]]) -> HnfBasis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(_Frozen):
     """Invariant factors of the finite quotient Z^n/L, as the increasing
     divisibility chain (d_1, ..., d_k), d_i >= 2, d_i | d_{i+1}.  The
     trivial quotient is the empty chain."""
 
-    chain: tuple[int, ...]
+    __slots__ = ("chain",)
 
-    def __post_init__(self):
+    def __init__(self, chain: tuple[int, ...]):
         prev = None
-        for d in self.chain:
+        for d in chain:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
             if prev is not None and d % prev:
                 raise ValueError("chain must be increasing in divisibility")
             prev = d
+        object.__setattr__(self, "chain", chain)
 
     @property
     def order(self) -> int:
@@ -356,19 +355,18 @@ def _p_rank(rows: Sequence[Sequence[int]], p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruenceVector:
+class CongruenceVector(_Frozen):
     """Residue vector a modulo q; primitive when gcd(a_1,...,a_n, q) = 1."""
 
-    q: int
-    a: tuple[int, ...]
+    __slots__ = ("q", "a")
 
-    def __post_init__(self):
-        if self.q < 1:
+    def __init__(self, q: int, a: tuple[int, ...]):
+        if q < 1:
             raise ValueError("modulus must be >= 1")
-        if len(self.a) < 1:
+        if len(a) < 1:
             raise ValueError("vector must have at least one coordinate")
-        object.__setattr__(self, "a", tuple(int(x) % self.q for x in self.a))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "a", tuple(int(x) % q for x in a))
 
     @property
     def n(self) -> int:

@@ -13,10 +13,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from mpmath import gammainc
-
-from . import arith, constants, counting, groups, lattice
-from .errbound import CTX, ErrBoundedReal, _EPS
+from . import arith, constants, counting, errbound, groups, lattice
+from .errbound import ErrBoundedReal
 from .rng import SplitMix64
 
 
@@ -197,12 +195,13 @@ def _plain_euler_product(num, den, primes, P: int) -> ErrBoundedReal:
     so |log f(1/p)| <= 2 C p^-2 and S = 2 C / P."""
     L = max(len(num), len(den))
     num, den = tuple(num) + (0,) * (L - len(num)), tuple(den) + (0,) * (L - len(den))
-    acc = CTX.mpf(1)
+    ctx = errbound.load_mpmath()
+    acc = ctx.mpf(1)
     for p in primes:
         top = sum(a * p ** (L - 1 - i) for i, a in enumerate(num))
         bottom = sum(a * p ** (L - 1 - i) for i, a in enumerate(den))
-        acc *= CTX.fdiv(top, bottom)  # two roundings per prime
-    partial = ErrBoundedReal(acc, 2 * len(primes) * _EPS * abs(acc))
+        acc *= ctx.fdiv(top, bottom)  # two roundings per prime
+    partial = ErrBoundedReal(acc, 2 * len(primes) * errbound._EPS * abs(acc))
     diff = sum(Fraction(abs(a - b), P ** (i - 2)) for i, (a, b) in enumerate(zip(num, den)) if i >= 2)
     floor = 1 - sum(Fraction(abs(a), P**i) for i, a in enumerate(den) if i >= 1)
     S = 2 * diff / floor / P
@@ -293,7 +292,7 @@ def check_hnf_canonicality(trials: int = 1000):
         if lattice.hnf_canonicalize(h1.rows) != h1:
             _fail("lattice.hnf-idempotent", f"B={b}")
         if lattice.smith_invariants(b).order != h1.index:
-            _fail("lattice.snf-basis-independence", f"B={b}")
+            _fail("lattice.smith-order-equals-index", f"B={b}")
 
 
 def check_enumeration_counts(n_max: int = 4, q_max: int = 60):
@@ -372,6 +371,8 @@ def check_equivalence_relation(q_max: int = 20):
 
 def sampler_statistics(n: int, q: int, draws: int, seed: int):
     """(per-lattice counts, chi-square statistic, p-value) for uniform draws."""
+    from mpmath import gammainc  # mpmath's global context, not CTX: a float p-value
+
     expected_support = {
         lattice.lattice_from_congruence(lattice.CongruenceVector(q, vec))
         for vec in counting.primitive_class_representatives(n, q)

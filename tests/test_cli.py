@@ -327,6 +327,20 @@ def test_verify_failure_exits_one_with_identifier(capsys, monkeypatch):
     assert doc["ok"] is False and doc["failed"] == "demo.failing-check"
 
 
+def test_verify_names_the_smith_order_check(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from latcensus import lattice
+
+    real = lattice.smith_invariants
+    monkeypatch.setattr(lattice, "smith_invariants", lambda b: SimpleNamespace(order=real(b).order + 1))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bijection")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["failed"] == "lattice.smith-order-equals-index"
+    assert doc["message"].startswith("lattice.smith-order-equals-index: B=")
+
+
 def test_count_cap_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "count", "--n", "2", "--V", "100000", "--mode", "cyclic",

@@ -109,11 +109,17 @@ def test_bounds_ignore_the_callers_mpmath_precision():
 
 
 def test_import_leaves_global_precision_alone():
-    code = "import mpmath; mpmath.mp.prec = 77; import latcensus; print(mpmath.mp.prec)"
+    # the private context is created at the first interval, after the caller
+    # may have changed mpmath.mp: neither precision may leak into the other
+    zeta3 = ("import latcensus; from latcensus.errbound import format_errbounded; "
+             "print(format_errbounded(latcensus.zeta(3, 1e-30)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "77"
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, check=True, timeout=60).stdout.splitlines()
+            for code in ("import mpmath; mpmath.mp.prec = 77; " + zeta3 + "; print(mpmath.mp.prec)", zeta3)]
+    assert runs[0][1] == "77"
+    assert runs[0][0] == runs[1][0]
+    assert runs[1][0].startswith("{'value': '1.2020569031595942854'")
 
 
 REF = mpmath.MPContext()

@@ -1,5 +1,8 @@
 """Import contract: the package runs on the standard library and mpmath, so
 neither `import latcensus` nor any command nor any table kernel loads numpy.
+mpmath loads at the first error-bounded value, so exact counts and the
+commands that print only exact values never load it, and no module loads
+`dataclasses`.
 
 Each of those checks runs a fresh interpreter; `-X importtime` lists on
 stderr every module the process imported.  The module graph stays acyclic
@@ -34,34 +37,38 @@ def _imported(stderr: str) -> set[str]:
 
 
 def test_import_latcensus_leaves_numpy_out():
-    proc = _python("-c", "import latcensus")
+    # an exact count after the import builds no interval either
+    proc = _python("-c", "import latcensus; assert latcensus.count_cocyclic(3, 10**5) == 582985627661524")
     assert proc.returncode == 0, proc.stderr
     assert "latcensus.counting" in _imported(proc.stderr)
-    assert "numpy" not in _imported(proc.stderr)
+    assert not {"numpy", "mpmath", "dataclasses"} & _imported(proc.stderr)
 
 
+# (argv, whether it prints an error-bounded value and so loads mpmath)
 @pytest.mark.parametrize(
-    "argv",
+    "argv, loads_mpmath",
     [
-        ["count", "--n", "2", "--V", "1000"],
-        ["count", "--n", "3", "--V", "5000", "--format", "csv", "--ladder", "4"],
-        ["constants", "--name", "rho-n", "--n", "4"],
-        ["sample", "--n", "3", "--q", str(10**20), "--seed", "1", "--count", "3"],
-        ["enumerate", "--n", "2", "--q", "12"],
-        ["clmass", "--V", "3000", "--predicate", "cyclic"],
-        ["groups", "--V", "3000", "--dump"],
-        ["verify", "--suite", "bijection"],
-        ["verify", "--suite", "sampler"],
-        ["constants", "--name", "landau-prime-sum", "--tol", "1e-5"],
+        (["count", "--n", "2", "--V", "1000"], True),
+        (["count", "--n", "3", "--V", "5000", "--format", "csv", "--ladder", "4"], True),
+        (["constants", "--name", "rho-n", "--n", "4"], True),
+        (["sample", "--n", "3", "--q", str(10**20), "--seed", "1", "--count", "3"], False),
+        (["enumerate", "--n", "2", "--q", "12"], False),
+        (["clmass", "--V", "3000", "--predicate", "cyclic"], False),
+        (["groups", "--V", "3000", "--dump"], False),
+        (["verify", "--suite", "bijection"], False),
+        (["verify", "--suite", "sampler"], True),
+        (["constants", "--name", "landau-prime-sum", "--tol", "1e-5"], True),
     ],
     ids=["count", "count-csv-ladder", "constants-rho-n", "sample-q-1e20", "enumerate", "clmass",
          "groups-dump", "verify-bijection", "verify-sampler", "constants-landau-prime-sum"],
 )
-def test_commands_without_a_vector_kernel_leave_numpy_out(argv):
+def test_commands_without_a_vector_kernel_leave_numpy_out(argv, loads_mpmath):
     proc = _python("-m", "latcensus.cli", *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
-    assert "numpy" not in _imported(proc.stderr)
+    imported = _imported(proc.stderr)
+    assert "numpy" not in imported and "dataclasses" not in imported
+    assert ("mpmath" in imported) == loads_mpmath
 
 
 def test_import_cli_loads_every_layer_module():
