@@ -23,7 +23,6 @@ import math
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .errbound import ErrBoundedReal
 from .errors import CapExceededError
@@ -419,18 +418,6 @@ def ward_sum(v: int):
         return sum(Fraction(1, f) for f, m in zip(phi[1:], mask[1:]) if m)
     total = math.fsum(1 / f for f, m in zip(phi[1:], mask[1:]) if m)
     return ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
-
-
-def ward_constant_ladder(bounds: Iterable[int]) -> list[tuple[int, float]]:
-    """(V, ward_sum(V) - log V) pairs: the shifted values stabilize toward
-    the limiting constant, which is reported empirically and never
-    asserted to any particular value."""
-    out = []
-    for v in bounds:
-        w = ward_sum(v)
-        w_float = float(w) if isinstance(w, Fraction) else float(w.value)
-        out.append((v, w_float - math.log(v)))
-    return out
 
 
 def squarefree_coprime_count(x: int, d) -> int:

@@ -51,19 +51,18 @@ def cmd_count(args) -> int:
         raise ValueError(f"--mode {args.mode} requires --n >= 2")
     if args.ladder is not None and (args.ladder < 1 or not csv):
         raise ValueError("--ladder needs --format csv and at least one rung")
-    if (args.mode == "rank") != (args.rank is not None):
-        raise ValueError("--rank goes with --mode rank, and --mode rank needs --rank")
-    fast, oracle, density = counting.CENSUS[args.mode]
-    if n < 2:
-        density = None
+    try:
+        record = counting.census(args.mode, n, args.rank)
+    except ValueError as exc:
+        raise ValueError(f"--mode {args.mode}, --rank {args.rank}: {exc}") from None
+    density = record.density
     if (tol is not None and density is None) or (cap is not None and args.method == "formula"):
         raise ValueError("--tol needs a printed prediction, --enum-cap an enumerating --method")
     tol = 1e-10 if tol is None else tol
     cap = counting.DEFAULT_ENUM_CAP if cap is None else cap
-    rank = () if args.rank is None else (args.rank,)  # the rank row takes (n, m, V)
-    second = lambda v: oracle(n, *rank, v, cap)
-    first = second if args.method == "bruteforce" else lambda v: fast(n, *rank, v)
-    leading = None if density is None else lambda v: density(n, tol) * ErrBoundedReal.exact(v**n) / n
+    second = lambda v: record.oracle(v, cap)
+    first = second if args.method == "bruteforce" else record.count
+    leading = None if density is None else lambda v: density(tol) * ErrBoundedReal.exact(v**n) / n
     # CSV rows scale one V = 1 prediction by V_i^n
     unit = leading(1) if csv and leading is not None else None
 
@@ -74,7 +73,7 @@ def cmd_count(args) -> int:
         if v < 1:
             continue
         doc = {"n": n, "V": v, "mode": args.mode}
-        if rank:
+        if args.rank is not None:
             doc["rank"] = args.rank
         doc["method"] = args.method
         count = first(v)

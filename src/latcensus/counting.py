@@ -1,44 +1,34 @@
 """Counting formulas and their brute-force oracles.
 
-Two independent routes are kept for every headline count:
+Every census is one `Census` record, built by `census(mode, n, m)`: the
+sublattices L of Z^n of index <= V with rank(Z^n/L) in [low, high], of
+squarefree index only if asked.  Co-cyclic is [0, 1], all is [0, n], rank m
+is [m, m], and squarefree is [0, 1] at squarefree index.  Rank <= k is
+multiplicative in the index (the rank is the largest local rank), so each
+record is its rank <= high part minus its rank <= low-1 part, each summed by
+three independent routes:
 
-* closed-form/multiplicative evaluation (`count_primitive_classes`,
-  `count_cocyclic`, `count_squarefree`, `total_count`, `count_by_rank`),
-  used at scale;
-* literal oracles, used to verify the formulas exactly on the desk-scale
-  grids: the class oracle `count_primitive_classes_bruteforce` (primitive
-  vectors mod q from the gcd distribution of the residues, over phi(q)) and
-  the enumeration oracles (`census_cocyclic_bruteforce`,
-  `count_by_rank_bruteforce`, ...).  The canonical class representatives
-  (`primitive_class_representatives`) serve the Paz-Schnorr bijection check
-  and the sampler's support.
+* `count`, the fast route: a Dirichlet-series floor-value evaluation of the
+  total census T_n on the ~2 sqrt(V) values V//j, corrected by a sum over
+  powerful numbers, in O(n V^(3/4)) time and O(sqrt(V)) memory.  Its
+  estimated work is checked against DEFAULT_FLOOR_VALUE_CAP before anything
+  is allocated, and CapExceededError is raised above it.  The same engine at
+  n = 1 (T_1(x) = x) gives the abelian group class count of `groups`;
+* `sieve`, the second route: `_multiplicative_sum` sieves [1, V] and sums
+  the prime-power local factors in O(V) time and memory, for the tests and
+  `verify`;
+* `oracle`, the enumeration: `_rank_counts(n, q)` streams the HNF bases of
+  index q once and counts them by quotient rank from their F_p ranks
+  (p | q), memoized per (n, q), so every record and every bound V share the
+  strata already computed; the count is checked against its cap first.
 
-The census oracles (co-cyclic, squarefree, total, by rank) are views of one
-stratified enumeration pass: `_rank_counts(n, q)` streams the HNF bases of
-index q once, counts them by quotient rank from the F_p ranks of each basis
-(p | q), memoized per (n, q), so every oracle and every bound V shares the
-strata already computed.  Each view checks the count against its cap first.
-
-The cumulative censuses up to index V take the fast route: a Dirichlet-series
-floor-value evaluation of the total census T_n on the ~2 sqrt(V) values
-V//j, corrected by a sum over powerful numbers, in O(n V^(3/4)) time and
-O(sqrt(V)) memory (no sieve beyond sqrt(V)).  The same engine at n = 1
-(T_1(x) = x) gives the abelian group class count of `groups`.  "Rank of
-Z^n/L <= m" is multiplicative in the index (the rank is the largest local
-rank), so `count_by_rank` is the difference of two powerful-number walks on
-one floor-value table.  Its
-estimated work, (n-1) V^(3/4) floor-value steps plus the ~2.2 sqrt(V)
-powerful numbers for each walk over them, is checked against
-DEFAULT_FLOOR_VALUE_CAP before anything is allocated, and CapExceededError
-is raised above it.  The second route, `_multiplicative_sum`, sieves [1, V]
-and sums the multiplicative count from its prime-power local factors in
-O(V) time and memory; it is never the default and serves the tests and
-`verify` as an exact cross-check.
-
-`CENSUS` maps each census mode to its fast route, enumeration oracle and
-density constant c(n, tol) (`constants`), whose leading term is
-c(n, tol) V^n / n, for the CLI and `verify`.  The rank row's routes take
-the rank as a second argument, (n, m, V), and it has no density constant.
+The record's density c(n, tol) (`constants`) gives the leading term
+c V^n / n.  `count_cocyclic`, `count_squarefree`, `total_count`,
+`count_by_rank` and the `*_bruteforce` views read the records.  The class
+count at one index q, `count_primitive_classes`, has its own oracle,
+`count_primitive_classes_bruteforce` (primitive vectors mod q from the gcd
+distribution of the residues, over phi(q)); `primitive_class_representatives`
+serves the Paz-Schnorr bijection check and the sampler's support.
 
 All counts are arbitrary-precision integers end to end.
 """
@@ -47,9 +37,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, product, repeat
-from operator import add, mul
+from operator import mul
 from typing import Callable, Iterator, Optional
 
 from . import lattice
@@ -183,21 +173,6 @@ def primitive_class_representatives(n: int, q: int) -> list[tuple[int, ...]]:
 # H_p(X) = F_p(X) prod_{i<n} (1 - p^i X).  Co-cyclic and all lattices agree
 # at prime index, so H(p) = 0, H lives on powerful numbers, and
 #     sum_{q<=V} f(q) = sum_{h powerful <= V} H(h) T_n(V//h).
-#
-# Second route.  `_multiplicative_sum` factors every q <= V with a sieve of
-# [1, V] and sums f(q) from the same local factors, O(V) time and memory.
-# Tests and `verify` compare the two routes exactly; it is never the default.
-
-
-def _local_factor(mode: str, n: int) -> Callable[[int, int], int]:
-    """f(p^e), e >= 1, of the census `mode` ("cyclic", "squarefree", "all")."""
-    if mode == "cyclic":
-        return lambda p, e: _prime_power_class_count(n, p, e)
-    if mode == "squarefree":
-        return lambda p, e: _prime_power_class_count(n, p, 1) if e == 1 else 0
-    if mode == "all":
-        return lambda p, e: lattice._count_prime_power(n, p, e)
-    raise ValueError(f"unknown census mode {mode!r}")
 
 
 def _rank_factor(n: int, m: int) -> Callable[[int, int], int]:
@@ -330,6 +305,16 @@ def _hyperbola(V, pw, p_small, p_large, point, small, large) -> Callable[[int], 
     return value
 
 
+def _h_series(n: int, p: int, local: Callable[[int, int], int], top: int) -> list[int]:
+    """H(p^e) for e <= top: the coefficients of F_p(X) prod_{i<n} (1 - p^i X),
+    F_p(X) = 1 + sum_e local(p, e) X^e, the census over the total census at p."""
+    f = [1] + [local(p, e) for e in range(1, top + 1)]
+    b = [1]
+    for i in range(n):
+        b = [x - p**i * y for x, y in zip(b + [0], [0] + b)]
+    return [sum(b[t] * f[e - t] for t in range(min(e, n) + 1)) for e in range(top + 1)]
+
+
 def _powerful_sum(
     n: int, V: int, local: Callable[[int, int], int], census: Optional[Callable[[int], int]] = None
 ) -> int:
@@ -341,19 +326,13 @@ def _powerful_sum(
     h_cache: dict[int, list[int]] = {}
 
     def h_series(p: int) -> list[int]:
-        # H(p^e) for p^e <= V: coefficients of F_p(X) * prod_{i<n} (1 - p^i X)
         if p not in h_cache:
             top = 1
             while p ** (top + 1) <= V:
                 top += 1
-            f = [1] + [local(p, e) for e in range(1, top + 1)]
-            b = [1]
-            for i in range(n):
-                b = [x - p**i * y for x, y in zip(b + [0], [0] + b)]
-            h = [sum(b[t] * f[e - t] for t in range(min(e, n) + 1)) for e in range(top + 1)]
+            h = h_cache[p] = _h_series(n, p, local, top)
             if h[1]:
                 raise RuntimeError(f"local factor at p={p} differs from the total census")
-            h_cache[p] = h
         return h_cache[p]
 
     total = 0
@@ -376,52 +355,8 @@ def _powerful_sum(
     return total
 
 
-def count_cocyclic(n: int, V: int) -> int:
-    """Number of co-cyclic sublattices of Z^n of index <= V: the sum of
-    count_primitive_classes(n, q) over q <= V (fast route)."""
-    _check_census("count_cocyclic", n, V, 2, 1)
-    return _powerful_sum(n, V, _local_factor("cyclic", n))
-
-
-def count_squarefree(n: int, V: int) -> int:
-    """Co-cyclic census restricted to squarefree index q <= V (fast route)."""
-    _check_census("count_squarefree", n, V, 2, 1)
-    return _powerful_sum(n, V, _local_factor("squarefree", n))
-
-
-def total_count(n: int, V: int) -> int:
-    """All full-rank sublattices of Z^n of index <= V, exactly (fast route)."""
-    _check_census("total_count", n, V, 1, 0)
-    return _census_table(n, V)(1)
-
-
-def count_by_rank(n: int, m: int, V: int) -> int:
-    """Sublattices of Z^n of index <= V whose quotient needs exactly m
-    generators (fast route): the rank <= m census minus the rank <= m-1
-    census, both on one floor-value table.  Rank <= 0 is the lattice Z^n
-    alone, and rank <= n is every lattice (`total_count`)."""
-    if m < 0:
-        raise ValueError("rank must be >= 0")
-    walks = sum(0 < k < n for k in (m - 1, m))  # rank <= 0 and rank <= n walk nothing
-    _check_census("count_by_rank", n, V, 1, walks)
-    if m > n:
-        return 0
-    if m == 0:
-        return 1
-    census = _census_table(n, V)
-
-    def at_most(k: int) -> int:
-        if k == 0:
-            return 1
-        if k == n:
-            return census(1)
-        return _powerful_sum(n, V, _rank_factor(n, k), census)
-
-    return at_most(m) - at_most(m - 1)
-
-
 # ---------------------------------------------------------------------------
-# enumeration oracles
+# census records and the enumeration strata
 # ---------------------------------------------------------------------------
 
 
@@ -453,47 +388,6 @@ def _strata(n: int, V: int, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     return ((q, _rank_counts(n, q)) for q in range(1, V + 1))
 
 
-def census_cocyclic_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Count co-cyclic lattices of index <= V by full enumeration plus the
-    F_p ranks of each basis, independent of every closed form."""
-    return sum(c[0] + c[1] for _, c in _strata(n, V, cap))
-
-
-def census_squarefree_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Count lattices of squarefree index <= V by enumeration, verifying from
-    the F_p ranks of each basis that its quotient is cyclic."""
-    total = 0
-    for q, c in _strata(n, V, cap):
-        if not is_squarefree(q):
-            continue
-        if any(c[2:]):
-            raise RuntimeError(f"squarefree index {q} gave a non-cyclic quotient")
-        total += sum(c)
-    return total
-
-
-def census_total_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Count all lattices of index <= V by literal enumeration (the F_p-rank pass)."""
-    return sum(sum(c) for _, c in _strata(n, V, cap))
-
-
-def count_by_rank_bruteforce(n: int, m: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Lattices of index <= V whose quotient needs exactly m generators,
-    by enumeration + the F_p ranks of each basis."""
-    if m < 0:
-        raise ValueError("rank must be >= 0")
-    return sum(c[m] if m <= n else 0 for _, c in _strata(n, V, cap))
-
-
-def counts_by_rank_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
-    """Full rank stratification {m: count} of the index <= V census (ranks
-    that occur only), from the F_p ranks of each basis."""
-    totals = [0] * (n + 1)
-    for _, c in _strata(n, V, cap):
-        totals = list(map(add, totals, c))
-    return {r: t for r, t in enumerate(totals) if t}
-
-
 def _guard_enumeration(n: int, V: int, cap: int) -> None:
     if n < 1 or V < 1:
         raise ValueError("need n >= 1 and V >= 1")
@@ -502,12 +396,128 @@ def _guard_enumeration(n: int, V: int, cap: int) -> None:
         raise CapExceededError(f"enumerating {total} lattices exceeds cap {cap}")
 
 
-# mode -> (fast route, enumeration oracle, density constant c(n, tol)); the
-# leading term of the census is c(n, tol) V^n / n
-CENSUS = {
-    "cyclic": (count_cocyclic, census_cocyclic_bruteforce, theta_n),
-    "squarefree": (count_squarefree, census_squarefree_bruteforce, rho_n),
-    "all": (total_count, census_total_bruteforce, lambda n, tol: xi(2, n, tol)),
-    "rank": (count_by_rank, count_by_rank_bruteforce, None),  # both take (n, m, V)
-}
+class Census:
+    """The sublattices L of Z^n with rank(Z^n/L) in [low, high], of
+    squarefree index only if `squarefree`, counted by index (see the module
+    docstring); `density` is tol -> c(n, tol), the constant of the leading
+    term c V^n / n, or None.  Built by `census`."""
 
+    __slots__ = ("mode", "n", "low", "high", "squarefree", "density")
+
+    def __init__(self, mode: str, n: int, low: int, high: int, squarefree: bool, density) -> None:
+        self.mode, self.n, self.low, self.high = mode, n, low, high
+        self.squarefree, self.density = squarefree, density
+
+    def _ends(self) -> tuple[int, ...]:
+        """(high, low - 1) clamped to n, or () when the interval is empty."""
+        high = min(self.high, self.n)
+        low = min(self.low - 1, high)
+        return (high, low) if low < high else ()
+
+    def _between(self, at_most: Callable[[int], int]) -> int:
+        """The census from at_most(k), 0 < k <= n; rank <= 0 is Z^n alone, rank <= -1 empty."""
+        parts = [at_most(k) if k > 0 else k + 1 for k in self._ends()]
+        return parts[0] - parts[1] if parts else 0
+
+    def _local(self, k: int) -> Callable[[int, int], int]:
+        """f(p^e), e >= 1, of the rank <= k part, k > 0."""
+        n = self.n
+        if self.squarefree:  # every lattice of index p has rank <= 1
+            return lambda p, e: _prime_power_class_count(n, p, 1) if e == 1 else 0
+        if k == 1:
+            return lambda p, e: _prime_power_class_count(n, p, e)
+        return _rank_factor(n, k)
+
+    def count(self, V: int) -> int:
+        """Fast route: one floor-value table, and a powerful-number walk per part of rank 0 < k < n."""
+        n, ends = self.n, self._ends()
+        n_min = 2 if self.mode in ("cyclic", "squarefree") else 1
+        _check_census(f"the {self.mode} census", n, V, n_min, sum(0 < k < n for k in ends))
+        table = _census_table(n, V) if any(k > 0 for k in ends) else None
+        walk = lambda k: table(1) if k == n else _powerful_sum(n, V, self._local(k), table)
+        return self._between(walk)
+
+    def sieve(self, V: int) -> int:
+        """Second route: each part on `_multiplicative_sum`."""
+        return self._between(lambda k: _multiplicative_sum(V, self._local(k)))
+
+    def oracle(self, V: int, cap: int) -> int:
+        """Enumeration: the strata of rank low..high, independent of every closed form."""
+        total = 0
+        for q, c in _strata(self.n, V, cap):
+            if self.squarefree:
+                if not is_squarefree(q):
+                    continue
+                if any(c[2:]):
+                    raise RuntimeError(f"squarefree index {q} gave a non-cyclic quotient")
+            total += sum(c[self.low : self.high + 1])
+        return total
+
+
+def census(mode: str, n: int, m: Optional[int] = None) -> Census:
+    """The census record of `mode`: "cyclic" (quotient rank <= 1; density
+    theta_n), "squarefree" (rank <= 1 at squarefree index; rho_n), "all"
+    (rank <= n; xi(2, n)) or "rank" (rank exactly m, given for this mode
+    alone; no density yet).  No density is given for n < 2."""
+    if (mode == "rank") != (m is not None):
+        raise ValueError("mode 'rank' needs a rank m, and no other mode takes one")
+    if mode == "rank":
+        low, high, squarefree, density = m, m, False, None
+    elif mode == "cyclic":
+        low, high, squarefree, density = 0, 1, False, partial(theta_n, n)
+    elif mode == "squarefree":
+        low, high, squarefree, density = 0, 1, True, partial(rho_n, n)
+    elif mode == "all":
+        low, high, squarefree, density = 0, n, False, partial(xi, 2, n)
+    else:
+        raise ValueError(f"unknown census mode {mode!r}")
+    if low < 0:
+        raise ValueError("rank must be >= 0")
+    return Census(mode, n, low, high, squarefree, density if n >= 2 else None)
+
+
+def count_cocyclic(n: int, V: int) -> int:
+    """Number of co-cyclic sublattices of Z^n of index <= V: the sum of
+    count_primitive_classes(n, q) over q <= V (fast route)."""
+    return census("cyclic", n).count(V)
+
+
+def count_squarefree(n: int, V: int) -> int:
+    """Co-cyclic census restricted to squarefree index q <= V (fast route)."""
+    return census("squarefree", n).count(V)
+
+
+def total_count(n: int, V: int) -> int:
+    """All full-rank sublattices of Z^n of index <= V, exactly (fast route)."""
+    return census("all", n).count(V)
+
+
+def count_by_rank(n: int, m: int, V: int) -> int:
+    """Sublattices of Z^n of index <= V whose quotient needs exactly m generators (fast route)."""
+    return census("rank", n, m).count(V)
+
+
+def census_cocyclic_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Co-cyclic lattices of index <= V by enumeration."""
+    return census("cyclic", n).oracle(V, cap)
+
+
+def census_squarefree_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Lattices of squarefree index <= V by enumeration."""
+    return census("squarefree", n).oracle(V, cap)
+
+
+def census_total_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """All lattices of index <= V by enumeration."""
+    return census("all", n).oracle(V, cap)
+
+
+def count_by_rank_bruteforce(n: int, m: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Lattices of index <= V whose quotient needs exactly m generators, by enumeration."""
+    return census("rank", n, m).oracle(V, cap)
+
+
+def counts_by_rank_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
+    """{m: count} over the ranks m that occur at index <= V, by enumeration."""
+    ranks = range(max(n, 0) + 1)  # n < 1 still reaches the enumeration guard
+    return {m: c for m in ranks if (c := census("rank", n, m).oracle(V, cap))}

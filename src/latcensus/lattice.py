@@ -20,7 +20,6 @@ All arithmetic is exact (Python ints); no floating point enters here.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from functools import lru_cache, partial
 from typing import Iterator, Sequence
@@ -156,10 +155,12 @@ class HnfBasis:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 
     def to_json(self) -> str:
+        import json  # only the JSON round trip loads it
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "HnfBasis":
+        import json
         doc = json.loads(text)
         basis = cls(doc["rows"])
         if basis.n != doc["n"]:

@@ -486,25 +486,27 @@ def check_count_monotonicity(v_max: int = 120):
 
 
 def check_dirichlet_vs_sieve():
-    """Fast floor-value route equals the sieve route, every mode and every
-    rank m, n in 2..6; rank exactly m is the difference of the rank <= m and
-    rank <= m-1 sieve sums."""
+    """Fast floor-value route equals the sieve route for every census record,
+    n in 2..6: cyclic, squarefree, all, and rank m for m in 0..n.  The records
+    share the sieve sum of each rank <= k part, taken once per (n, V)."""
     rng = SplitMix64(29)
     bounds = [1, 2, 16, 997, 3000, 10**5] + [1 + rng.randbelow(20000) for _ in range(3)]
-    sieve = counting._multiplicative_sum
     for n in range(2, 7):
+        records = [counting.census(mode, n) for mode in ("cyclic", "squarefree", "all")]
+        records += [counting.census("rank", n, m) for m in range(n + 1)]
         for v in bounds:
-            for mode, (fn, _, _) in counting.CENSUS.items():
-                if mode == "rank":
-                    at_most = [sieve(v, counting._rank_factor(n, m)) for m in range(n + 1)]
-                    pairs = [(f"m={m}", fn(n, m, v), at_most[m] - (at_most[m - 1] if m else 0))
-                             for m in range(n + 1)]
-                else:
-                    pairs = [("", fn(n, v), sieve(v, counting._local_factor(mode, n)))]
-                for label, lhs, rhs in pairs:
-                    if lhs != rhs:
-                        _fail("counting.dirichlet-vs-sieve",
-                              f"{mode}{label} n={n} V={v}: {lhs} != {rhs}")
+            parts = {}  # (squarefree, k) -> the rank <= k sieve sum
+
+            def sieved(record, k):
+                if (record.squarefree, k) not in parts:
+                    parts[record.squarefree, k] = counting._multiplicative_sum(v, record._local(k))
+                return parts[record.squarefree, k]
+
+            for record in records:
+                lhs, rhs = record.count(v), record._between(lambda k: sieved(record, k))
+                if lhs != rhs:
+                    _fail("counting.dirichlet-vs-sieve", f"{record.mode} rank {record.low}..{record.high} "
+                          f"n={n} V={v}: {lhs} != {rhs}")
 
 
 # ---------------------------------------------------------------------------

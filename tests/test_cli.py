@@ -64,8 +64,7 @@ def test_count_csv_ladder(capsys):
 def test_count_csv_honours_method(capsys, monkeypatch):
     from latcensus import counting
 
-    fast, _, leading = counting.CENSUS["cyclic"]
-    monkeypatch.setitem(counting.CENSUS, "cyclic", (fast, lambda n, V, cap: 0, leading))
+    monkeypatch.setattr(counting.Census, "oracle", lambda self, V, cap: 0)
     argv = ("count", "--n", "2", "--V", "10", "--format", "csv", "--ladder", "2", "--method")
     code, out, err = run_cli(capsys, *argv, "both")
     assert code == 1 and out == "" and "mismatch at V=5" in err
@@ -80,8 +79,7 @@ def test_count_rank_runs_the_shared_loop(capsys, monkeypatch):
                            "--rank", "2", "--format", "csv", "--ladder", "3", "--method", "both")
     assert code == 0
     assert out == "V,count,prediction,ratio\n10,62,nan,nan\n20,657,nan,nan\n30,1789,nan,nan\n"
-    fast, _, leading = counting.CENSUS["rank"]
-    monkeypatch.setitem(counting.CENSUS, "rank", (fast, lambda n, m, V, cap: 0, leading))
+    monkeypatch.setattr(counting.Census, "oracle", lambda self, V, cap: 0)
     code, out, err = run_cli(capsys, "count", "--n", "2", "--V", "10", "--mode", "rank", "--rank",
                              "1", "--method", "both")
     assert code == 1 and "mismatch at V=10" in err

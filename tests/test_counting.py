@@ -166,12 +166,48 @@ def test_divisor_resummation_identity_small():
 
 
 def test_leading_terms_scale():
-    # the CENSUS density constant c gives the leading term c V^n / n; the
-    # ratio drifts toward 1 at modest V already
+    # the census record's density constant c gives the leading term
+    # c V^n / n; the ratio drifts toward 1 at modest V already
     for mode in ("cyclic", "all"):
-        fast, _, density = counting.CENSUS[mode]
-        r = 2 * fast(2, 3000) / (float(density(2, 1e-10).value) * 3000**2)
+        record = counting.census(mode, 2)
+        r = 2 * record.count(3000) / (float(record.density(1e-10).value) * 3000**2)
         assert 0.99 <= r <= 1.01, (mode, r)
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "squarefree", "all"])
+def test_density_factor_is_the_local_series_of_the_count(mode):
+    # c = xi(2, n) prod_p H_p(p^-n), H the correction _powerful_sum walks, so
+    # at x = 1/p the density's Euler factor is xi_p sum_e H(p^e) x^(ne),
+    # xi_p = prod_{k=2..n} (1 - x^k)^-1; H vanishes beyond e = n + 1
+    from latcensus import constants
+
+    def at(factor, x):
+        N, D = factor
+        return sum(c * x**i for i, c in enumerate(N)) / sum(c * x**i for i, c in enumerate(D))
+
+    for n in range(2, 7):
+        record = counting.census(mode, n)
+        for p in (2, 3, 5):
+            x = Fraction(1, p)
+            h = counting._h_series(n, p, record._local(record.high), n + 4)
+            assert not any(h[n + 2 :]), (n, p, h)
+            xi_p = 1 / math.prod(1 - x**k for k in range(2, n + 1))
+            if mode == "cyclic":
+                factor = at(constants.theta_n_factor(n), x)
+            elif mode == "squarefree":  # 6/pi^2 = prod_p (1 - p^-2)
+                factor = (1 - x**2) * at(constants.rho_n_factor(n), x)
+            else:
+                factor = xi_p
+            assert xi_p * sum(c * x ** (n * e) for e, c in enumerate(h)) == factor, (n, p)
+
+
+def test_closed_forms_are_the_rank_factors():
+    # rank <= 1 is the class count, rank <= n the total census, at every prime power
+    for n in range(1, 7):
+        for p in (2, 3, 5, 7):
+            for e in range(1, 8):
+                assert counting._prime_power_class_count(n, p, e) == counting._rank_factor(n, 1)(p, e)
+                assert counting._rank_factor(n, n)(p, e) == lattice._count_prime_power(n, p, e)
 
 
 def test_cocyclic_share_at_desk_scale():
@@ -194,8 +230,8 @@ def test_cocyclic_share_at_desk_scale():
     V=st.integers(1, 2 * 10**4),
 )
 def test_dirichlet_route_matches_sieve_route(n, mode, V):
-    sieve_route = counting._multiplicative_sum(V, counting._local_factor(mode, n))
-    assert counting.CENSUS[mode][0](n, V) == sieve_route
+    record = counting.census(mode, n)
+    assert record.count(V) == record.sieve(V)
 
 
 def _sieve_rank(n: int, m: int, V: int) -> int:
@@ -248,9 +284,9 @@ def test_power_sum_matches_direct_sum():
 
 
 def test_census_cap_checked_before_work(monkeypatch):
-    for mode, (fn, _, _) in counting.CENSUS.items():
+    for mode, m in (("cyclic", None), ("squarefree", None), ("all", None), ("rank", 1)):
         with pytest.raises(CapExceededError):
-            fn(2, 1, 10**30) if mode == "rank" else fn(2, 10**30)
+            counting.census(mode, 2, m).count(10**30)
     assert counting.total_count(1, 10**30) == 10**30  # no floor-value work
     monkeypatch.setattr(counting, "DEFAULT_FLOOR_VALUE_CAP", 100)
     with pytest.raises(CapExceededError):

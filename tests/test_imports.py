@@ -37,11 +37,12 @@ def _imported(stderr: str) -> set[str]:
 
 
 def test_import_latcensus_leaves_numpy_out():
-    # an exact count after the import builds no interval either
+    # an exact count after the import builds no interval either, and only
+    # the JSON round trip of a basis loads json
     proc = _python("-c", "import latcensus; assert latcensus.count_cocyclic(3, 10**5) == 582985627661524")
     assert proc.returncode == 0, proc.stderr
     assert "latcensus.counting" in _imported(proc.stderr)
-    assert not {"numpy", "mpmath", "dataclasses"} & _imported(proc.stderr)
+    assert not {"numpy", "mpmath", "dataclasses", "json"} & _imported(proc.stderr)
 
 
 # (argv, whether it prints an error-bounded value and so loads mpmath)
