@@ -59,7 +59,7 @@ def cmd_count(args) -> int:
     if (tol is not None and density is None) or (cap is not None and args.method == "formula"):
         raise ValueError("--tol needs a printed prediction, --enum-cap an enumerating --method")
     tol = 1e-10 if tol is None else tol
-    cap = counting.DEFAULT_ENUM_CAP if cap is None else cap
+    cap = lattice.DEFAULT_ENUM_CAP if cap is None else cap
     second = lambda v: record.oracle(v, cap)
     first = second if args.method == "bruteforce" else record.count
     leading = None if density is None else lambda v: density(tol) * ErrBoundedReal.exact(v**n) / n
@@ -267,7 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     listing = p.add_mutually_exclusive_group()  # --cap bounds a listing, which --count-only skips
-    listing.add_argument("--cap", type=int, default=counting.DEFAULT_ENUM_CAP)
+    listing.add_argument("--cap", type=int, default=lattice.DEFAULT_ENUM_CAP)
     listing.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

@@ -16,7 +16,8 @@ three independent routes:
   n = 1 (T_1(x) = x) gives the abelian group class count of `groups`;
 * `sieve`, the second route: `_multiplicative_sum` sieves [1, V] and sums
   the prime-power local factors in O(V) time and memory, for the tests and
-  `verify`;
+  `verify`, memoized per (n, k, squarefree, V), so the records of one
+  (n, V) share each rank <= k part;
 * `oracle`, the enumeration: `_rank_counts(n, q)` streams the HNF bases of
   index q once and counts them by quotient rank from their F_p ranks
   (p | q), memoized per (n, q), so every record and every bound V share the
@@ -56,9 +57,9 @@ from .arith import (
 )
 from .constants import rho_n, theta_n, xi
 from .errors import CapExceededError
+from .lattice import DEFAULT_ENUM_CAP
 
 DEFAULT_MATERIALIZE_CAP = 10**7
-DEFAULT_ENUM_CAP = 10**8
 DEFAULT_FLOOR_VALUE_CAP = 10**8
 
 
@@ -194,12 +195,23 @@ def _rank_factor(n: int, m: int) -> Callable[[int, int], int]:
     return local
 
 
-def _multiplicative_sum(V: int, local: Callable[[int, int], int]) -> int:
+def _local(n: int, k: int, squarefree: bool) -> Callable[[int, int], int]:
+    """f(p^e), e >= 1, of the rank <= k part, k > 0, of squarefree index only if asked."""
+    if squarefree:  # every lattice of index p has rank <= 1
+        return lambda p, e: _prime_power_class_count(n, p, 1) if e == 1 else 0
+    if k == 1:
+        return lambda p, e: _prime_power_class_count(n, p, e)
+    return _rank_factor(n, k)
+
+
+@cache
+def _multiplicative_sum(n: int, k: int, squarefree: bool, V: int) -> int:
     """Second route: sum of f(q) over q <= V for the multiplicative f with
-    f(p^e) = local(p, e), factoring each q with a sieve of [1, V] (local is
-    memoized per prime power, at most V entries like the sieve)."""
+    f(p^e) = _local(n, k, squarefree)(p, e), factoring each q with a sieve
+    of [1, V] (the local factor is memoized per prime power, at most V
+    entries like the sieve)."""
     spf = SieveTable(max(V, 2)).spf
-    local = cache(local)
+    local = cache(_local(n, k, squarefree))
     total = 0
     for q in range(1, V + 1):
         k = q
@@ -419,27 +431,18 @@ class Census:
         parts = [at_most(k) if k > 0 else k + 1 for k in self._ends()]
         return parts[0] - parts[1] if parts else 0
 
-    def _local(self, k: int) -> Callable[[int, int], int]:
-        """f(p^e), e >= 1, of the rank <= k part, k > 0."""
-        n = self.n
-        if self.squarefree:  # every lattice of index p has rank <= 1
-            return lambda p, e: _prime_power_class_count(n, p, 1) if e == 1 else 0
-        if k == 1:
-            return lambda p, e: _prime_power_class_count(n, p, e)
-        return _rank_factor(n, k)
-
     def count(self, V: int) -> int:
         """Fast route: one floor-value table, and a powerful-number walk per part of rank 0 < k < n."""
         n, ends = self.n, self._ends()
         n_min = 2 if self.mode in ("cyclic", "squarefree") else 1
         _check_census(f"the {self.mode} census", n, V, n_min, sum(0 < k < n for k in ends))
         table = _census_table(n, V) if any(k > 0 for k in ends) else None
-        walk = lambda k: table(1) if k == n else _powerful_sum(n, V, self._local(k), table)
+        walk = lambda k: table(1) if k == n else _powerful_sum(n, V, _local(n, k, self.squarefree), table)
         return self._between(walk)
 
     def sieve(self, V: int) -> int:
         """Second route: each part on `_multiplicative_sum`."""
-        return self._between(lambda k: _multiplicative_sum(V, self._local(k)))
+        return self._between(lambda k: _multiplicative_sum(self.n, k, self.squarefree, V))
 
     def oracle(self, V: int, cap: int) -> int:
         """Enumeration: the strata of rank low..high, independent of every closed form."""

@@ -28,6 +28,8 @@ from .arith import _Frozen, ensure_factored, factorize
 from .errors import CapExceededError, NotPrimitiveError, SingularMatrixError
 from .rng import SplitMix64
 
+DEFAULT_ENUM_CAP = 10**8  # lattices one enumeration may build or stream
+
 # ---------------------------------------------------------------------------
 # integer row reduction
 # ---------------------------------------------------------------------------
@@ -300,7 +302,7 @@ def _ordered_factorizations(q: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (d,) + rest
 
 
-def enumerate_sublattices(n: int, q: int, cap: int = 10**8) -> Iterator[HnfBasis]:
+def enumerate_sublattices(n: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[HnfBasis]:
     """Yield every sublattice of Z^n of index exactly q, exactly once.
 
     Order: lexicographic in (diagonal, above-diagonal entries), the entries

@@ -3,7 +3,10 @@
 Each check raises CheckFailure (with the violated invariant's identifier in
 the message) on the first violation and returns quietly otherwise.  The CLI
 `verify` subcommand runs a suite of these; the acceptance test module reuses
-the heavier routines so the two surfaces cannot drift apart.
+the heavier routines so the two surfaces cannot drift apart.  The census
+checks are clients of the `counting.Census` records: each compares a
+record's fast route `count` with its `sieve` or its `oracle`, for every
+record of a dimension, and holds no census logic of its own.
 """
 
 from __future__ import annotations
@@ -318,22 +321,19 @@ def check_enumeration_no_duplicates(n_max: int = 4, q_max: int = 24):
                     _fail("lattice.enumeration-index", f"n={n} q={q} {b}")
 
 
-def paz_schnorr_sets(n: int, q: int) -> tuple[set, set]:
-    """(congruence-constructed co-cyclic set, enumerated co-cyclic set)."""
-    from_congruence = {
+def _congruence_lattices(n: int, q: int) -> set:
+    """The co-cyclic lattices of index q, one per primitive class mod q."""
+    return {
         lattice.lattice_from_congruence(lattice.CongruenceVector(q, vec))
         for vec in counting.primitive_class_representatives(n, q)
     }
-    enumerated = {
-        b for b in lattice._enumerate_sublattices(n, q) if lattice.is_cocyclic(b)
-    }
-    return from_congruence, enumerated
 
 
 def check_paz_schnorr(q_max: int = 30):
     for n in (2, 3):
         for q in range(1, q_max + 1):
-            built, enumerated = paz_schnorr_sets(n, q)
+            built = _congruence_lattices(n, q)
+            enumerated = {b for b in lattice._enumerate_sublattices(n, q) if lattice.is_cocyclic(b)}
             if built != enumerated:
                 _fail(
                     "lattice.paz-schnorr-bijection",
@@ -373,10 +373,7 @@ def sampler_statistics(n: int, q: int, draws: int, seed: int):
     """(per-lattice counts, chi-square statistic, p-value) for uniform draws."""
     from mpmath import gammainc  # mpmath's global context, not CTX: a float p-value
 
-    expected_support = {
-        lattice.lattice_from_congruence(lattice.CongruenceVector(q, vec))
-        for vec in counting.primitive_class_representatives(n, q)
-    }
+    expected_support = _congruence_lattices(n, q)
     counts: dict = {}
     for basis in lattice.sample_cocyclic_stream(n, q, draws, seed):
         counts[basis] = counts.get(basis, 0) + 1
@@ -422,24 +419,28 @@ def check_formula_vs_bruteforce(q_max: int = 200):
                 )
 
 
+def _fast_route_agrees(check_id: str, grid, second) -> None:
+    """record.count(V) == second(record, V) for every census record of each
+    (n, bounds) in grid: cyclic, squarefree, all, and rank m for m in 0..n."""
+    for n, bounds in grid:
+        records = [counting.census(mode, n) for mode in ("cyclic", "squarefree", "all")]
+        for record in records + [counting.census("rank", n, m) for m in range(n + 1)]:
+            for v in bounds:
+                lhs, rhs = record.count(v), second(record, v)
+                if lhs != rhs:
+                    label = f"{record.mode} rank {record.low}..{record.high}"
+                    _fail(check_id, f"{label} n={n} V={v}: {lhs} != {rhs}")
+
+
 def check_census_equality():
-    for n, vmax in ((2, 150), (3, 40)):
-        formula = counting.count_cocyclic(n, vmax)
-        oracle = counting.census_cocyclic_bruteforce(n, vmax)
-        if formula != oracle:
-            _fail("counting.census-equality", f"n={n} V={vmax}: {formula} != {oracle}")
-
-
-def check_squarefree_implies_cocyclic(q_max: int = 40):
-    """No lattice of squarefree index has a quotient of rank >= 2, read off
-    the stratified enumeration pass."""
-    for n in (2, 3):
-        for q in range(1, q_max + 1):
-            if not arith.is_squarefree(arith.factorize(q)):
-                continue
-            strata = counting._rank_counts(n, q)
-            if any(strata[2:]):
-                _fail("counting.squarefree-implies-cocyclic", f"n={n} q={q}: rank counts {strata}")
+    """Fast route equals enumeration for every census record at every V up
+    to 150 (n = 2), 40 (n = 3) and 20 (n = 4).  The enumeration is a prefix
+    sum of nonnegative strata, so the counts are nondecreasing in V, and the
+    squarefree record's enumeration raises on a quotient of rank >= 2 at a
+    squarefree index."""
+    grid = [(n, range(1, vmax + 1)) for n, vmax in ((2, 150), (3, 40), (4, 20))]
+    oracle = lambda record, v: record.oracle(v, lattice.DEFAULT_ENUM_CAP)
+    _fast_route_agrees("counting.census-equality", grid, oracle)
 
 
 def check_class_count_multiplicativity():
@@ -475,38 +476,13 @@ def check_divisor_resummation(v_max: int = 100):
             _fail("counting.divisor-resummation", f"n={n}: {resummed} != {direct}")
 
 
-def check_count_monotonicity(v_max: int = 120):
-    for fn in (counting.count_cocyclic, counting.count_squarefree, counting.total_count):
-        prev = 0
-        for v in range(1, v_max + 1):
-            cur = fn(2, v)
-            if cur < prev:
-                _fail("counting.monotonicity", f"{fn.__name__} at V={v}")
-            prev = cur
-
-
 def check_dirichlet_vs_sieve():
-    """Fast floor-value route equals the sieve route for every census record,
-    n in 2..6: cyclic, squarefree, all, and rank m for m in 0..n.  The records
-    share the sieve sum of each rank <= k part, taken once per (n, V)."""
+    """Fast floor-value route equals the sieve route for every census
+    record, n in 2..6; the records of one (n, V) share each sieve sum."""
     rng = SplitMix64(29)
     bounds = [1, 2, 16, 997, 3000, 10**5] + [1 + rng.randbelow(20000) for _ in range(3)]
-    for n in range(2, 7):
-        records = [counting.census(mode, n) for mode in ("cyclic", "squarefree", "all")]
-        records += [counting.census("rank", n, m) for m in range(n + 1)]
-        for v in bounds:
-            parts = {}  # (squarefree, k) -> the rank <= k sieve sum
-
-            def sieved(record, k):
-                if (record.squarefree, k) not in parts:
-                    parts[record.squarefree, k] = counting._multiplicative_sum(v, record._local(k))
-                return parts[record.squarefree, k]
-
-            for record in records:
-                lhs, rhs = record.count(v), record._between(lambda k: sieved(record, k))
-                if lhs != rhs:
-                    _fail("counting.dirichlet-vs-sieve", f"{record.mode} rank {record.low}..{record.high} "
-                          f"n={n} V={v}: {lhs} != {rhs}")
+    grid = [(n, bounds) for n in range(2, 7)]
+    _fast_route_agrees("counting.dirichlet-vs-sieve", grid, counting.Census.sieve)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +583,9 @@ def _spanning_tuples(table, n):
 
 
 def check_rank_census_cross_module(v_max: int = 20):
-    """Three legs per rank: the subgroup-lattice DP over the group census,
-    lattice enumeration, and the powerful-number fast route."""
-    for n in (2, 3):
+    """Three legs per rank, n in 2..4: the subgroup-lattice DP over the
+    group census, lattice enumeration, and the powerful-number fast route."""
+    for n in (2, 3, 4):
         for m in range(0, n + 1):
             via_groups = 0
             for G in groups.enumerate_groups(v_max):
@@ -708,12 +684,10 @@ CHECKS: dict[str, tuple[str, object]] = {
     "counting.formula-vs-bruteforce": ("formulas", check_formula_vs_bruteforce),
     "counting.class-multiplicativity": ("formulas", check_class_count_multiplicativity),
     "counting.divisor-resummation": ("formulas", check_divisor_resummation),
-    "counting.monotonicity": ("formulas", check_count_monotonicity),
     "counting.dirichlet-vs-sieve": ("formulas", check_dirichlet_vs_sieve),
     "counting.census-equality": ("census", check_census_equality),
     "lattice.enumeration-counts": ("census", check_enumeration_counts),
     "lattice.enumeration-no-duplicates": ("census", check_enumeration_no_duplicates),
-    "counting.squarefree-implies-cocyclic": ("census", check_squarefree_implies_cocyclic),
     "lattice.hnf-canonicality": ("bijection", check_hnf_canonicality),
     "lattice.paz-schnorr": ("bijection", check_paz_schnorr),
     "lattice.orbit-sizes": ("bijection", check_orbit_sizes),

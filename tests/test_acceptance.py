@@ -51,7 +51,7 @@ def test_criterion_01_formula_oracle_exactness():
 
 def test_criterion_02_census_exactness():
     with _Criterion(2) as c:
-        verifysuite.check_census_equality()  # N_2 to 150, N_3 to 40 vs enumeration
+        verifysuite.check_census_equality()  # every record at every V to 150, 40, 20 (n = 2, 3, 4)
         verifysuite.check_enumeration_counts(n_max=4, q_max=60)
         elapsed = c.elapsed()
         assert elapsed <= 120, f"runtime {elapsed:.1f}s exceeds 120s"

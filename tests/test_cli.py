@@ -339,6 +339,59 @@ def test_verify_names_the_smith_order_check(capsys, monkeypatch):
     assert doc["message"].startswith("lattice.smith-order-equals-index: B=")
 
 
+def _census_suite_fails_at(capsys, check_id):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "census")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["failed"] == check_id
+    return doc["message"]
+
+
+def test_verify_sees_a_wrong_rank_factor_above_dimension_three(capsys, monkeypatch):
+    # one extra lattice at p^3 in the rank <= 2 local factor, n >= 4 only:
+    # the sieve route reads the same factor, so only the enumeration sees it
+    from latcensus import counting
+
+    real = counting._rank_factor
+
+    def rank_factor(n, m):
+        local = real(n, m)
+        return (lambda p, e: local(p, e) + (e == 3)) if n >= 4 and m == 2 else local
+
+    monkeypatch.setattr(counting, "_rank_factor", rank_factor)
+    message = _census_suite_fails_at(capsys, "counting.census-equality")
+    assert " n=4 V=8: " in message
+
+
+def test_verify_sees_a_rank_two_quotient_at_squarefree_index(capsys, monkeypatch):
+    # the invariant of the former counting.squarefree-implies-cocyclic check
+    from latcensus import counting
+
+    real = counting._rank_counts
+
+    def rank_counts(n, q):
+        c = real(n, q)
+        return (c[0], c[1] - 1, c[2] + 1) + c[3:] if (n, q) == (3, 30) else c
+
+    monkeypatch.setattr(counting, "_rank_counts", rank_counts)
+    _census_suite_fails_at(capsys, "counting.census-equality")
+
+
+def test_verify_sees_a_census_that_dips(capsys, monkeypatch):
+    # the invariant of the former counting.monotonicity check
+    from latcensus import counting
+
+    real = counting.Census.count
+
+    def count(record, V):
+        if (record.mode, record.n, V) == ("cyclic", 2, 100):
+            return real(record, 99) - 1  # below the count at V = 99
+        return real(record, V)
+
+    monkeypatch.setattr(counting.Census, "count", count)
+    assert " n=2 V=100: " in _census_suite_fails_at(capsys, "counting.census-equality")
+
+
 def test_count_cap_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "count", "--n", "2", "--V", "100000", "--mode", "cyclic",

@@ -189,7 +189,7 @@ def test_density_factor_is_the_local_series_of_the_count(mode):
         record = counting.census(mode, n)
         for p in (2, 3, 5):
             x = Fraction(1, p)
-            h = counting._h_series(n, p, record._local(record.high), n + 4)
+            h = counting._h_series(n, p, counting._local(n, record.high, record.squarefree), n + 4)
             assert not any(h[n + 2 :]), (n, p, h)
             xi_p = 1 / math.prod(1 - x**k for k in range(2, n + 1))
             if mode == "cyclic":
@@ -234,17 +234,11 @@ def test_dirichlet_route_matches_sieve_route(n, mode, V):
     assert record.count(V) == record.sieve(V)
 
 
-def _sieve_rank(n: int, m: int, V: int) -> int:
-    """Rank exactly m by the sieve route: rank <= m minus rank <= m-1."""
-    at_most = lambda k: counting._multiplicative_sum(V, counting._rank_factor(n, k))
-    return at_most(m) - (at_most(m - 1) if m else 0)
-
-
 @settings(deadline=None, max_examples=30)
 @given(n=st.integers(2, 5), data=st.data(), V=st.integers(1, 2 * 10**4))
 def test_rank_route_matches_sieve_route(n, data, V):
     m = data.draw(st.integers(0, n), label="m")
-    assert counting.count_by_rank(n, m, V) == _sieve_rank(n, m, V)
+    assert counting.count_by_rank(n, m, V) == counting.census("rank", n, m).sieve(V)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

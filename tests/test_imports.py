@@ -58,10 +58,12 @@ def test_import_latcensus_leaves_numpy_out():
         (["groups", "--V", "3000", "--dump"], False),
         (["verify", "--suite", "bijection"], False),
         (["verify", "--suite", "sampler"], True),
+        (["verify", "--suite", "census"], False),
         (["constants", "--name", "landau-prime-sum", "--tol", "1e-5"], True),
     ],
     ids=["count", "count-csv-ladder", "constants-rho-n", "sample-q-1e20", "enumerate", "clmass",
-         "groups-dump", "verify-bijection", "verify-sampler", "constants-landau-prime-sum"],
+         "groups-dump", "verify-bijection", "verify-sampler", "verify-census",
+         "constants-landau-prime-sum"],
 )
 def test_commands_without_a_vector_kernel_leave_numpy_out(argv, loads_mpmath):
     proc = _python("-m", "latcensus.cli", *argv)
