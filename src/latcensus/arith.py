@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -391,6 +392,14 @@ def squarefree_mask(limit: int) -> bytearray:
 # ---------------------------------------------------------------------------
 
 
+def _reciprocal_sum(ds) -> Fraction:
+    """sum of 1/d over ds as one Fraction over lcm(ds) (0 for no terms): one
+    normalisation instead of one per term, one division per distinct d."""
+    counts = Counter(ds)
+    L = math.lcm(*counts)
+    return Fraction(sum(L // d * c for d, c in counts.items()), L)
+
+
 def landau_sum(t: int):
     """sum_{d<=t} 1/phi(d): exact Fraction for t <= EXACT_SUM_LIMIT, else an
     ErrBoundedReal from correctly-rounded float accumulation."""
@@ -398,7 +407,7 @@ def landau_sum(t: int):
         raise ValueError("landau_sum requires t >= 1")
     phi = totient_table(t)
     if t <= EXACT_SUM_LIMIT:
-        return sum(Fraction(1, v) for v in phi[1:])
+        return _reciprocal_sum(phi[1:])
     total = math.fsum(1 / v for v in phi[1:])
     # each 1/phi rounds within 1/2 ulp and fsum rounds once
     return ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
@@ -415,7 +424,7 @@ def ward_sum(v: int):
     phi = totient_table(v)
     mask = squarefree_mask(v)
     if v <= EXACT_SUM_LIMIT:
-        return sum(Fraction(1, f) for f, m in zip(phi[1:], mask[1:]) if m)
+        return _reciprocal_sum([f for f, m in zip(phi[1:], mask[1:]) if m])
     total = math.fsum(1 / f for f, m in zip(phi[1:], mask[1:]) if m)
     return ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
 

@@ -19,8 +19,9 @@ over powerful numbers in O(sqrt V) time under that engine's cap;
 `enumerate_groups` is its oracle.
 
 The census assigns each group the mass 1/#Aut(G); totals are exact
-rationals up to 1e4 and error-bounded floats beyond.  Census sizes are
-checked against their caps before any work (DEFAULT_CENSUS_CAP for the
+rationals up to 1e4 (unions of mass cells, `_cell_mass`) and error-bounded
+floats beyond.  Census sizes are checked against their caps before any work
+(DEFAULT_CENSUS_CAP for the
 group enumeration, counting.DEFAULT_FLOOR_VALUE_CAP for the class count,
 arith.SIEVE_CAP for the float mass).  The explicit oracles are capped too:
 DEFAULT_TABLE_CAP on |G| for the addition table, LATTICE_CAP on (number of
@@ -42,6 +43,7 @@ from .arith import (
     SieveTable,
     _aut_order_pgroup,
     _partitions_of,
+    _reciprocal_sum,
     factorize,
     partition_count,
     primes_upto,
@@ -469,13 +471,6 @@ def pak_check(G: AbelianGroup, n: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _reciprocal_sum(ds: Sequence[int]) -> Fraction:
-    """sum of 1/d over ds, as one Fraction over the common denominator lcm(ds)
-    (0 for no terms): one normalisation instead of one per term."""
-    L = math.lcm(*ds)
-    return Fraction(sum(L // d for d in ds), L)
-
-
 def _pgroup_mass(p: int, k: int) -> Fraction:
     """Total mass of abelian p-groups of order p^k.  Not memoized: the float
     mass walk asks once per power p^k <= V of each prime p <= sqrt(V)."""
@@ -485,8 +480,7 @@ def _pgroup_mass(p: int, k: int) -> Fraction:
 def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
     """Total mass of the census of order <= V.
 
-    Exact Fraction for V <= exact_limit: the Aut orders of the enumerated
-    groups, summed as reciprocals over one common denominator (their lcm).
+    Exact Fraction for V <= exact_limit: every mass cell (`_cell_mass`).
     Above that, an error-bounded float: the fsum of the float masses of
     orders 1..V (`_mass_terms`, the mass of order n is the product of its
     prime-power masses).  That walk holds the primes up to V, so V above
@@ -497,7 +491,7 @@ def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
     if V > SIEVE_CAP:
         raise CapExceededError(f"mass bound {V} exceeds the sieve cap {SIEVE_CAP}")
     if V <= exact_limit:
-        return _reciprocal_sum([aut_order(G) for G in enumerate_groups(V)])
+        return _cell_mass(V, lambda rank, squarefree, r: True)
     total = math.fsum(itertools.chain.from_iterable(_mass_terms(V)))
     # term n takes one ratio fl(fl(cur) / fl(prev)) and one multiply per
     # prime-power divisor p^k | n, at most floor(log2 V) of them: 4 roundings
@@ -539,18 +533,40 @@ def _mass_terms(V: int) -> Iterator[Iterable[float]]:
                 stack.append((m, b, i + 1))
 
 
-# predicate -> keep(G, r)
+_mass_cells = lru_cache(maxsize=1)(lambda V: {})  # the last V's cells: (rank, squarefree) -> mass
+
+
+def _cell_mass(V: int, keep, r: Optional[int] = None) -> Fraction:
+    """Exact mass of the cells (rank, order squarefree) of order <= V that
+    keep(rank, squarefree, r) holds: (0), (1, squarefree), (1, not), ranks 2..log2(V).
+    The cells not yet known come from one census walk, each a _reciprocal_sum."""
+    cells = [(0, True), (1, True), (1, False)] + [(k, False) for k in range(2, V.bit_length())]
+    need = [c for c in cells if keep(*c, r)]
+    known = _mass_cells(V)
+    missing = {c: [] for c in need if c not in known}
+    if missing:
+        for G in enumerate_groups(V):
+            exps = {e for _, e in G.parts}  # squarefree order: {} (rank 0) or {(1,)} (rank 1)
+            cell = (len(exps), True) if exps <= {(1,)} else (max(map(len, exps)), False)
+            auts = missing.get(cell)
+            if auts is not None:
+                auts.append(aut_order(G))
+        known.update((c, _reciprocal_sum(auts)) for c, auts in missing.items())
+    return sum(known[c] for c in need)
+
+
+# predicate -> keep(rank, squarefree, r), a test on mass cells
 _PREDICATES = {
-    "cyclic": lambda G, r: G.is_cyclic,
-    "squarefree-order": lambda G, r: G.order_squarefree,
-    "rank-at-most": lambda G, r: G.rank <= r,
+    "cyclic": lambda rank, squarefree, r: rank <= 1,
+    "squarefree-order": lambda rank, squarefree, r: squarefree,
+    "rank-at-most": lambda rank, squarefree, r: rank <= r,
 }
 
 
 def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fraction:
     """Exact census mass restricted to a predicate: 'cyclic',
-    'squarefree-order', or 'rank-at-most' (with r, and only there).  The Aut
-    orders of the kept groups are summed as reciprocals over their lcm.
+    'squarefree-order', or 'rank-at-most' (with r, and only there): the sum
+    of the mass cells the predicate keeps (`_cell_mass`).
 
     By construction the cyclic mass equals the totient-reciprocal sum
     (arith.landau_sum) and the squarefree mass equals arith.ward_sum.
@@ -561,8 +577,7 @@ def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fracti
         raise ValueError("rank-at-most needs r >= 0")
     if predicate != "rank-at-most" and r is not None:
         raise ValueError(f"r goes with rank-at-most, not {predicate!r}")
-    keep = _PREDICATES[predicate]
-    return _reciprocal_sum([aut_order(G) for G in enumerate_groups(V) if keep(G, r)])
+    return _cell_mass(V, _PREDICATES[predicate], r)
 
 
 def empirical_cyclic_fraction(V: int) -> Fraction:

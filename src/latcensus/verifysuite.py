@@ -252,12 +252,11 @@ def check_paper_value_windows():
 # ---------------------------------------------------------------------------
 
 
-def _random_nonsingular(rng: SplitMix64, n: int) -> list[list[int]]:
+def _random_nonsingular(rng: SplitMix64, n: int) -> tuple[list[list[int]], lattice.HnfBasis]:
     while True:
         rows = [[rng.randbelow(41) - 20 for _ in range(n)] for _ in range(n)]
         try:
-            lattice.hnf_canonicalize(rows)
-            return rows
+            return rows, lattice.hnf_canonicalize(rows)
         except lattice.SingularMatrixError:
             continue
 
@@ -286,9 +285,8 @@ def check_hnf_canonicality(trials: int = 1000):
     rng = SplitMix64(2024)
     for t in range(trials):
         n = 2 + t % 3
-        b = _random_nonsingular(rng, n)
+        b, h1 = _random_nonsingular(rng, n)
         u = _random_unimodular(rng, n)
-        h1 = lattice.hnf_canonicalize(b)
         h2 = lattice.hnf_canonicalize(_matmul(u, b))
         if h1 != h2:
             _fail("lattice.hnf-canonicality", f"B={b} U={u}")
@@ -369,10 +367,18 @@ def check_equivalence_relation(q_max: int = 20):
             _fail("lattice.equivalence-primitivity", f"{u} {v}")
 
 
+def _chi2_survival(x: float, df: int) -> float:
+    """P(chi-square_df > x), h = x/2: e^-h sum_{i<df/2} h^i/i! for even df >= 2,
+    erfc(sqrt h) + e^-h sum_{i<df//2} h^(i+1/2)/Gamma(i+3/2) for odd df."""
+    h, odd = x / 2, df % 2
+    terms = [math.sqrt(h) / math.gamma(1.5) if odd else 1.0]  # h^(i+odd/2) / Gamma(i+1+odd/2)
+    for i in range(1, df // 2):
+        terms.append(terms[-1] * h / (i + odd / 2))
+    return (math.erfc(math.sqrt(h)) if odd else 0.0) + math.exp(-h) * math.fsum(terms[: df // 2])
+
+
 def sampler_statistics(n: int, q: int, draws: int, seed: int):
     """(per-lattice counts, chi-square statistic, p-value) for uniform draws."""
-    from mpmath import gammainc  # mpmath's global context, not CTX: a float p-value
-
     expected_support = _congruence_lattices(n, q)
     counts: dict = {}
     for basis in lattice.sample_cocyclic_stream(n, q, draws, seed):
@@ -383,7 +389,7 @@ def sampler_statistics(n: int, q: int, draws: int, seed: int):
     expected = draws / k
     chi2 = sum((counts.get(b, 0) - expected) ** 2 / expected for b in expected_support)
     df = k - 1
-    pvalue = float(gammainc(df / 2, a=chi2 / 2, regularized=True))
+    pvalue = _chi2_survival(chi2, df)
     return counts, chi2, pvalue
 
 

@@ -166,6 +166,14 @@ def test_ward_sum_small_values():
     assert arith.ward_sum(5) == Fraction(11, 4)
 
 
+def test_exact_sums_match_a_literal_fraction_loop():
+    for t in [*range(1, 61), 400, 2958]:
+        phi = [arith.euler_phi(d) for d in range(1, t + 1)]
+        landau = sum((Fraction(1, f) for f in phi), Fraction(0))
+        ward = sum((Fraction(1, f) for d, f in enumerate(phi, 1) if arith.is_squarefree(d)), Fraction(0))
+        assert arith.landau_sum(t) == landau and arith.ward_sum(t) == ward, t
+
+
 def test_sum_monotone():
     prev_l = prev_w = Fraction(0)
     for t in range(1, 120):

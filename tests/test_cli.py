@@ -312,6 +312,19 @@ def test_verify_sampler_suite(capsys):
     assert "running" in err
 
 
+def test_chi2_survival_matches_mpmath():
+    # the sampler's p-value in closed form, against the regularized upper
+    # incomplete gamma function Q(df/2, x/2)
+    from mpmath import gammainc
+
+    from latcensus.verifysuite import _chi2_survival
+
+    for df in range(1, 61):
+        for x in (1e-3, 0.5, 1.0, df / 2, df, df + 7.3, 2 * df, 3 * df + 10, 150.0):
+            expected = float(gammainc(df / 2, a=x / 2, regularized=True))
+            assert _chi2_survival(x, df) == pytest.approx(expected, rel=1e-12, abs=0), (df, x)
+
+
 def test_verify_failure_exits_one_with_identifier(capsys, monkeypatch):
     import latcensus.verifysuite as vs
 

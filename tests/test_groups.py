@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcensus import arith, constants, counting, groups
+from latcensus.cli import main
 from latcensus.errors import CapExceededError
 
 
@@ -246,21 +248,78 @@ def test_reciprocal_sum_is_the_literal_sum(ds):
     assert groups._reciprocal_sum([]) == 0
 
 
+def _literal_masses(V):
+    """Every exact mass of order <= V, each a literal per-group Fraction loop:
+    key (predicate, r) -> mass, with (None, None) the total."""
+    total, cyclic, squarefree = Fraction(0), Fraction(0), Fraction(0)
+    by_rank = [Fraction(0)] * 10
+    for G in groups.enumerate_groups(V):
+        w = Fraction(1, groups.aut_order(G))
+        total += w
+        cyclic += w if G.rank <= 1 else 0
+        squarefree += w if all(exps == (1,) for _, exps in G.parts) else 0
+        by_rank[G.rank] += w
+    masses = {(None, None): total, ("cyclic", None): cyclic, ("squarefree-order", None): squarefree}
+    masses.update((("rank-at-most", r), sum(by_rank[: r + 1])) for r in range(len(by_rank)))
+    return masses
+
+
+def _ask(V, predicate, r):
+    return groups.cl_total_mass(V) if predicate is None else groups.cl_predicate_mass(V, predicate, r)
+
+
 def test_masses_match_a_literal_fraction_loop():
-    for V in (1, 2, 12, 64, 300):
-        total, cyclic, squarefree = Fraction(0), Fraction(0), Fraction(0)
-        by_rank = [Fraction(0)] * 10
-        for G in groups.enumerate_groups(V):
-            w = Fraction(1, groups.aut_order(G))
-            total += w
-            cyclic += w if G.rank <= 1 else 0
-            squarefree += w if all(exps == (1,) for _, exps in G.parts) else 0
-            by_rank[G.rank] += w
-        assert groups.cl_total_mass(V) == total
-        assert groups.cl_predicate_mass(V, "cyclic") == cyclic
-        assert groups.cl_predicate_mass(V, "squarefree-order") == squarefree
-        for r in range(len(by_rank)):
-            assert groups.cl_predicate_mass(V, "rank-at-most", r) == sum(by_rank[: r + 1])
+    # the mass cells of one V are kept: no answer may depend on what was asked
+    # before, so every mass is asked in several orders from a cleared memo
+    expected = {V: _literal_masses(V) for V in (1, 2, 12, 64, 300)}
+    in_turn = [(V, key) for V, masses in expected.items() for key in masses]
+    predicates_first = [(V, key) for V, masses in expected.items() for key in reversed(masses)]
+    switching = [(V, key) for key in expected[1] for V in (12, 300, 12, 64, 1, 64, 2)]
+    for order in (in_turn, predicates_first, switching):
+        groups._mass_cells.cache_clear()
+        for V, key in order:
+            assert _ask(V, *key) == expected[V][key], (V, key)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The bounds V of every census walk, from a cleared mass memo."""
+    seen = []
+    enumerate_groups = groups.enumerate_groups
+    monkeypatch.setattr(groups, "enumerate_groups", lambda V: seen.append(V) or enumerate_groups(V))
+    groups._mass_cells.cache_clear()
+    yield seen
+    groups._mass_cells.cache_clear()
+
+
+def test_one_walk_serves_every_mass_of_the_oracle_job(walks):
+    V = 3000
+    exact = groups.cl_total_mass(V)
+    assert groups.cl_total_mass(V, exact_limit=0).contains(exact)
+    assert groups.cl_predicate_mass(V, "cyclic") == arith.landau_sum(V)
+    assert groups.cl_predicate_mass(V, "squarefree-order") == arith.ward_sum(V)
+    assert walks == [V]
+
+
+def test_one_walk_serves_clmass_with_a_predicate(walks, capsys):
+    assert main(["clmass", "--V", "3000", "--predicate", "cyclic"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["predicate_mass"]["exact"] and walks == [3000]
+
+
+def test_predicate_masses_share_their_walk(walks):
+    assert groups.cl_predicate_mass(10**4, "cyclic") == arith.landau_sum(10**4)
+    assert groups.cl_predicate_mass(10**4, "squarefree-order") == arith.ward_sum(10**4)
+    assert walks == [10**4]
+
+
+def test_verify_sees_a_wrong_aut_order_in_a_mass_cell(walks, capsys, monkeypatch):
+    aut_order = groups.aut_order
+    z7 = groups.AbelianGroup.cyclic(7)
+    monkeypatch.setattr(groups, "aut_order", lambda G: aut_order(G) + (G == z7))
+    assert main(["verify", "--suite", "masses"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["failed"] == "groups.cyclic-mass-landau"
 
 
 def test_float_mass_matches_exact_at_crossover():

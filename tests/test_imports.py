@@ -57,7 +57,7 @@ def test_import_latcensus_leaves_numpy_out():
         (["clmass", "--V", "3000", "--predicate", "cyclic"], False),
         (["groups", "--V", "3000", "--dump"], False),
         (["verify", "--suite", "bijection"], False),
-        (["verify", "--suite", "sampler"], True),
+        (["verify", "--suite", "sampler"], False),
         (["verify", "--suite", "census"], False),
         (["constants", "--name", "landau-prime-sum", "--tol", "1e-5"], True),
     ],
