@@ -35,8 +35,9 @@ SIEVE_CAP = 2 * 10**7
 # square left after trial division is prime, a larger one is refused.
 TRIAL_DIVISION_LIMIT = 10**7
 
-# landau_sum/ward_sum return exact rationals up to this bound and switch to
-# error-bounded floating accumulation above it (exact denominators blow up).
+# landau_sum, ward_sum and groups.cl_total_mass return exact rationals up to
+# this bound and switch to error-bounded floating accumulation above it (exact
+# denominators blow up).
 EXACT_SUM_LIMIT = 10**4
 
 _FLOAT_EPS = 2.0**-52
@@ -208,6 +209,12 @@ def factorize(n: int) -> FactoredInt:
     if m > 1:
         factors.append((m, 1))
     return FactoredInt(n, tuple(factors))
+
+
+@lru_cache(maxsize=None)
+def is_prime(p: int) -> bool:
+    """Whether p is prime, by `factorize` (memoized per p)."""
+    return p >= 2 and factorize(p).factors == ((p, 1),)
 
 
 def ensure_factored(n) -> FactoredInt:

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import errbound
-from .arith import bernoulli, ensure_factored, factorize, primes_upto
+from .arith import _FLOAT_EPS, bernoulli, ensure_factored, is_prime, primes_upto
 from .errbound import ErrBoundedReal
 from .errors import PrecisionError
 
@@ -451,7 +451,7 @@ def gekeler_squarefree(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
 def rank_prob(p: int, r: int, tol: float = 1e-10) -> ErrBoundedReal:
     """Probability that a random abelian p-group (mass 1/#Aut) has rank r:
     p^(-r^2) prod_{i>=1} (1 - p^-i) / prod_{i=1}^r (1 - p^-i)^2."""
-    if p < 2 or factorize(p).factors != ((p, 1),):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 0:
         raise ValueError("rank must be >= 0")
@@ -556,7 +556,7 @@ def prime_log_weight_sum(tol: float = 2e-5) -> ErrBoundedReal:
     tail = _prime_sum_tail(P)
     # the terms are positive, and each is within 1.5 eps of its value (libm's
     # log under 1 ulp, the division 1/2 ulp); fsum rounds once more (eps/2)
-    float_slack = 4 * 2.0**-52 * value
+    float_slack = 4 * _FLOAT_EPS * value
     return ErrBoundedReal.from_interval(value - float_slack, value + tail + float_slack)
 
 
@@ -570,7 +570,7 @@ def landau_prediction(t: int, tol: float = 1e-4) -> ErrBoundedReal:
     if t < 1:
         raise ValueError("landau_prediction requires t >= 1")
     lt = math.log(t)
-    log_t = ErrBoundedReal(lt, 4 * 2.0**-52 * max(1.0, lt))
+    log_t = ErrBoundedReal(lt, 4 * _FLOAT_EPS * max(1.0, lt))
     return theta() * (log_t + _euler_mascheroni() - prime_log_weight_sum(tol=tol / 4))
 
 

@@ -39,12 +39,15 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .arith import (
+    _FLOAT_EPS,
+    EXACT_SUM_LIMIT,
     SIEVE_CAP,
     SieveTable,
     _aut_order_pgroup,
     _partitions_of,
     _reciprocal_sum,
     factorize,
+    is_prime,
     partition_count,
     primes_upto,
 )
@@ -57,14 +60,6 @@ DEFAULT_CENSUS_CAP = 10**6
 DEFAULT_TABLE_CAP = 4096
 LATTICE_CAP = 10**7
 AUT_MAPS_CAP = 10**6
-EXACT_MASS_LIMIT = 10**4
-
-_FLOAT_EPS = 2.0**-52
-
-
-@lru_cache(maxsize=None)
-def _is_prime(p: int) -> bool:
-    return p >= 2 and factorize(p).factors == ((p, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +79,7 @@ class AbelianGroup:
         norm = []
         for p, exps in items:
             p = int(p)
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             exps = tuple(sorted((int(e) for e in exps), reverse=True))
             if not exps or exps[-1] < 1:
@@ -160,14 +155,6 @@ class AbelianGroup:
         """Minimal number of generators = max p-part length."""
         return max((len(exps) for _, exps in self.parts), default=0)
 
-    @property
-    def is_cyclic(self) -> bool:
-        return self.rank <= 1
-
-    @property
-    def order_squarefree(self) -> bool:
-        return all(exps == (1,) for _, exps in self.parts)
-
     def describe(self) -> str:
         """Primary decomposition string, e.g. '2^2*2*3' for Z/4 x Z/2 x Z/3."""
         if not self.parts:
@@ -232,7 +219,7 @@ def aut_order_pgroup(p: int, exponents: Sequence[int]) -> int:
     evaluated in integers (memoized per prime and exponent tuple).
     """
     p = int(p)
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     exps = tuple(sorted((int(e) for e in exponents), reverse=True))
     if exps and exps[-1] < 1:
@@ -477,7 +464,7 @@ def _pgroup_mass(p: int, k: int) -> Fraction:
     return _reciprocal_sum([_aut_order_pgroup.__wrapped__(p, exps) for exps in _partitions_of(k)])
 
 
-def cl_total_mass(V: int, exact_limit: int = EXACT_MASS_LIMIT):
+def cl_total_mass(V: int, exact_limit: int = EXACT_SUM_LIMIT):
     """Total mass of the census of order <= V.
 
     Exact Fraction for V <= exact_limit: every mass cell (`_cell_mass`).

@@ -1,9 +1,12 @@
 """Cross-module invariant checks at their full stated scales.
 
 Each check raises CheckFailure (with the violated invariant's identifier in
-the message) on the first violation and returns quietly otherwise.  The CLI
-`verify` subcommand runs a suite of these; the acceptance test module reuses
-the heavier routines so the two surfaces cannot drift apart.  The census
+the message) on the first violation and returns quietly otherwise.  A check
+takes no parameter: its one scale (grid, seed, tolerance) is written once,
+inside it.  The CLI `verify` subcommand runs a suite of these, and the
+acceptance tests call the same checks rather than restating them, so the
+two surfaces read one scale.  Every pointwise comparison of two routes goes
+through `_agree`, one loop over (id, label, lhs, rhs) rows.  The census
 checks are clients of the `counting.Census` records: each compares a
 record's fast route `count` with its `sieve` or its `oracle`, for every
 record of a dimension, and holds no census logic of its own.
@@ -11,8 +14,10 @@ record of a dimension, and holds no census logic of its own.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
@@ -29,51 +34,62 @@ def _fail(check_id: str, detail: str):
     raise CheckFailure(f"{check_id}: {detail}")
 
 
+def _agree(rows) -> None:
+    """The one pointwise comparison of two routes.  rows yields (check_id,
+    label, lhs, rhs), evaluated lazily in order; the first row whose routes
+    differ fails under its own id."""
+    for check_id, label, lhs, rhs in rows:
+        if lhs != rhs:
+            _fail(check_id, f"{label}: {lhs} != {rhs}")
+
+
+def _coprime_pairs(seed: int, bound: int, count: int):
+    """The first count coprime pairs (a, b) in [1, bound]^2 of a seeded stream."""
+    rng = SplitMix64(seed)
+    while count:
+        a, b = 1 + rng.randbelow(bound), 1 + rng.randbelow(bound)
+        if math.gcd(a, b) == 1:
+            count -= 1
+            yield a, b
+
+
 # ---------------------------------------------------------------------------
 # arith
 # ---------------------------------------------------------------------------
 
 
 def check_sieve_vs_trial():
-    sieve = arith.SieveTable(10**6)
-    for n in range(1, 2001):
-        if sieve.factorize(n) != arith.factorize(n):
-            _fail("arith.sieve-vs-trial", f"n={n}")
-    rng = SplitMix64(101)
-    for _ in range(500):
-        n = 1 + rng.randbelow(10**6)
-        if sieve.factorize(n) != arith.factorize(n):
-            _fail("arith.sieve-vs-trial", f"n={n}")
+    limit = 10**6
+    sieve, rng = arith.SieveTable(limit), SplitMix64(101)
+    drawn = (1 + rng.randbelow(limit) for _ in range(500))
+    ns = itertools.chain(range(1, 2001), drawn)
+    _agree(("arith.sieve-vs-trial", f"n={n}", sieve.factorize(n), arith.factorize(n)) for n in ns)
 
 
 def check_multiplicativity():
-    rng = SplitMix64(7)
-    tested = 0
-    while tested < 300:
-        a = 1 + rng.randbelow(10**6)
-        b = 1 + rng.randbelow(10**6)
-        if math.gcd(a, b) != 1:
-            continue
-        tested += 1
-        fa, fb, fab = arith.factorize(a), arith.factorize(b), arith.factorize(a * b)
-        if arith.mobius(fab) != arith.mobius(fa) * arith.mobius(fb):
-            _fail("arith.multiplicative-mobius", f"a={a} b={b}")
-        if arith.euler_phi(fab) != arith.euler_phi(fa) * arith.euler_phi(fb):
-            _fail("arith.multiplicative-phi", f"a={a} b={b}")
-        if arith.omega(fab) != arith.omega(fa) + arith.omega(fb):
-            _fail("arith.additive-omega", f"a={a} b={b}")
-        if arith.abelian_group_count(fab) != arith.abelian_group_count(
-            fa
-        ) * arith.abelian_group_count(fb):
-            _fail("arith.multiplicative-class-count", f"a={a} b={b}")
-        for n in (2, 3):
-            if arith.fn_weight(n, fab) != arith.fn_weight(n, fa) * arith.fn_weight(n, fb):
-                _fail("arith.multiplicative-fn-weight", f"n={n} a={a} b={b}")
+    laws = (  # (failure id, function, how it joins over coprime a, b)
+        ("arith.multiplicative-mobius", arith.mobius, operator.mul),
+        ("arith.multiplicative-phi", arith.euler_phi, operator.mul),
+        ("arith.additive-omega", arith.omega, operator.add),
+        ("arith.multiplicative-class-count", arith.abelian_group_count, operator.mul),
+    )
+
+    def rows():
+        for a, b in _coprime_pairs(7, 10**6, 300):
+            fa, fb, fab = arith.factorize(a), arith.factorize(b), arith.factorize(a * b)
+            for check_id, f, join in laws:
+                yield check_id, f"a={a} b={b}", f(fab), join(f(fa), f(fb))
+            for n in (2, 3):
+                w = functools.partial(arith.fn_weight, n)
+                yield "arith.multiplicative-fn-weight", f"n={n} a={a} b={b}", w(fab), w(fa) * w(fb)
+
+    _agree(rows())
 
 
-def check_fn_weight_bound(limit: int = 10**5):
+def check_fn_weight_bound():
     """fn_weight(n, d) <= 2^omega(d)/d on squarefree d <= limit, n in 2..4."""
-    sieve = arith.SieveTable(max(limit, 2))
+    limit = 10**5
+    sieve = arith.SieveTable(limit)
     for d in range(1, limit + 1):
         f = sieve.factorize(d)
         if not arith.is_squarefree(f):
@@ -84,20 +100,18 @@ def check_fn_weight_bound(limit: int = 10**5):
                 _fail("arith.fn-weight-bound", f"n={n} d={d}")
 
 
-def check_mobius_divisor_identity(q_max: int = 500):
-    for q in range(1, q_max + 1):
-        f = arith.factorize(q)
-        for n in (2, 3, 4):
-            rhs = Fraction(1)
-            for p in f.primes:
-                rhs *= 1 - Fraction(1, p**n)
-            if arith.divisor_mobius_sum(f, n) != rhs:
-                _fail("arith.mobius-divisor-identity", f"q={q} n={n}")
+def check_mobius_divisor_identity():
+    _agree(
+        ("arith.mobius-divisor-identity", f"q={f.value} n={n}",
+         arith.divisor_mobius_sum(f, n), math.prod(1 - Fraction(1, p**n) for p in f.primes))
+        for f in map(arith.factorize, range(1, 501))
+        for n in (2, 3, 4)
+    )
 
 
-def check_sum_monotonicity(limit: int = 400):
+def check_sum_monotonicity():
     prev_l, prev_w = Fraction(0), Fraction(0)
-    for t in range(1, limit + 1):
+    for t in range(1, 401):
         cur_l, cur_w = arith.landau_sum(t), arith.ward_sum(t)
         if cur_l < prev_l or cur_w < prev_w:
             _fail("arith.sum-monotonicity", f"t={t}")
@@ -162,20 +176,20 @@ def check_density_identity():
         _fail("constants.cocyclic-density-identity", f"{lhs} vs {rhs}")
 
 
-def check_theta_sandwich(n_max: int = 16):
-    for n in range(2, n_max + 1):
+def check_theta_sandwich():
+    for n in range(2, 17):
         lower, upper = constants.theta_sandwich(n)
         tn = constants.theta_n(n, 1e-11)
         if not (lower.lower <= tn.upper and tn.lower <= upper.upper):
             _fail("constants.theta-sandwich", f"n={n}: {lower} <= {tn} <= {upper}")
 
 
-def check_product_ratio_identity(n_max: int = 16):
+def check_product_ratio_identity():
     """The bare squarefree-constant Euler product times zeta(n+1) recovers
     the n-independent product (= zeta(2)); the full constant times
     zeta(n+1) is exactly 1."""
     target = constants.rho()
-    for n in range(2, n_max + 1):
+    for n in range(2, 17):
         prod = constants.rho_n_product(n, 1e-11) * constants.zeta(n + 1, 1e-12)
         if not prod.overlaps(target):
             _fail("constants.rho-product-identity", f"n={n}: {prod} vs {target}")
@@ -211,10 +225,11 @@ def _plain_euler_product(num, den, primes, P: int) -> ErrBoundedReal:
     return partial * ErrBoundedReal.from_interval(1 - S, 1 + 2 * S)
 
 
-def check_accelerated_vs_plain(P: int = 10**4):
+def check_accelerated_vs_plain():
     """Each zeta-accelerated Euler product overlaps the plain product over
     primes <= P with its O(1/P) tail interval: the second route for the
     constants without a closed form (gekeler-*, delta-rank-le)."""
+    P = 10**4
     factors = [
         ("theta-product", constants.THETA_FACTOR),
         ("gekeler-cyclic", constants.GEKELER_CYCLIC_FACTOR),
@@ -261,9 +276,9 @@ def _random_nonsingular(rng: SplitMix64, n: int) -> tuple[list[list[int]], latti
             continue
 
 
-def _random_unimodular(rng: SplitMix64, n: int, ops: int = 12) -> list[list[int]]:
+def _random_unimodular(rng: SplitMix64, n: int) -> list[list[int]]:
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(ops):
+    for _ in range(12):
         i, j = rng.randbelow(n), rng.randbelow(n)
         if i == j:
             continue
@@ -281,9 +296,9 @@ def _matmul(a, b):
     ]
 
 
-def check_hnf_canonicality(trials: int = 1000):
+def check_hnf_canonicality():
     rng = SplitMix64(2024)
-    for t in range(trials):
+    for t in range(1000):
         n = 2 + t % 3
         b, h1 = _random_nonsingular(rng, n)
         u = _random_unimodular(rng, n)
@@ -296,20 +311,18 @@ def check_hnf_canonicality(trials: int = 1000):
             _fail("lattice.smith-order-equals-index", f"B={b}")
 
 
-def check_enumeration_counts(n_max: int = 4, q_max: int = 60):
-    for n in range(1, n_max + 1):
-        for q in range(1, q_max + 1):
-            seen = 0
-            for _ in lattice._enumerate_sublattices(n, q):
-                seen += 1
-            expected = lattice.count_sublattices(n, q)
-            if seen != expected:
-                _fail("lattice.enumeration-count", f"n={n} q={q}: {seen} != {expected}")
+def check_enumeration_counts():
+    _agree(
+        ("lattice.enumeration-count", f"n={n} q={q}",
+         sum(1 for _ in lattice._enumerate_sublattices(n, q)), lattice.count_sublattices(n, q))
+        for n in range(1, 5)
+        for q in range(1, 61)
+    )
 
 
-def check_enumeration_no_duplicates(n_max: int = 4, q_max: int = 24):
-    for n in range(1, n_max + 1):
-        for q in range(1, q_max + 1):
+def check_enumeration_no_duplicates():
+    for n in range(1, 5):
+        for q in range(1, 25):
             seen = set()
             for b in lattice._enumerate_sublattices(n, q):
                 if b in seen:
@@ -327,9 +340,9 @@ def _congruence_lattices(n: int, q: int) -> set:
     }
 
 
-def check_paz_schnorr(q_max: int = 30):
+def check_paz_schnorr():
     for n in (2, 3):
-        for q in range(1, q_max + 1):
+        for q in range(1, 31):
             built = _congruence_lattices(n, q)
             enumerated = {b for b in lattice._enumerate_sublattices(n, q) if lattice.is_cocyclic(b)}
             if built != enumerated:
@@ -339,10 +352,10 @@ def check_paz_schnorr(q_max: int = 30):
                 )
 
 
-def check_orbit_sizes(q_max: int = 50):
+def check_orbit_sizes():
     """Unit l mod q fixes the pairs over Fix(l) = {a : l a = a}; every primitive
     v in (Z/q)^2 must have exactly one fixer (l = 1)."""
-    for q in range(2, q_max + 1):
+    for q in range(2, 51):
         fixers = Counter()
         for l in range(1, q):
             if math.gcd(l, q) == 1:
@@ -353,10 +366,10 @@ def check_orbit_sizes(q_max: int = 50):
                 _fail("lattice.orbit-size", f"q={q} v={v} fixers={fixers[v]}")
 
 
-def check_equivalence_relation(q_max: int = 20):
+def check_equivalence_relation():
     rng = SplitMix64(5)
     for _ in range(200):
-        q = 2 + rng.randbelow(q_max - 1)
+        q = 2 + rng.randbelow(19)
         u = lattice.CongruenceVector(q, (rng.randbelow(q), rng.randbelow(q)))
         v = lattice.CongruenceVector(q, (rng.randbelow(q), rng.randbelow(q)))
         if not lattice.are_equivalent(u, u):
@@ -393,8 +406,8 @@ def sampler_statistics(n: int, q: int, draws: int, seed: int):
     return counts, chi2, pvalue
 
 
-def check_sampler_uniformity(draws: int = 10**4, seed: int = 20240901):
-    counts, chi2, pvalue = sampler_statistics(2, 12, draws, seed)
+def check_sampler_uniformity():
+    counts, chi2, pvalue = sampler_statistics(2, 12, 10**4, 20240901)
     if len(counts) != 24:
         _fail("lattice.sampler-support", f"{len(counts)} lattices hit, expected 24")
     if pvalue < 1e-3:
@@ -413,29 +426,25 @@ def check_sampler_determinism():
 # ---------------------------------------------------------------------------
 
 
-def check_formula_vs_bruteforce(q_max: int = 200):
-    for n in (2, 3, 4):
-        for q in range(1, q_max + 1):
-            formula = counting.count_primitive_classes(n, q)
-            oracle = counting.count_primitive_classes_bruteforce(n, q)
-            if formula != oracle:
-                _fail(
-                    "counting.formula-vs-bruteforce",
-                    f"n={n} q={q}: {formula} != {oracle}",
-                )
+def check_formula_vs_bruteforce():
+    _agree(
+        ("counting.formula-vs-bruteforce", f"n={n} q={q}",
+         counting.count_primitive_classes(n, q), counting.count_primitive_classes_bruteforce(n, q))
+        for n in (2, 3, 4)
+        for q in range(1, 201)
+    )
 
 
-def _fast_route_agrees(check_id: str, grid, second) -> None:
-    """record.count(V) == second(record, V) for every census record of each
-    (n, bounds) in grid: cyclic, squarefree, all, and rank m for m in 0..n."""
+def _census_rows(check_id: str, grid, second):
+    """Rows of record.count(V) against second(record, V) for every census
+    record of each (n, bounds) in grid: cyclic, squarefree, all, and rank m
+    for m in 0..n."""
     for n, bounds in grid:
         records = [counting.census(mode, n) for mode in ("cyclic", "squarefree", "all")]
         for record in records + [counting.census("rank", n, m) for m in range(n + 1)]:
+            label = f"{record.mode} rank {record.low}..{record.high} n={n}"
             for v in bounds:
-                lhs, rhs = record.count(v), second(record, v)
-                if lhs != rhs:
-                    label = f"{record.mode} rank {record.low}..{record.high}"
-                    _fail(check_id, f"{label} n={n} V={v}: {lhs} != {rhs}")
+                yield check_id, f"{label} V={v}", record.count(v), second(record, v)
 
 
 def check_census_equality():
@@ -446,40 +455,28 @@ def check_census_equality():
     squarefree index."""
     grid = [(n, range(1, vmax + 1)) for n, vmax in ((2, 150), (3, 40), (4, 20))]
     oracle = lambda record, v: record.oracle(v, lattice.DEFAULT_ENUM_CAP)
-    _fast_route_agrees("counting.census-equality", grid, oracle)
+    _agree(_census_rows("counting.census-equality", grid, oracle))
 
 
 def check_class_count_multiplicativity():
-    rng = SplitMix64(11)
-    tested = 0
-    while tested < 200:
-        a = 1 + rng.randbelow(400)
-        b = 1 + rng.randbelow(400)
-        if math.gcd(a, b) != 1:
-            continue
-        tested += 1
-        for n in (2, 3):
-            lhs = counting.count_primitive_classes(n, a * b)
-            rhs = counting.count_primitive_classes(
-                n, a
-            ) * counting.count_primitive_classes(n, b)
-            if lhs != rhs:
-                _fail("counting.class-multiplicativity", f"n={n} a={a} b={b}")
+    classes = counting.count_primitive_classes
+    _agree(
+        ("counting.class-multiplicativity", f"n={n} a={a} b={b}", classes(n, a * b), classes(n, a) * classes(n, b))
+        for a, b in _coprime_pairs(11, 400, 200)
+        for n in (2, 3)
+    )
 
 
-def check_divisor_resummation(v_max: int = 100):
+def check_divisor_resummation():
     """Census sum equals the reordered divisor-weighted double sum, exactly."""
-    for n in (2, 3):
-        direct = sum(counting.count_primitive_classes(n, q) for q in range(1, v_max + 1))
-        resummed = Fraction(0)
-        for d in range(1, v_max + 1):
-            w = arith.fn_weight(n, d)
-            if w == 0:
-                continue
-            inner = sum(k ** (n - 1) for k in range(1, v_max // d + 1))
-            resummed += w * d ** (n - 1) * inner
-        if resummed != direct:
-            _fail("counting.divisor-resummation", f"n={n}: {resummed} != {direct}")
+    V = 100
+
+    def resummed(n):
+        weights = ((d, arith.fn_weight(n, d)) for d in range(1, V + 1))
+        return sum(w * d ** (n - 1) * sum(k ** (n - 1) for k in range(1, V // d + 1)) for d, w in weights if w)
+
+    direct = lambda n: sum(counting.count_primitive_classes(n, q) for q in range(1, V + 1))
+    _agree(("counting.divisor-resummation", f"n={n}", resummed(n), direct(n)) for n in (2, 3))
 
 
 def check_dirichlet_vs_sieve():
@@ -488,7 +485,7 @@ def check_dirichlet_vs_sieve():
     rng = SplitMix64(29)
     bounds = [1, 2, 16, 997, 3000, 10**5] + [1 + rng.randbelow(20000) for _ in range(3)]
     grid = [(n, bounds) for n in range(2, 7)]
-    _fast_route_agrees("counting.dirichlet-vs-sieve", grid, counting.Census.sieve)
+    _agree(_census_rows("counting.dirichlet-vs-sieve", grid, counting.Census.sieve))
 
 
 # ---------------------------------------------------------------------------
@@ -496,28 +493,24 @@ def check_dirichlet_vs_sieve():
 # ---------------------------------------------------------------------------
 
 
-def check_aut_formula_vs_bruteforce(order_max: int = 48):
-    for G in groups.enumerate_groups(order_max):
-        formula = groups.aut_order(G)
-        oracle = groups.aut_order_bruteforce(G)
-        if formula != oracle:
-            _fail(
-                "groups.aut-formula-vs-bruteforce",
-                f"{G.describe()}: {formula} != {oracle}",
-            )
+def check_aut_formula_vs_bruteforce():
+    _agree(
+        ("groups.aut-formula-vs-bruteforce", G.describe(), groups.aut_order(G), groups.aut_order_bruteforce(G))
+        for G in groups.enumerate_groups(48)
+    )
 
 
-def check_aut_qm(q_max: int = 12, m_max: int = 3):
-    for q in range(1, q_max + 1):
-        for m in range(1, m_max + 1):
-            lhs = groups.aut_order_qm(q, m)
-            rhs = groups.aut_order(groups.AbelianGroup.power_of_cyclic(q, m))
-            if lhs != rhs:
-                _fail("groups.aut-qm", f"q={q} m={m}: {lhs} != {rhs}")
+def check_aut_qm():
+    _agree(
+        ("groups.aut-qm", f"q={q} m={m}",
+         groups.aut_order_qm(q, m), groups.aut_order(groups.AbelianGroup.power_of_cyclic(q, m)))
+        for q in range(1, 13)
+        for m in range(1, 4)
+    )
 
 
-def check_fact2_multiplicativity(order_max: int = 48, product_max: int = 100):
-    census = list(groups.enumerate_groups(order_max))
+def check_fact2_multiplicativity():
+    census = list(groups.enumerate_groups(48))
     bf_cache: dict = {}
 
     def bf(g):
@@ -529,7 +522,7 @@ def check_fact2_multiplicativity(order_max: int = 48, product_max: int = 100):
     for g1 in census:
         for g2 in census:
             o1, o2 = g1.order, g2.order
-            if not 2 <= o1 < o2 or math.gcd(o1, o2) != 1 or o1 * o2 > product_max:
+            if not 2 <= o1 < o2 or math.gcd(o1, o2) != 1 or o1 * o2 > 100:
                 continue
             product = groups.AbelianGroup(dict(g1.parts) | dict(g2.parts))
             if groups.aut_order_bruteforce(product) != bf(g1) * bf(g2):
@@ -542,12 +535,12 @@ def check_fact2_multiplicativity(order_max: int = 48, product_max: int = 100):
         _fail("groups.fact2-multiplicativity", f"only {tested} pairs tested")
 
 
-def check_free_action(order_max: int = 16, n_max: int = 4):
-    for G in groups.enumerate_groups(order_max):
+def check_free_action():
+    for G in groups.enumerate_groups(16):
         autos = groups.automorphism_maps(G)
         if len(autos) != groups.aut_order(G):
             _fail("groups.automorphism-materialization", G.describe())
-        for n in range(G.rank, n_max + 1):
+        for n in range(G.rank, 5):
             total = groups.generating_tuples_count(G, n)
             if total == 0:
                 continue
@@ -588,37 +581,35 @@ def _spanning_tuples(table, n):
     return out
 
 
-def check_rank_census_cross_module(v_max: int = 20):
+def check_rank_census_cross_module():
     """Three legs per rank, n in 2..4: the subgroup-lattice DP over the
-    group census, lattice enumeration, and the powerful-number fast route."""
-    for n in (2, 3, 4):
-        for m in range(0, n + 1):
-            via_groups = 0
-            for G in groups.enumerate_groups(v_max):
-                if G.rank == m:
-                    via_groups += groups.primitive_class_count(G, n)
-            via_lattices = counting.count_by_rank_bruteforce(n, m, v_max)
-            fast = counting.count_by_rank(n, m, v_max)
-            if not via_groups == via_lattices == fast:
-                _fail(
-                    "groups.rank-census-cross-module",
-                    f"n={n} m={m}: groups DP {via_groups}, enumeration {via_lattices}, "
-                    f"fast route {fast}",
-                )
+    group census and the powerful-number fast route, each against lattice
+    enumeration."""
+    check_id, V = "groups.rank-census-cross-module", 20
+
+    def rows():
+        for n in (2, 3, 4):
+            for m in range(0, n + 1):
+                via_groups = sum(groups.primitive_class_count(G, n) for G in groups.enumerate_groups(V) if G.rank == m)
+                via_lattices = counting.count_by_rank_bruteforce(n, m, V)
+                label = f"n={n} m={m}"
+                yield check_id, f"{label} groups DP vs enumeration", via_groups, via_lattices
+                yield check_id, f"{label} fast route vs enumeration", counting.count_by_rank(n, m, V), via_lattices
+
+    _agree(rows())
 
 
-def check_cyclic_class_counts_match(q_max: int = 30, n_max: int = 4):
-    for q in range(1, q_max + 1):
-        G = groups.AbelianGroup.cyclic(q)
-        for n in range(2, n_max + 1):
-            lhs = groups.primitive_class_count(G, n)
-            rhs = counting.count_primitive_classes(n, q)
-            if lhs != rhs:
-                _fail("groups.cyclic-class-counts", f"q={q} n={n}: {lhs} != {rhs}")
+def check_cyclic_class_counts_match():
+    _agree(
+        ("groups.cyclic-class-counts", f"q={q} n={n}",
+         groups.primitive_class_count(groups.AbelianGroup.cyclic(q), n), counting.count_primitive_classes(n, q))
+        for q in range(1, 31)
+        for n in range(2, 5)
+    )
 
 
-def check_pak_direction(q_max: int = 50):
-    for q in range(2, q_max + 1):
+def check_pak_direction():
+    for q in range(2, 51):
         G = groups.AbelianGroup.cyclic(q)
         n = 2 + math.ceil(2 * math.log2(q))
         frac = Fraction(groups.generating_tuples_count(G, n), q**n)
@@ -626,26 +617,25 @@ def check_pak_direction(q_max: int = 50):
             _fail("groups.pak-direction", f"q={q} n={n} fraction={frac}")
 
 
-def check_mass_identities(v_max: int = 10**4):
-    if groups.cl_predicate_mass(v_max, "cyclic") != arith.landau_sum(v_max):
-        _fail("groups.cyclic-mass-landau", f"V={v_max}")
-    if groups.cl_predicate_mass(v_max, "squarefree-order") != arith.ward_sum(v_max):
-        _fail("groups.squarefree-mass-ward", f"V={v_max}")
+def check_mass_identities():
+    V = 10**4
+    masses = (("groups.cyclic-mass-landau", "cyclic", arith.landau_sum),
+              ("groups.squarefree-mass-ward", "squarefree-order", arith.ward_sum))
+    _agree((check_id, f"V={V}", groups.cl_predicate_mass(V, kind), exact(V)) for check_id, kind, exact in masses)
 
 
-def check_landau_prediction(t: int = 10**6, tolerance: float = 0.01):
-    exact = arith.landau_sum(t)
-    predicted = constants.landau_prediction(t)
-    gap = abs(float(exact.value) - float(predicted.value))
-    if gap > tolerance:
+def check_landau_prediction():
+    t = 10**6
+    gap = abs(float(arith.landau_sum(t).value) - float(constants.landau_prediction(t).value))
+    if gap > 0.01:
         _fail("groups.landau-prediction", f"t={t} gap={gap}")
 
 
-def check_total_mass_growth(v: int = 10**6, rel_tol: float = 0.05):
-    total = groups.cl_total_mass(v)
-    ratio = float(total.value) / math.log(v)
+def check_total_mass_growth():
+    v = 10**6
+    ratio = float(groups.cl_total_mass(v).value) / math.log(v)
     target = float(constants.xi_inf(2, 1e-10).value)
-    if abs(ratio - target) > rel_tol * target:
+    if abs(ratio - target) > 0.05 * target:
         _fail("groups.total-mass-growth", f"ratio={ratio} target={target}")
 
 

@@ -2,13 +2,15 @@
 
 Each test prints a single "criterion NN: PASS/FAIL" line (visible with
 `pytest tests/test_acceptance.py -v -s`) and enforces the criterion at its
-stated tolerance and runtime budget.  The whole suite takes a few minutes.
+stated tolerance and runtime budget.  Where `verifysuite` states the same
+invariant at the same scale, the criterion calls that check, with no
+arguments, so `verify` and this suite cannot drift apart.  The whole suite
+takes about 3 s (14 tests, 2-core host, Python 3.11).
 """
 
-import math
 import time
 
-from latcensus import arith, constants, counting, groups, lattice, verifysuite
+from latcensus import arith, constants, counting, lattice, verifysuite
 
 
 def _passline(num: int, detail: str):
@@ -43,7 +45,7 @@ class _Criterion:
 def test_criterion_01_formula_oracle_exactness():
     # class-count formula == brute-force class count, n in {2,3,4}, q <= 200
     with _Criterion(1) as c:
-        verifysuite.check_formula_vs_bruteforce(q_max=200)
+        verifysuite.check_formula_vs_bruteforce()
         elapsed = c.elapsed()
         assert elapsed <= 60, f"runtime {elapsed:.1f}s exceeds 60s"
         c.done("zero mismatches on 600 moduli")
@@ -52,7 +54,7 @@ def test_criterion_01_formula_oracle_exactness():
 def test_criterion_02_census_exactness():
     with _Criterion(2) as c:
         verifysuite.check_census_equality()  # every record at every V to 150, 40, 20 (n = 2, 3, 4)
-        verifysuite.check_enumeration_counts(n_max=4, q_max=60)
+        verifysuite.check_enumeration_counts()
         elapsed = c.elapsed()
         assert elapsed <= 120, f"runtime {elapsed:.1f}s exceeds 120s"
         c.done("censuses and enumeration counts all match")
@@ -60,7 +62,7 @@ def test_criterion_02_census_exactness():
 
 def test_criterion_03_congruence_bijection():
     with _Criterion(3) as c:
-        verifysuite.check_paz_schnorr(q_max=30)
+        verifysuite.check_paz_schnorr()
         c.done("congruence-built set == enumerated co-cyclic set, n in {2,3}, q <= 30")
 
 
@@ -97,30 +99,14 @@ def test_criterion_06_total_count_leading_term():
 
 def test_criterion_07_paper_constants():
     with _Criterion(7) as c:
-        th = constants.theta()
-        assert abs(float(th.value) - 1.943595) <= 5e-6  # displays as 1.94359...
-        assert float(th.err) <= 1e-12
-        windows = [
-            (constants.density_cocyclic_limit(), 0.845, 0.855),
-            (constants.density_squarefree_limit(), 0.7165, 0.7175),
-            (1 / constants.xi_inf(2, 1e-10), 0.43, 0.45),
-            (1 / (constants.zeta(2, 1e-12) * constants.xi_inf(2, 1e-10)), 0.25, 0.27),
-            (constants.delta_rank_at_most(2, 1e-10), 0.994, 0.996),
-            (constants.gekeler_cyclic(), 0.805, 0.815),
-            (constants.gekeler_squarefree(), 0.435, 0.445),
-        ]
-        for val, lo, hi in windows:
-            assert lo <= float(val.value) <= hi, (float(val.value), lo, hi)
+        verifysuite.check_paper_value_windows()  # theta and seven more constants
+        verifysuite.check_constant_tolerances()  # theta's err within 1e-12, among others
         c.done("all eight reported constants inside their windows")
 
 
 def test_criterion_08_bracket_inequalities():
     with _Criterion(8) as c:
-        for n in range(2, 17):
-            lower, upper = constants.theta_sandwich(n)
-            tn = constants.theta_n(n, 1e-11)
-            assert float(lower.lower) <= float(tn.upper), n
-            assert float(tn.lower) <= float(upper.upper), n
+        verifysuite.check_theta_sandwich()
         c.done("lower <= theta_n <= upper for n in [2,16]")
 
 
@@ -129,43 +115,30 @@ def test_criterion_09_squarefree_constant_identity():
     # product(n) * zeta(n+1) = zeta(2) (= rho) exactly; the full constant
     # (with its squarefree-density prefactor) satisfies rho_n * zeta(n+1) = 1
     with _Criterion(9) as c:
-        target = constants.rho()
-        for n in range(2, 17):
-            prod = constants.rho_n_product(n, 1e-11) * constants.zeta(n + 1, 1e-12)
-            gap = abs(float(prod.value) - float(target.value))
-            assert gap <= float(prod.err) + float(target.err), n
-            full = constants.rho_n(n, 1e-11) * constants.zeta(n + 1, 1e-12)
-            assert full.contains(1), n
+        verifysuite.check_product_ratio_identity()
         c.done("identity holds within combined error, n in [2,16]")
 
 
 def test_criterion_10_automorphism_formulas():
     with _Criterion(10) as c:
-        verifysuite.check_aut_formula_vs_bruteforce(order_max=48)
-        verifysuite.check_aut_qm(q_max=12, m_max=3)
+        verifysuite.check_aut_formula_vs_bruteforce()
+        verifysuite.check_aut_qm()
         c.done("formulas match brute force for all groups of order <= 48")
 
 
 def test_criterion_11_free_action_and_rank_census():
     with _Criterion(11) as c:
-        verifysuite.check_free_action(order_max=16, n_max=4)
-        verifysuite.check_rank_census_cross_module(v_max=20)
+        verifysuite.check_free_action()
+        verifysuite.check_rank_census_cross_module()
         c.done("exact divisions and cross-module rank censuses agree")
 
 
 def test_criterion_12_census_masses():
     with _Criterion(12) as c:
-        v = 10**4
-        assert groups.cl_predicate_mass(v, "cyclic") == arith.landau_sum(v)
-        exact = arith.landau_sum(10**6)
-        predicted = constants.landau_prediction(10**6)
-        gap = abs(float(exact.value) - float(predicted.value))
-        assert gap <= 0.01, gap
-        total = groups.cl_total_mass(10**6)
-        ratio = float(total.value) / math.log(10**6)
-        target = float(constants.xi_inf(2, 1e-10).value)
-        assert abs(ratio - target) <= 0.05 * target, (ratio, target)
-        c.done(f"landau gap {gap:.2e}, mass ratio {ratio:.4f} vs {target:.4f}")
+        verifysuite.check_mass_identities()  # cyclic mass = Landau sum, squarefree-order mass = Ward sum
+        verifysuite.check_landau_prediction()
+        verifysuite.check_total_mass_growth()
+        c.done("exact masses at 10^4, Landau gap and mass growth at 10^6 inside their bounds")
 
 
 def test_criterion_13_sampler():

@@ -405,6 +405,40 @@ def test_verify_sees_a_census_that_dips(capsys, monkeypatch):
     assert " n=2 V=100: " in _census_suite_fails_at(capsys, "counting.census-equality")
 
 
+def test_no_check_takes_a_parameter():
+    # each check holds its one scale; verify and the acceptance tests call it bare
+    import inspect
+
+    import latcensus.verifysuite as vs
+
+    assert [cid for cid, (_, fn) in vs.CHECKS.items() if inspect.signature(fn).parameters] == []
+    assert list(inspect.signature(vs._random_unimodular).parameters) == ["rng", "n"]
+
+
+def test_verify_sees_a_wrong_aut_order_of_a_power_of_a_cyclic(capsys, monkeypatch):
+    from latcensus import groups
+
+    real = groups.aut_order_qm
+    monkeypatch.setattr(groups, "aut_order_qm", lambda q, m: real(q, m) + ((q, m) == (4, 2)))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "groups")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["failed"] == "groups.aut-qm"
+    assert "q=4 m=2" in doc["message"]
+
+
+def test_verify_sees_a_wrong_divisor_mobius_sum(capsys, monkeypatch):
+    from latcensus import arith
+
+    real = arith.divisor_mobius_sum
+    monkeypatch.setattr(arith, "divisor_mobius_sum", lambda q, n: real(q, n) + (int(q) == 12))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "formulas")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["failed"] == "arith.mobius-divisor-identity"
+    assert doc["message"].startswith("arith.mobius-divisor-identity: q=12 n=2: ")
+
+
 def test_count_cap_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "count", "--n", "2", "--V", "100000", "--mode", "cyclic",
