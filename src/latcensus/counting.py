@@ -323,7 +323,7 @@ def _h_series(n: int, p: int, local: Callable[[int, int], int], top: int) -> lis
     f = [1] + [local(p, e) for e in range(1, top + 1)]
     b = [1]
     for i in range(n):
-        b = [x - p**i * y for x, y in zip(b + [0], [0] + b)]
+        b = [x - p**i * y for x, y in zip(b + [0], [0] + b)][: top + 1]
     return [sum(b[t] * f[e - t] for t in range(min(e, n) + 1)) for e in range(top + 1)]
 
 
@@ -378,19 +378,21 @@ def _rank_counts(n: int, q: int) -> tuple[int, ...]:
     sublattices of Z^n of index q whose quotient needs exactly r generators:
     the F_p ranks of each enumerated HNF basis, largest over p | q.  A prime
     dividing k < 2 pivots of a diagonal gives all its bases F_p rank k, so
-    `lattice._p_rank` runs per basis only for the other primes.  Bases are
-    streamed, never stored; the memo holds one (n+1)-tuple per (n, q), so any
-    V reuses the strata of every smaller bound."""
+    `lattice._p_rank` runs per basis only for the other primes, with the row
+    indices split once per diagonal into the pivots p divides and the rest.
+    Bases are streamed, never stored; the memo holds one (n+1)-tuple per
+    (n, q), so any V reuses the strata of every smaller bound."""
     primes = [p for p, _ in ensure_factored(q).factors]
     counts = [0] * (n + 1)
+    p_rank = lattice._p_rank
     for diag, bases in lattice._diagonal_blocks(n, q):
-        pivots = [sum(d % p == 0 for d in diag) for p in primes]
-        low = max([k for k in pivots if k < 2], default=0)
-        high = [p for p, k in zip(primes, pivots) if k >= 2]
+        divisible = [(p, [i for i, d in enumerate(diag) if d % p == 0]) for p in primes]
+        low = max([len(div) for _, div in divisible if len(div) < 2], default=0)
+        high = [(p, div, [i for i in range(n) if i not in div]) for p, div in divisible if len(div) >= 2]
         if not high:  # no per-basis test; each basis is still built and counted
             counts[low] += sum(1 for _ in bases)
         for rows in bases:  # already drained when high is empty
-            counts[max([low] + [lattice._p_rank(rows, p) for p in high])] += 1
+            counts[max([low] + [p_rank(rows, *split) for split in high])] += 1
     return tuple(counts)
 
 

@@ -253,6 +253,19 @@ class ErrBoundedReal:
         return f"ErrBoundedReal({CTX.nstr(self.value, 20)} +/- {CTX.nstr(self.err, 3)})"
 
 
+def _rational(x) -> Fraction:
+    """The exact value of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man) * Fraction(2) ** exp
+
+
 def format_errbounded(v: ErrBoundedReal, digits: int = 21) -> dict:
-    """Stable JSON-ready rendering {value, err} as decimal strings."""
-    return {"value": CTX.nstr(v.value, digits), "err": CTX.nstr(v.err, 4)}
+    """Stable JSON-ready rendering {value, err} as decimal strings: value to
+    `digits` significant digits, err widened by that rounding and rounded up
+    at 4 digits, so the printed interval contains [v.value - v.err, v.value + v.err]."""
+    value = CTX.nstr(v.value, digits)
+    err = _rational(v.err) + abs(Fraction(value) - _rational(v.value))
+    scale = len(str(err.numerator)) - len(str(err.denominator)) - 4  # err / 10^scale > 10^3
+    while (m := -(-err // Fraction(10) ** scale)) >= 10**4:
+        scale += 1
+    return {"value": value, "err": CTX.nstr(CTX.mpf(f"{m}e{scale}"), 4)}

@@ -9,8 +9,9 @@ subgroup lattice) is kept as its oracle.
 
 The explicit machinery (`_GroupTable`) numbers the elements 0..|G|-1 with
 a precomputed addition table; subgroups are frozensets of indices, and the
-join table (subgroup, element) -> subgroup, built one extension per coset,
-drives the exact generating-tuple DP behind the oracle and the class counts.
+join table (subgroup, element) -> subgroup, filled as the DP reads it with one
+extension per coset, drives the exact generating-tuple DP behind the oracle
+and the class counts.
 
 The number of classes of order <= V is not enumerated: its Dirichlet
 series prod_k zeta(ks) has local factors sum_e P(e) X^e (P the partition
@@ -25,7 +26,7 @@ floats beyond.  Census sizes are checked against their caps before any work
 group enumeration, counting.DEFAULT_FLOOR_VALUE_CAP for the class count,
 arith.SIEVE_CAP for the float mass).  The explicit oracles are capped too:
 DEFAULT_TABLE_CAP on |G| for the addition table, LATTICE_CAP on (number of
-subgroups) x |G| for the join table, checked before each new row, and
+subgroups found) x |G| for the join table, checked before each new row, and
 AUT_MAPS_CAP on #Aut(G) x |G| for `automorphism_maps`, checked up front.
 """
 
@@ -182,19 +183,24 @@ class AbelianGroup:
 
 def enumerate_groups(V: int) -> Iterator[AbelianGroup]:
     """All isomorphism classes of abelian groups of order <= V, ascending by
-    order, then lexicographic in (prime, partition) data."""
+    order, then lexicographic in (prime, partition) data: the product of the
+    p-part lists of each order, those of p^e, e >= 2, built once per call."""
     if V < 1:
         raise ValueError("V must be >= 1")
     if V > DEFAULT_CENSUS_CAP:
         raise CapExceededError(f"census bound {V} exceeds cap {DEFAULT_CENSUS_CAP}")
     sieve = SieveTable(max(V, 2))
+    memo: dict[tuple[int, int], tuple] = {}  # (p, e) -> ((p, partition of e), ...), e >= 2
+
+    def parts(p: int, e: int) -> tuple:
+        if (p, e) not in memo:
+            memo[p, e] = tuple((p, x) for x in _partitions_of(e))
+        return memo[p, e]
+
     yield AbelianGroup.trivial()
     for order in range(2, V + 1):
-        factors = sieve.factor_pairs(order)
-        partition_lists = [_partitions_of(e) for _, e in factors]
-        primes = [p for p, _ in factors]
-        for combo in itertools.product(*partition_lists):
-            yield AbelianGroup._raw(tuple(zip(primes, combo)))
+        lists = [parts(p, e) if e > 1 else ((p, (1,)),) for p, e in sieve.factor_pairs(order)]
+        yield from map(AbelianGroup._raw, itertools.product(*lists))
 
 
 def count_isomorphism_classes(V: int) -> int:
@@ -258,14 +264,14 @@ class _GroupTable:
 
     `elements[i]` is the exponent tuple of element i against the prime-power
     cyclic factors (index 0 is the identity), `add_table[i][j]` the index of
-    their sum, and subgroups are frozensets of indices.  The subgroup join
-    table behind the exact generating-tuple counts is built on demand.  The
-    addition table is |G| lists of |G| shared ints: about 0.14 GB at the
-    default cap.  The join table has one such row per subgroup; more than
-    LATTICE_CAP entries raise while it is built.
+    their sum, and subgroups are frozensets of indices.  The addition table
+    is |G| lists of |G| shared ints: about 0.14 GB at the default cap.  The
+    join table of `count_spanning_tuples` has one such row per subgroup the
+    DP leaves; before each new row, (subgroups found) x |G| above LATTICE_CAP
+    raises.
     """
 
-    __slots__ = ("factors", "order", "elements", "orders", "add_table", "_join", "_full")
+    __slots__ = ("factors", "order", "elements", "orders", "add_table")
 
     def __init__(self, G: AbelianGroup):
         factors = []
@@ -294,8 +300,6 @@ class _GroupTable:
                 lifted[i::r] = [flat[a * r :] + flat[: a * r] for a in range(m)]
             rows, r = lifted, r * m
         self.add_table = rows
-        self._join = None
-        self._full = None
 
     def _extend(self, H: frozenset, g: int) -> frozenset:
         """The subgroup generated by H and element g."""
@@ -310,51 +314,39 @@ class _GroupTable:
             s = row[g]
         return frozenset(new)
 
-    def _build_lattice(self) -> None:
-        if self._join is not None:
-            return
-        add = self.add_table
-        subs = {frozenset([0]): 0}
-        sub_list = list(subs)
-        join: list[list[int]] = []
-        head = 0
-        while head < len(sub_list):
-            if len(sub_list) * self.order > LATTICE_CAP:
-                raise CapExceededError(f"{len(sub_list)} subgroups x order {self.order} exceed cap {LATTICE_CAP}")
-            H = sub_list[head]
-            row = [-1] * self.order
-            for e in range(self.order):
-                if row[e] >= 0:
-                    continue
-                H2 = self._extend(H, e)
-                sid = subs.get(H2)
-                if sid is None:
-                    sid = len(sub_list)
-                    subs[H2] = sid
-                    sub_list.append(H2)
-                shift = add[e]
-                for h in H:  # <H, e + h> = <H, e>: one extension per coset
-                    row[shift[h]] = sid
-            join.append(row)
-            head += 1
-        self._join = join
-        self._full = next(i for i, H in enumerate(sub_list) if len(H) == self.order)
-
     def count_spanning_tuples(self, candidate_ids: Sequence[Sequence[int]]) -> int:
         """Tuples (one entry per candidate list, in order) whose entries
-        generate the whole group; exact DP over the subgroup lattice."""
-        self._build_lattice()
-        join = self._join
+        generate the whole group; exact DP over the subgroup lattice.  The
+        join <H, e> is computed the first time the DP reads it, with one
+        extension per coset e + H; rows of subgroups the DP never leaves
+        are never built."""
+        add, order = self.add_table, self.order
+        subs = {frozenset([0]): 0}
+        sub_list = list(subs)
+        join: dict[int, list[int]] = {}  # subgroup id -> its row, -1 where not yet read
         f = {0: 1}
         for cands in candidate_ids:
             new: dict[int, int] = {}
             for sid, cnt in f.items():
-                row = join[sid]
+                row = join.get(sid)
+                if row is None:
+                    if len(sub_list) * order > LATTICE_CAP:
+                        raise CapExceededError(f"{len(sub_list)} subgroups x order {order} exceed cap {LATTICE_CAP}")
+                    row = join[sid] = [-1] * order
                 for eid in cands:
                     key = row[eid]
+                    if key < 0:
+                        H = sub_list[sid]
+                        H2 = self._extend(H, eid)
+                        key = subs.setdefault(H2, len(sub_list))
+                        if key == len(sub_list):
+                            sub_list.append(H2)
+                        shift = add[eid]
+                        for h in H:  # <H, e + h> = <H, e>
+                            row[shift[h]] = key
                     new[key] = new.get(key, 0) + cnt
             f = new
-        return f.get(self._full, 0)
+        return sum(cnt for sid, cnt in f.items() if len(sub_list[sid]) == order)
 
 
 def generating_tuples_count(G: AbelianGroup, n: int) -> int:

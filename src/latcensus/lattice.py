@@ -230,12 +230,12 @@ def smith_invariants(basis) -> InvariantFactors:
     matrix; a rank-deficient or empty one raises SingularMatrixError).
 
     Row HNFs of the matrix and of its transpose alternate until it is
-    diagonal: each round clears the first row and column or replaces the
+    diagonal, starting from the rows of an HnfBasis, which are a row HNF
+    already: each round clears the first row and column or replaces the
     first pivot by a proper divisor.  Pairwise (gcd, lcm) of the diagonal
     then gives the divisibility chain."""
-    rows = basis.rows if isinstance(basis, HnfBasis) else basis
-    n = len(rows[0]) if rows else 0
-    a = _row_hnf(rows)
+    a = basis.rows if isinstance(basis, HnfBasis) else _row_hnf(basis)
+    n = len(a[0]) if a else 0
     if not a or len(a) < n:
         raise SingularMatrixError("basis does not have full rank")
     while any(a[i][j] for i in range(n) for j in range(i + 1, n)):
@@ -323,8 +323,7 @@ def _diagonal_blocks(n: int, q: int) -> Iterator[tuple[tuple[int, ...], Iterator
     """(diag, rows) for each ordered diagonal factorization of q: rows iterates
     the row tuples of every HNF basis with that diagonal, in enumeration order."""
     for diag in _ordered_factorizations(q, n):
-        tails = [itertools.product(*map(range, diag[i + 1 :])) for i in range(n)]
-        per_row = [[(0,) * i + (diag[i],) + t for t in tails[i]] for i in range(n)]
+        per_row = [itertools.product(*[(0,)] * i, (diag[i],), *map(range, diag[i + 1 :])) for i in range(n)]
         yield diag, itertools.product(*per_row)
 
 
@@ -334,14 +333,15 @@ def _enumerate_sublattices(n: int, q: int) -> Iterator[HnfBasis]:
         yield from map(make, rows)
 
 
-def _p_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+def _p_rank(rows: Sequence[Sequence[int]], p: int, divisible: Sequence[int], units: Sequence[int]) -> int:
     """dim over F_p of G/pG, G = Z^n/L, for the HNF rows of L: n minus the rank
-    mod p.  Rows whose pivot p divides are reduced against the others, by
-    unit scalings; one such row alone reduces to zero (the rest is triangular)."""
-    echelon = {i: row for i, row in enumerate(rows) if row[i] % p}
-    divisible = [i for i in range(len(rows)) if i not in echelon]
+    mod p.  The diagonal splits the row indices once per p: `divisible`, the
+    rows whose pivot p divides, and `units`, the rest.  The divisible rows are
+    reduced against the others, by unit scalings; one such row alone reduces
+    to zero (the rest is triangular)."""
     if len(divisible) < 2:
         return len(divisible)
+    echelon = {i: rows[i] for i in units}
     for i in divisible:
         v = rows[i]
         for c in range(i + 1, len(rows)):

@@ -134,7 +134,7 @@ def test_flags_in_use_are_accepted(capsys):
          '{"n": 2, "V": 4, "mode": "cyclic", "method": "both", "count": "14", "oracle_count": "14", '
          '"prediction": {"value": "12.1585420370833298742", "err": "1.039e-11"}, '
          '"prediction_kind": "leading-order", '
-         '"ratio": {"value": "1.15145384679349359195", "err": "9.839e-13"}}\n'),
+         '"ratio": {"value": "1.15145384679349359195", "err": "9.84e-13"}}\n'),
         ("count --n 2 --V 1000 --mode squarefree --format csv --ladder 3",
          "V,count,prediction,ratio\n333,46528,46124.6883191,1.00874394377\n"
          "666,185352,184498.753276,1.00462467474\n1000,415304,415953.68629,0.998438080219\n"),

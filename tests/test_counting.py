@@ -201,6 +201,11 @@ def test_density_factor_is_the_local_series_of_the_count(mode):
             assert xi_p * sum(c * x ** (n * e) for e, c in enumerate(h)) == factor, (n, p)
 
 
+def test_census_at_a_dimension_far_above_log_v():
+    # H(p^e) is read only for e <= log_p V, far below n = 300
+    assert counting.count_cocyclic(300, 1000) == counting.census("cyclic", 300).sieve(1000)
+
+
 def test_closed_forms_are_the_rank_factors():
     # rank <= 1 is the class count, rank <= n the total census, at every prime power
     for n in range(1, 7):
@@ -348,7 +353,7 @@ def test_oracle_views_reuse_one_pass(monkeypatch):
     counting._rank_counts.cache_clear()
     calls = []
     p_rank = lattice._p_rank
-    monkeypatch.setattr(lattice, "_p_rank", lambda rows, p: calls.append((rows, p)) or p_rank(rows, p))
+    monkeypatch.setattr(lattice, "_p_rank", lambda rows, p, *split: calls.append((rows, p)) or p_rank(rows, p, *split))
     counting.census_cocyclic_bruteforce(3, 30)
     # the pivot test runs per diagonal: the kernel sees each (basis, p) once,
     # and only for the primes p that divide two or more of its pivots

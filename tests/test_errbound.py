@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -169,3 +170,43 @@ def test_exp_log_contain_a_300_bit_reference(a):
     else:
         with pytest.raises(ValueError):
             x.log()
+
+
+# one argument set for each name that takes any; the other names take none
+_CONSTANT_ARGS = {
+    "zeta": {"k": 3}, "xi": {"m": 2, "n": 3}, "xi-inf": {"m": 2}, "theta-n": {"n": 3},
+    "rho-n": {"n": 3}, "rho-n-product": {"n": 3}, "rank-prob": {"p": 2, "r": 1},
+    "delta-rank-le": {"r": 2}, "delta-rank-ge-bound": {"r": 2},
+}
+
+
+def _exact(x) -> Fraction:
+    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+
+
+def test_printed_interval_contains_the_proven_one():
+    from latcensus import constants
+    from latcensus.errors import PrecisionError
+
+    reached = set()
+    for name in constants.CONSTANT_NAMES:
+        for tol in (1e-10, 1e-20, 1e-30):
+            try:
+                val, _ = constants.evaluate_constant(name, tol=tol, **_CONSTANT_ARGS.get(name, {}))
+            except PrecisionError:
+                continue
+            reached.add((name, tol))
+            doc = format_errbounded(val)
+            mid, err = Fraction(doc["value"]), Fraction(doc["err"])
+            value, half = _exact(val.value), _exact(val.err)
+            assert mid - err <= value - half and value + half <= mid + err, (name, tol, doc)
+    # every name but the one whose smallest reachable err is 2.7e-6 prints at 1e-10
+    assert {name for name, tol in reached if tol == 1e-10} == set(constants.CONSTANT_NAMES) - {"landau-prime-sum"}
+
+
+def test_printed_zeta3_interval_holds_zeta3(capsys):
+    from latcensus.cli import main
+
+    assert main(["constants", "--name", "zeta", "--k", "3", "--tol", "1e-30"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert abs(REF.mpf(doc["value"]) - REF.zeta(3)) <= REF.mpf(doc["err"])

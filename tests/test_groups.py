@@ -198,6 +198,19 @@ def test_generating_tuples_against_naive_enumeration():
         assert groups.generating_tuples_count(g, n) == generating_naive(g, n)
 
 
+def test_lazy_dp_matches_the_closed_generating_count():
+    # n below, at and above the rank: the DP reads few join rows below the rank.
+    # A p-part of rank r and exponent sum e has p^((e - r) n) prod_{i<r} (p^n - p^i)
+    # generating n-tuples: those that span it mod p, times any lift.
+    for G in groups.enumerate_groups(64):
+        for n in range(6):
+            closed = 1
+            for p, exps in G.parts:
+                r = len(exps)
+                closed *= p ** ((sum(exps) - r) * n) * math.prod(p**n - p**i for i in range(r))
+            assert groups.generating_tuples_count(G, n) == closed, (G, n)
+
+
 def test_generating_tuples_examples():
     g22 = groups.AbelianGroup({2: (1, 1)})
     assert groups.generating_tuples_count(g22, 2) == 6
