@@ -96,7 +96,8 @@ def _to_mpf(x) -> tuple[mpf, mpf]:
         return mpf(x), mpf(0)  # binary64 embeds exactly in 120 bits
     if isinstance(x, str):
         v = mpf(x)
-        return v, abs(v) * _EPS
+        exact = CTX.isfinite(v) and Fraction(x) == _rational(v)  # e.g. "1.25", unlike "0.1"
+        return v, mpf(0) if exact else abs(v) * _EPS
     raise TypeError(f"cannot convert {type(x).__name__} to ErrBoundedReal")
 
 

@@ -92,6 +92,14 @@ def test_format_errbounded_is_stable():
     assert doc == format_errbounded(ErrBoundedReal("1.25", "0.5"))
 
 
+def test_decimal_strings_exact_in_binary_carry_no_conversion_slack():
+    assert format_errbounded(ErrBoundedReal("1.25", "0.5")) == {"value": "1.25", "err": "0.5"}
+    assert ErrBoundedReal("-3.75e2").err == 0 and ErrBoundedReal("0").err == 0
+    # 0.1 has no finite binary expansion: its rounding is charged and still covered
+    tenth = ErrBoundedReal("0.1")
+    assert 0 < tenth.err < 1e-36 and tenth.contains(Fraction(1, 10))
+
+
 def test_bounds_ignore_the_callers_mpmath_precision():
     from latcensus import constants
 

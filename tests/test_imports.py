@@ -4,10 +4,16 @@ mpmath loads at the first error-bounded value, so exact counts and the
 commands that print only exact values never load it, and no module loads
 `dataclasses`.
 
+`import latcensus` alone loads no layer module: each public name loads its
+home module on first access, so an exact count never loads `groups` and a
+constant never loads the census modules.
+
 Each of those checks runs a fresh interpreter; `-X importtime` lists on
-stderr every module the process imported.  The module graph stays acyclic
-without deferred imports: every package import sits at module level, and
-`constants` imports none of the census modules."""
+stderr every module the process imported.  `__init__.__getattr__` is the
+package's one deferred import and its one import made by a call: every
+other package import is a statement at module level, so the module graph
+stays acyclic and no load hides from `-X importtime`; `constants` imports
+none of the census modules."""
 
 import ast
 import os
@@ -36,13 +42,91 @@ def _imported(stderr: str) -> set[str]:
     }
 
 
+def test_import_latcensus_loads_no_layer_module():
+    proc = _python("-c", "import latcensus")
+    assert proc.returncode == 0, proc.stderr
+    assert "latcensus" in _imported(proc.stderr)
+    assert not {m for m in _imported(proc.stderr) if m.startswith("latcensus.")}
+
+
 def test_import_latcensus_leaves_numpy_out():
-    # an exact count after the import builds no interval either, and only
-    # the JSON round trip of a basis loads json
+    # an exact count after the import builds no interval either, never
+    # reaches the group layer, and only the JSON round trip of a basis loads json
     proc = _python("-c", "import latcensus; assert latcensus.count_cocyclic(3, 10**5) == 582985627661524")
     assert proc.returncode == 0, proc.stderr
     assert "latcensus.counting" in _imported(proc.stderr)
-    assert not {"numpy", "mpmath", "dataclasses", "json"} & _imported(proc.stderr)
+    assert not {"numpy", "mpmath", "dataclasses", "json", "latcensus.groups"} & _imported(proc.stderr)
+
+
+def test_a_constant_loads_no_census_module():
+    code = "import latcensus; print(latcensus.constants.evaluate_constant('theta-n', n=5, tol=1e-9))"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    imported = _imported(proc.stderr)
+    assert {"latcensus.constants", "mpmath"} <= imported
+    assert not {"latcensus.counting", "latcensus.lattice", "latcensus.groups"} & imported
+
+
+# The package's public names when the lazy namespace replaced the eager
+# re-exports, by home module; the eight layer modules are public names too.
+PUBLIC = {
+    "arith": """FactoredInt SieveTable abelian_group_count euler_phi factorize fn_weight is_squarefree
+        landau_sum mobius omega partition_count squarefree_coprime_count ward_sum""",
+    "constants": """delta_rank_at_least_bound delta_rank_at_most density_cocyclic_limit
+        density_squarefree_limit gekeler_cyclic gekeler_squarefree landau_prediction rank_prob rho
+        rho_n rho_n_product squarefree_coprime_prediction theta theta_n theta_product theta_sandwich
+        uniform_density_cyclic uniform_density_squarefree xi xi_inf zeta""",
+    "counting": """census_cocyclic_bruteforce count_by_rank count_by_rank_bruteforce count_cocyclic
+        count_primitive_classes count_primitive_classes_bruteforce count_squarefree
+        primitive_class_representatives total_count""",
+    "errbound": "ErrBoundedReal",
+    "errors": "CapExceededError NotPrimitiveError PrecisionError SingularMatrixError",
+    "groups": """AbelianGroup aut_order aut_order_bruteforce aut_order_pgroup aut_order_qm
+        cl_predicate_mass cl_total_mass enumerate_groups generating_tuples_count pak_check
+        primitive_class_count""",
+    "lattice": """CongruenceVector HnfBasis InvariantFactors are_equivalent count_sublattices
+        enumerate_sublattices hnf_canonicalize is_cocyclic lattice_from_congruence quotient_rank
+        sample_cocyclic smith_invariants""",
+    "rng": "SplitMix64",
+}
+HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
+
+
+def test_dir_and_star_import_list_the_public_names():
+    # fresh, as importing a submodule such as cli adds it to dir(latcensus)
+    code = (
+        "import latcensus\nprint(*[n for n in dir(latcensus) if not n.startswith('_')])\n"
+        "star = {}\nexec('from latcensus import *', star)\nprint(*sorted(star.keys() - {'__builtins__'}))"
+    )
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    public = sorted([*HOME, *PUBLIC])
+    assert len(public) == 80
+    assert proc.stdout.splitlines() == [" ".join(public)] * 2
+
+
+def test_public_names_are_the_home_modules_objects():
+    import latcensus
+
+    assert sorted(latcensus.__all__) == sorted([*HOME, *PUBLIC])
+    star: dict = {}
+    exec("from latcensus import *", star)
+    for name, module in HOME.items():
+        home = sys.modules[f"latcensus.{module}"]
+        assert star[name] is getattr(latcensus, name) is getattr(home, name), name
+    for module in PUBLIC:
+        assert star[module] is latcensus.__dict__[module] is sys.modules[f"latcensus.{module}"]
+    assert latcensus.EULER_MASCHERONI is latcensus.constants.EULER_MASCHERONI
+    assert "EULER_MASCHERONI" not in latcensus.__all__
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_rank_counts", "evaluate_constant"])
+def test_an_unknown_name_raises_attribute_error(name):
+    import latcensus
+
+    with pytest.raises(AttributeError, match=name):
+        getattr(latcensus, name)
+    assert not hasattr(latcensus, name)
 
 
 # (argv, whether it prints an error-bounded value and so loads mpmath)
@@ -103,9 +187,20 @@ def test_every_former_numpy_kernel_runs_with_numpy_blocked():
     assert "numpy" not in _imported(proc.stderr)
 
 
+_LOADERS = ("__import__", "import_module")
+
+
+def _callee(func) -> str | None:
+    """The name a call calls: `f` of `f(...)` and of `mod.f(...)`."""
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
 def _package_imports(node) -> set[str]:
     """Dotted names of the latcensus modules imported anywhere inside node;
-    relative imports resolve against the package, which is one level deep."""
+    relative imports resolve against the package, which is one level deep.
+    A load by an `__import__` or `importlib.import_module` call, which
+    `-X importtime` may not list, counts as `latcensus.<__import__>` or
+    `latcensus.<import_module>` unless its target is a literal outside the package."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Import):
@@ -115,6 +210,10 @@ def _package_imports(node) -> set[str]:
             if sub.level:
                 module = f"latcensus.{module}" if module else "latcensus"
             names = [f"{module}.{a.name}" for a in sub.names] if module == "latcensus" else [module]
+        elif isinstance(sub, ast.Call) and (loader := _callee(sub.func)) in _LOADERS:
+            target = sub.args[0].value if sub.args and isinstance(sub.args[0], ast.Constant) else None
+            outside = isinstance(target, str) and target.split(".")[0] not in ("", "latcensus")
+            names = [] if outside else [f"latcensus.<{loader}>"]
         else:
             continue
         out |= {name for name in names if name.split(".")[0] == "latcensus"}
@@ -126,15 +225,27 @@ _SOURCES = sorted(Path(SRC, "latcensus").glob("*.py"))
 
 @pytest.mark.parametrize("path", _SOURCES, ids=[p.stem for p in _SOURCES])
 def test_package_imports_sit_at_module_level(path):
-    # an import inside a function body hides a cycle between modules
+    # an import inside a function body hides a cycle between modules, and a
+    # load by call may hide from -X importtime; the lazy namespace's
+    # __getattr__ is the one place for either
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     tree = ast.parse(path.read_text(), str(path))
     inner = {
         f"{node.name}: {sorted(found)}"
         for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and (found := set().union(*map(_package_imports, node.body)))
+        if isinstance(node, defs) and (found := set().union(*map(_package_imports, node.body)))
     }
-    assert not inner
+    top = set().union(*(_package_imports(node) for node in tree.body if not isinstance(node, defs)))
+    assert inner == ({"__getattr__: ['latcensus.<__import__>']"} if path.stem == "__init__" else set())
+    assert not {name for name in top if "<" in name}
+
+
+def test_a_load_by_call_counts_as_a_package_import():
+    tree = ast.parse(
+        "import importlib\n__import__(f'{__name__}.counting', fromlist=['x'])\n"
+        "importlib.import_module('.groups', 'latcensus')\n__import__('json')"
+    )
+    assert _package_imports(tree) == {"latcensus.<__import__>", "latcensus.<import_module>"}
 
 
 def test_constants_imports_no_census_module():
