@@ -15,9 +15,10 @@ three independent routes:
   is allocated, and CapExceededError is raised above it.  The same engine at
   n = 1 (T_1(x) = x) gives the abelian group class count of `groups`;
 * `sieve`, the second route: `_multiplicative_sum` sieves [1, V] and sums
-  the prime-power local factors in O(V) time and memory, for the tests and
-  `verify`, memoized per (n, k, squarefree, V), so the records of one
-  (n, V) share each rank <= k part;
+  its own prime-power local factors, the cotype counts (`_cotype_factor`),
+  in O(V) time and memory, for the tests and `verify`, memoized per
+  (n, k, squarefree, V), so the records of one (n, V) share each rank <= k
+  part;
 * `oracle`, the enumeration: `_rank_counts(n, q)` streams the HNF bases of
   index q once and counts them by quotient rank from their F_p ranks
   (p | q), memoized per (n, q), so every record and every bound V share the
@@ -196,7 +197,8 @@ def _rank_factor(n: int, m: int) -> Callable[[int, int], int]:
 
 
 def _local(n: int, k: int, squarefree: bool) -> Callable[[int, int], int]:
-    """f(p^e), e >= 1, of the rank <= k part, k > 0, of squarefree index only if asked."""
+    """f(p^e), e >= 1, of the rank <= k part, k > 0, of squarefree index only
+    if asked: the fast route's local factor."""
     if squarefree:  # every lattice of index p has rank <= 1
         return lambda p, e: _prime_power_class_count(n, p, 1) if e == 1 else 0
     if k == 1:
@@ -204,14 +206,38 @@ def _local(n: int, k: int, squarefree: bool) -> Callable[[int, int], int]:
     return _rank_factor(n, k)
 
 
+def _cotype_count(n: int, p: int, c: tuple[int, ...]) -> int:
+    """The sublattices L of Z_p^n with Z_p^n/L = G_lam, lam the conjugate of
+    the partition c, from c alone (Birkhoff's subgroup count read off the dual):
+    prod_{i>=1} p^(c_(i+1) (n - c_i)) [n - c_(i+1) choose c_i - c_(i+1)]_p.
+    No automorphism order and no surjection count enters."""
+    if c[0] > n:  # lam has more than n parts: no quotient of Z^n
+        return 0
+    out = 1
+    for a, b in zip(c, c[1:] + (0,)):
+        out *= p ** (b * (n - a))
+        for i in range(a - b):  # [n - b choose a - b]_p, each partial product an integer
+            out = out * (p ** (n - b - i) - 1) // (p ** (i + 1) - 1)
+    return out
+
+
+def _cotype_factor(n: int, k: int, squarefree: bool) -> Callable[[int, int], int]:
+    """f(p^e), e >= 1, of the rank <= k part from the cotype counts, one per
+    partition c of e with c_1 <= k (lam, the conjugate of c, has at most k
+    parts): the second route's own local factor, sharing nothing with `_local`."""
+    return lambda p, e: 0 if squarefree and e > 1 else sum(
+        [_cotype_count(n, p, c) for c in _partitions_of(e) if c[0] <= k]
+    )
+
+
 @cache
 def _multiplicative_sum(n: int, k: int, squarefree: bool, V: int) -> int:
     """Second route: sum of f(q) over q <= V for the multiplicative f with
-    f(p^e) = _local(n, k, squarefree)(p, e), factoring each q with a sieve
-    of [1, V] (the local factor is memoized per prime power, at most V
+    f(p^e) = _cotype_factor(n, k, squarefree)(p, e), factoring each q with a
+    sieve of [1, V] (the local factor is memoized per prime power, at most V
     entries like the sieve)."""
     spf = SieveTable(max(V, 2)).spf
-    local = cache(_local(n, k, squarefree))
+    local = cache(_cotype_factor(n, k, squarefree))
     total = 0
     for q in range(1, V + 1):
         k = q
@@ -379,7 +405,8 @@ def _rank_counts(n: int, q: int) -> tuple[int, ...]:
     the F_p ranks of each enumerated HNF basis, largest over p | q.  A prime
     dividing k < 2 pivots of a diagonal gives all its bases F_p rank k, so
     `lattice._p_rank` runs per basis only for the other primes, with the row
-    indices split once per diagonal into the pivots p divides and the rest.
+    indices split once per diagonal into the pivots p divides and the rest;
+    a diagonal with one such prime tallies its F_p ranks in one Counter.
     Bases are streamed, never stored; the memo holds one (n+1)-tuple per
     (n, q), so any V reuses the strata of every smaller bound."""
     primes = [p for p, _ in ensure_factored(q).factors]
@@ -391,7 +418,10 @@ def _rank_counts(n: int, q: int) -> tuple[int, ...]:
         high = [(p, div, [i for i in range(n) if i not in div]) for p, div in divisible if len(div) >= 2]
         if not high:  # no per-basis test; each basis is still built and counted
             counts[low] += sum(1 for _ in bases)
-        for rows in bases:  # already drained when high is empty
+        elif len(high) == 1:
+            for r, c in Counter(map(p_rank, bases, *map(repeat, high[0]))).items():
+                counts[max(low, r)] += c
+        for rows in bases:  # already drained unless two or more primes need the test
             counts[max([low] + [p_rank(rows, *split) for split in high])] += 1
     return tuple(counts)
 

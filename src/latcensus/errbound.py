@@ -35,10 +35,10 @@ def load_mpmath():
     """Import mpmath and create CTX, mpf, mpf_type, the rounding slacks _EPS
     and _TRANS_EPS and the mpmath.libmp primitives; idempotent.  Returns CTX."""
     global CTX, mpf, mpf_type, _EPS, _TRANS_EPS
-    global fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_ceiling, round_floor
+    global fnan, fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_ceiling, round_floor
     if CTX is None:
         from mpmath import MPContext
-        from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_ceiling, round_floor
+        from mpmath.libmp import fnan, fzero, mpf_add, mpf_div, mpf_mul, mpf_sub, round_ceiling, round_floor
         ctx = MPContext()
         ctx.prec = PRECISION_BITS
         mpf = ctx.mpf
@@ -114,8 +114,8 @@ class ErrBoundedReal:
     def __init__(self, value, err=0):
         v, ce = _to_mpf(value)
         e, ce2 = _to_mpf(err)
-        if e < 0:
-            raise ValueError("error bound must be nonnegative")
+        if v._mpf_ == fnan or not e >= 0:  # a NaN err compares false with 0 too
+            raise ValueError("value must not be NaN, error bound must be nonnegative")
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "err", _sum_up(e, ce, ce2))
 

@@ -20,10 +20,11 @@ over powerful numbers in O(sqrt V) time under that engine's cap;
 `enumerate_groups` is its oracle.
 
 The census assigns each group the mass 1/#Aut(G); totals are exact
-rationals up to 1e4 (unions of mass cells, `_cell_mass`) and error-bounded
-floats beyond.  Census sizes are checked against their caps before any work
-(DEFAULT_CENSUS_CAP for the
-group enumeration, counting.DEFAULT_FLOOR_VALUE_CAP for the class count,
+rationals up to 1e4 (unions of mass cells, `_cell_mass`, tallied from
+per-prime-power (rank, #Aut) pairs by `_aut_walk`) and error-bounded floats
+beyond.  Census sizes are checked against their caps before any work
+(DEFAULT_CENSUS_CAP for the group enumeration and the mass walk,
+counting.DEFAULT_FLOOR_VALUE_CAP for the class count,
 arith.SIEVE_CAP for the float mass).  The explicit oracles are capped too:
 DEFAULT_TABLE_CAP on |G| for the addition table, LATTICE_CAP on (number of
 subgroups found) x |G| for the join table, checked before each new row, and
@@ -515,22 +516,51 @@ def _mass_terms(V: int) -> Iterator[Iterable[float]]:
 _mass_cells = lru_cache(maxsize=1)(lambda V: {})  # the last V's cells: (rank, squarefree) -> mass
 
 
+def _aut_walk(V: int, want) -> dict[tuple[int, bool], list[int]]:
+    """#Aut of every group of order <= V in the mass cells (rank, order
+    squarefree) of `want`, by cell.  A group of order N takes one pair
+    (l(lam), #Aut(G_lam)) per p^e || N, lam a partition of e (pairs memoized
+    per p^e): its rank is the largest l, its #Aut the product.  A depth-first
+    walk extends N by larger primes, each node holding its groups as rank ->
+    #Aut list; the primes p with N p^2 > V end their branch as one batch."""
+    if V < 1:
+        raise ValueError("V must be >= 1")
+    if V > DEFAULT_CENSUS_CAP:
+        raise CapExceededError(f"census bound {V} exceeds cap {DEFAULT_CENSUS_CAP}")
+    primes = primes_upto(V)
+    pairs = lru_cache(None)(lambda p, e: [(len(lam), _aut_order_pgroup(p, lam)) for lam in _partitions_of(e)])
+    cells: dict[tuple[int, bool], list[int]] = {cell: [] for cell in want}
+    tally = lambda cell, auts: cells[cell].extend(auts) if cell in cells else None
+    stack = [(1, 0, True, {0: [1]})]  # (N, index of the least prime allowed, squarefree, rank -> #Aut list)
+    while stack:
+        N, j, squarefree, node = stack.pop()
+        deep = max(j, bisect.bisect_right(primes, math.isqrt(V // N)))
+        tail = [b for p in primes[deep : bisect.bisect_right(primes, V // N)] for _, b in pairs(p, 1)]
+        for r, auts in node.items():
+            tally((r, squarefree), auts)
+            tally((max(r, 1), squarefree), (a * b for b in tail for a in auts))  # unread when not wanted
+        for i in range(j, deep):
+            p, m, e = primes[i], N * primes[i], 1
+            while m <= V:
+                child: dict[int, list] = {}
+                for l, b in pairs(p, e):
+                    for r, auts in node.items():
+                        child.setdefault(max(r, l), []).extend(map(b.__mul__, auts))
+                stack.append((m, i + 1, squarefree and e == 1, child))
+                m, e = m * p, e + 1
+    return cells
+
+
 def _cell_mass(V: int, keep, r: Optional[int] = None) -> Fraction:
     """Exact mass of the cells (rank, order squarefree) of order <= V that
     keep(rank, squarefree, r) holds: (0), (1, squarefree), (1, not), ranks 2..log2(V).
-    The cells not yet known come from one census walk, each a _reciprocal_sum."""
+    The cells not yet known come from one `_aut_walk`, each a _reciprocal_sum."""
     cells = [(0, True), (1, True), (1, False)] + [(k, False) for k in range(2, V.bit_length())]
     need = [c for c in cells if keep(*c, r)]
     known = _mass_cells(V)
-    missing = {c: [] for c in need if c not in known}
+    missing = [c for c in need if c not in known]
     if missing:
-        for G in enumerate_groups(V):
-            exps = {e for _, e in G.parts}  # squarefree order: {} (rank 0) or {(1,)} (rank 1)
-            cell = (len(exps), True) if exps <= {(1,)} else (max(map(len, exps)), False)
-            auts = missing.get(cell)
-            if auts is not None:
-                auts.append(aut_order(G))
-        known.update((c, _reciprocal_sum(auts)) for c, auts in missing.items())
+        known.update((c, _reciprocal_sum(auts)) for c, auts in _aut_walk(V, missing).items())
     return sum(known[c] for c in need)
 
 

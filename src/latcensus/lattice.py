@@ -418,7 +418,12 @@ def lattice_from_congruence(v: CongruenceVector) -> HnfBasis:
     """
     if not v.is_primitive:
         raise NotPrimitiveError(f"gcd of {v.a} with modulus {v.q} exceeds 1")
-    n, q, a = v.n, v.q, v.a
+    return _congruence_basis(v.a, v.q)
+
+
+def _congruence_basis(a: tuple[int, ...], q: int) -> HnfBasis:
+    """lattice_from_congruence for residues a in [0, q) already known primitive."""
+    n = len(a)
     if q == 1:
         return HnfBasis.identity(n)
     g, u = _bezout_chain(a, q)
@@ -445,11 +450,11 @@ def sample_cocyclic(n: int, q: int, seed) -> HnfBasis:
     """
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
-    rng = seed if isinstance(seed, SplitMix64) else SplitMix64(int(seed))
+    randbelow = (seed if isinstance(seed, SplitMix64) else SplitMix64(int(seed))).randbelow
     while True:
-        a = tuple(rng.randbelow(q) for _ in range(n))
+        a = tuple([randbelow(q) for _ in range(n)])
         if math.gcd(*a, q) == 1:
-            return lattice_from_congruence(CongruenceVector(q, a))
+            return _congruence_basis(a, q)
 
 
 def sample_cocyclic_stream(n: int, q: int, count: int, seed: int) -> Iterator[HnfBasis]:

@@ -40,6 +40,16 @@ class SplitMix64:
             raise ValueError("randbelow requires n >= 1")
         if n == 1:
             return 0
+        if n <= 1 << 64:  # one word per candidate: next_u64 inlined
+            limit, s = (1 << 64) - (1 << 64) % n, self._state
+            while True:
+                s = (s + GOLDEN) & _MASK
+                z = (s ^ (s >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+                z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    self._state = s
+                    return z % n
         words = ((n - 1).bit_length() + 63) // 64
         span = 1 << (64 * words)
         limit = span - span % n

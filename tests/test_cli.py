@@ -240,6 +240,21 @@ def test_enumerate(capsys):
     assert json.loads(out)["count"] == "35"
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("--n 3 --q 720720 --seed 5 --count 200", "abc60cb5f37804d42bfee3d58fe52618a2838e51784b773448c7fdfef04f46f4"),
+        ("--n 2 --q 18446744073709551629 --seed 4 --count 20",
+         "a8114de960b26bed2629f4ca6b6156fa5a1c9785718615420f9e17e218b8bbbd"),
+        ("--n 1 --q 41 --seed 2 --count 5", "c247563ac329cb2e37344f350d56b675a52183a89913a3ba73c4e0cf1ff7cbfe"),
+    ],
+)
+def test_sample_stdout_is_pinned(capsys, argv, digest):
+    # recorded before the one-word draw was inlined and samples went through _congruence_basis
+    code, out, _ = run_cli(capsys, "sample", *argv.split())
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_stdout_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--q", "61")
     assert code == 0 and len(out.splitlines()) == 3783

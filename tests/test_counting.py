@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -213,6 +214,35 @@ def test_closed_forms_are_the_rank_factors():
             for e in range(1, 8):
                 assert counting._prime_power_class_count(n, p, e) == counting._rank_factor(n, 1)(p, e)
                 assert counting._rank_factor(n, n)(p, e) == lattice._count_prime_power(n, p, e)
+    # the second route's cotype counts: each is the surjection count over #Aut
+    # of its quotient, one partition at a time, and they sum to every rank factor
+    for n in range(1, 9):
+        for p in (2, 3, 5, 7):
+            for e in range(1, 11):
+                for lam in arith._partitions_of(e):
+                    l, conjugate = len(lam), tuple(sum(x > i for x in lam) for i in range(lam[0]))
+                    surj = p ** (n * (e - l)) * math.prod(p**n - p**i for i in range(l))
+                    assert counting._cotype_count(n, p, conjugate) * arith._aut_order_pgroup(p, lam) == surj
+                for k in range(1, n + 1):
+                    assert counting._cotype_factor(n, k, False)(p, e) == counting._rank_factor(n, k)(p, e)
+
+
+def test_verify_sees_a_wrong_rank_factor_at_n5(monkeypatch, capsys):
+    # the sieve route reads the cotype counts, not the fast route's rank factor
+    from latcensus.cli import main
+
+    rank_factor = counting._rank_factor
+
+    def off_by_one(n, m):
+        local = rank_factor(n, m)
+        return (lambda p, e: local(p, e) + (e == 4)) if (n, m) == (5, 2) else local
+
+    right = counting.count_by_rank(5, 2, 16)
+    monkeypatch.setattr(counting, "_rank_factor", off_by_one)
+    assert counting.count_by_rank(5, 2, 16) != right
+    assert main(["verify", "--suite", "formulas"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["failed"] == "counting.dirichlet-vs-sieve"
 
 
 def test_cocyclic_share_at_desk_scale():

@@ -28,6 +28,18 @@ def test_interval_invariants():
         ErrBoundedReal(1, -1)
 
 
+@pytest.mark.parametrize("nan", [float("nan"), "nan", mpmath.mpf("nan")])
+def test_nan_value_or_bound_is_refused(nan):
+    # NaN compares false with everything: it would pass the sign test and
+    # build an interval that contains nothing
+    with pytest.raises(ValueError):
+        ErrBoundedReal(nan)
+    with pytest.raises(ValueError):
+        ErrBoundedReal(1, nan)
+    with pytest.raises(ValueError):
+        ErrBoundedReal.from_interval(0, nan)
+
+
 def test_arithmetic_bounds_contain_truth():
     a = ErrBoundedReal(2, 0.25)
     b = ErrBoundedReal(3, 0.5)

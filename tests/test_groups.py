@@ -265,7 +265,7 @@ def _literal_masses(V):
     """Every exact mass of order <= V, each a literal per-group Fraction loop:
     key (predicate, r) -> mass, with (None, None) the total."""
     total, cyclic, squarefree = Fraction(0), Fraction(0), Fraction(0)
-    by_rank = [Fraction(0)] * 10
+    by_rank = [Fraction(0)] * 12  # (Z/2)^11 has order 2048
     for G in groups.enumerate_groups(V):
         w = Fraction(1, groups.aut_order(G))
         total += w
@@ -284,10 +284,10 @@ def _ask(V, predicate, r):
 def test_masses_match_a_literal_fraction_loop():
     # the mass cells of one V are kept: no answer may depend on what was asked
     # before, so every mass is asked in several orders from a cleared memo
-    expected = {V: _literal_masses(V) for V in (1, 2, 12, 64, 300)}
+    expected = {V: _literal_masses(V) for V in (1, 2, 12, 64, 300, 997, 3027)}
     in_turn = [(V, key) for V, masses in expected.items() for key in masses]
     predicates_first = [(V, key) for V, masses in expected.items() for key in reversed(masses)]
-    switching = [(V, key) for key in expected[1] for V in (12, 300, 12, 64, 1, 64, 2)]
+    switching = [(V, key) for key in expected[1] for V in (12, 300, 12, 64, 1, 3027, 64, 997, 2)]
     for order in (in_turn, predicates_first, switching):
         groups._mass_cells.cache_clear()
         for V, key in order:
@@ -298,11 +298,23 @@ def test_masses_match_a_literal_fraction_loop():
 def walks(monkeypatch):
     """The bounds V of every census walk, from a cleared mass memo."""
     seen = []
-    enumerate_groups = groups.enumerate_groups
-    monkeypatch.setattr(groups, "enumerate_groups", lambda V: seen.append(V) or enumerate_groups(V))
+    aut_walk = groups._aut_walk
+    monkeypatch.setattr(groups, "_aut_walk", lambda V, want: seen.append(V) or aut_walk(V, want))
     groups._mass_cells.cache_clear()
     yield seen
     groups._mass_cells.cache_clear()
+
+
+def test_exact_masses_above_the_census_cap_refuse_before_walking(walks, monkeypatch):
+    monkeypatch.setattr(groups, "primes_upto", lambda V: pytest.fail("the walk started"))
+    V = groups.DEFAULT_CENSUS_CAP + 1
+    with pytest.raises(CapExceededError, match=f"census bound {V} exceeds cap"):
+        groups.cl_total_mass(V, exact_limit=V)
+    for predicate, r in (("cyclic", None), ("squarefree-order", None), ("rank-at-most", 2)):
+        with pytest.raises(CapExceededError, match=f"census bound {V} exceeds cap"):
+            groups.cl_predicate_mass(V, predicate, r)
+    # each mass asks the walk, which refuses before it sieves; no cell is kept
+    assert walks == [V] * 4 and groups._mass_cells(V) == {}
 
 
 def test_one_walk_serves_every_mass_of_the_oracle_job(walks):
@@ -327,9 +339,10 @@ def test_predicate_masses_share_their_walk(walks):
 
 
 def test_verify_sees_a_wrong_aut_order_in_a_mass_cell(walks, capsys, monkeypatch):
-    aut_order = groups.aut_order
-    z7 = groups.AbelianGroup.cyclic(7)
-    monkeypatch.setattr(groups, "aut_order", lambda G: aut_order(G) + (G == z7))
+    # the walk reads #Aut per prime power: Z/7 is the partition (1,) of p^1, p = 7
+    aut_order_pgroup = groups._aut_order_pgroup
+    wrong = lambda p, exps: aut_order_pgroup(p, exps) + ((p, exps) == (7, (1,)))
+    monkeypatch.setattr(groups, "_aut_order_pgroup", wrong)
     assert main(["verify", "--suite", "masses"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False and doc["failed"] == "groups.cyclic-mass-landau"

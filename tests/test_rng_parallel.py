@@ -26,10 +26,14 @@ def test_randbelow_range_and_determinism():
 
 
 def test_randbelow_streams_pinned():
-    # draws recorded before multi-word sampling: n <= 2^64 keeps its stream
+    # draws recorded before multi-word sampling: n <= 2^64 keeps its stream;
+    # the last four (n = 1, 2, 41 and the two-word 2^64 + 13), and the state
+    # they leave, before the one-word path was inlined
     rng = SplitMix64(2026)
-    got = [rng.randbelow(n) for n in (12, 10**6, 2**61 - 1, 2**64 - 59, 2**64, 3)]
-    assert got == [7, 214301, 781126551686264979, 7097835237234771186, 14602530494585831241, 0]
+    got = [rng.randbelow(n) for n in (12, 10**6, 2**61 - 1, 2**64 - 59, 2**64, 3, 1, 2, 41, 2**64 + 13)]
+    assert got == [7, 214301, 781126551686264979, 7097835237234771186, 14602530494585831241, 0,
+                   0, 0, 5, 16179100566998700319]
+    assert rng.next_u64() == 6182220553586467693
 
 
 def test_randbelow_above_two_to_the_64():
