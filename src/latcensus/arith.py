@@ -400,11 +400,17 @@ def squarefree_mask(limit: int) -> bytearray:
 
 
 def _reciprocal_sum(ds) -> Fraction:
-    """sum of 1/d over ds as one Fraction over lcm(ds) (0 for no terms): one
-    normalisation instead of one per term, one division per distinct d."""
-    counts = Counter(ds)
-    L = math.lcm(*counts)
-    return Fraction(sum(L // d * c for d, c in counts.items()), L)
+    """sum of 1/d over ds (0 for no terms): the terms c/d, one per distinct d
+    of multiplicity c, merged pairwise in a balanced tree over the lcm of the
+    two denominators, and normalised once at the end."""
+    terms = [(c, d) for d, c in Counter(ds).items()]
+    while len(terms) > 1:
+        merged = []
+        for (a, b), (c, d) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(b, d)
+            merged.append((a * (d // g) + c * (b // g), b // g * d))
+        terms = merged + terms[2 * len(merged) :]
+    return Fraction(*terms[0]) if terms else Fraction(0)
 
 
 def landau_sum(t: int):

@@ -59,8 +59,7 @@ def cmd_count(args) -> int:
     if (tol is not None and density is None) or (cap is not None and args.method == "formula"):
         raise ValueError("--tol needs a printed prediction, --enum-cap an enumerating --method")
     tol = 1e-10 if tol is None else tol
-    cap = lattice.DEFAULT_ENUM_CAP if cap is None else cap
-    second = lambda v: record.oracle(v, cap)
+    second = lambda v: record.oracle(v, lattice.DEFAULT_ENUM_CAP if cap is None else cap)
     first = second if args.method == "bruteforce" else record.count
     leading = None if density is None else lambda v: density(tol) * ErrBoundedReal.exact(v**n) / n
     # CSV rows scale one V = 1 prediction by V_i^n
@@ -119,6 +118,8 @@ def cmd_constants(args) -> int:
         ) from None
     doc = {"name": name}
     doc.update(format_errbounded(value))
+    if Fraction(doc["err"]) > args.tol:  # the value's decimal rounding is part of the printed err
+        raise PrecisionError(f"{name} prints err {doc['err']}, above tol {args.tol:g}")
     doc["prime_cutoff"] = cutoff
     _emit(doc)
     return EXIT_OK

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, product, repeat
 from operator import mul
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import lattice
 from .arith import (
@@ -426,17 +426,10 @@ def _rank_counts(n: int, q: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _strata(n: int, V: int, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(q, _rank_counts(n, q)) for q <= V, after the enumeration cap check."""
-    _guard_enumeration(n, V, cap)
-    return ((q, _rank_counts(n, q)) for q in range(1, V + 1))
-
-
 def _guard_enumeration(n: int, V: int, cap: int) -> None:
     if n < 1 or V < 1:
         raise ValueError("need n >= 1 and V >= 1")
-    total = total_count(n, V)  # O(V^(3/4)) under its own cap; no (V+1)-entry table
-    if total > cap:
+    if (total := total_count(n, V)) > cap:  # O(V^(3/4)) under its own cap; no (V+1)-entry table
         raise CapExceededError(f"enumerating {total} lattices exceeds cap {cap}")
 
 
@@ -476,10 +469,12 @@ class Census:
         """Second route: each part on `_multiplicative_sum`."""
         return self._between(lambda k: _multiplicative_sum(self.n, k, self.squarefree, V))
 
-    def oracle(self, V: int, cap: int) -> int:
+    def oracle(self, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
         """Enumeration: the strata of rank low..high, independent of every closed form."""
+        _guard_enumeration(self.n, V, cap)
         total = 0
-        for q, c in _strata(self.n, V, cap):
+        for q in range(1, V + 1):
+            c = _rank_counts(self.n, q)
             if self.squarefree:
                 if not is_squarefree(q):
                     continue
@@ -532,27 +527,27 @@ def count_by_rank(n: int, m: int, V: int) -> int:
     return census("rank", n, m).count(V)
 
 
-def census_cocyclic_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def census_cocyclic_bruteforce(n: int, V: int) -> int:
     """Co-cyclic lattices of index <= V by enumeration."""
-    return census("cyclic", n).oracle(V, cap)
+    return census("cyclic", n).oracle(V)
 
 
-def census_squarefree_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def census_squarefree_bruteforce(n: int, V: int) -> int:
     """Lattices of squarefree index <= V by enumeration."""
-    return census("squarefree", n).oracle(V, cap)
+    return census("squarefree", n).oracle(V)
 
 
-def census_total_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def census_total_bruteforce(n: int, V: int) -> int:
     """All lattices of index <= V by enumeration."""
-    return census("all", n).oracle(V, cap)
+    return census("all", n).oracle(V)
 
 
-def count_by_rank_bruteforce(n: int, m: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+def count_by_rank_bruteforce(n: int, m: int, V: int) -> int:
     """Lattices of index <= V whose quotient needs exactly m generators, by enumeration."""
-    return census("rank", n, m).oracle(V, cap)
+    return census("rank", n, m).oracle(V)
 
 
-def counts_by_rank_bruteforce(n: int, V: int, cap: int = DEFAULT_ENUM_CAP) -> dict[int, int]:
+def counts_by_rank_bruteforce(n: int, V: int) -> dict[int, int]:
     """{m: count} over the ranks m that occur at index <= V, by enumeration."""
     ranks = range(max(n, 0) + 1)  # n < 1 still reaches the enumeration guard
-    return {m: c for m in ranks if (c := census("rank", n, m).oracle(V, cap))}
+    return {m: c for m in ranks if (c := census("rank", n, m).oracle(V))}

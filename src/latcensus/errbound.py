@@ -260,10 +260,14 @@ def _rational(x) -> Fraction:
     return (-man if sign else man) * Fraction(2) ** exp
 
 
-def format_errbounded(v: ErrBoundedReal, digits: int = 21) -> dict:
+def format_errbounded(v: ErrBoundedReal) -> dict:
     """Stable JSON-ready rendering {value, err} as decimal strings: value to
-    `digits` significant digits, err widened by that rounding and rounded up
-    at 4 digits, so the printed interval contains [v.value - v.err, v.value + v.err]."""
+    21 significant digits, or to as many more as keep its rounding near
+    err / 100, err widened by that rounding and rounded up at 4 digits, so
+    the printed interval contains [v.value - v.err, v.value + v.err]."""
+    digits = 21
+    if v.value and v.err:  # log10(2) digits per bit from |value| down to err, and 3 below it
+        digits = max(digits, 3 + int(0.302 * (CTX.mag(v.value) - CTX.mag(v.err))))
     value = CTX.nstr(v.value, digits)
     err = _rational(v.err) + abs(Fraction(value) - _rational(v.value))
     scale = len(str(err.numerator)) - len(str(err.denominator)) - 4  # err / 10^scale > 10^3

@@ -11,7 +11,7 @@ The explicit machinery (`_GroupTable`) numbers the elements 0..|G|-1 with
 a precomputed addition table; subgroups are frozensets of indices, and the
 join table (subgroup, element) -> subgroup, filled as the DP reads it with one
 extension per coset, drives the exact generating-tuple DP behind the oracle
-and the class counts.
+and the class counts.  `spanning_tuples` lists the tuples it counts, one by one.
 
 The number of classes of order <= V is not enumerated: its Dirichlet
 series prod_k zeta(ks) has local factors sum_e P(e) X^e (P the partition
@@ -315,6 +315,11 @@ class _GroupTable:
             s = row[g]
         return frozenset(new)
 
+    def endomorphism_images(self) -> list[list[int]]:
+        """Per cyclic factor Z/m, the elements of order dividing m: the images
+        an endomorphism may give that factor's generator."""
+        return [[i for i, o in enumerate(self.orders) if m % o == 0] for m in self.factors]
+
     def count_spanning_tuples(self, candidate_ids: Sequence[Sequence[int]]) -> int:
         """Tuples (one entry per candidate list, in order) whose entries
         generate the whole group; exact DP over the subgroup lattice.  The
@@ -349,6 +354,24 @@ class _GroupTable:
             f = new
         return sum(cnt for sid, cnt in f.items() if len(sub_list[sid]) == order)
 
+    def spanning_tuples(self, candidate_ids: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+        """The tuples `count_spanning_tuples` counts, as element-index tuples
+        in depth-first order: the literal enumeration that DP is checked by.
+        A prefix is cut when its span times the largest orders among the
+        candidates still to choose is below |G|."""
+        k, reach = len(candidate_ids), [1]  # reach[j]: that product over the last j lists
+        for cands in reversed(candidate_ids):
+            reach.append(reach[-1] * max((self.orders[e] for e in cands), default=0))
+        stack = [((), frozenset([0]))]  # children pushed last-first, so popped in order
+        while stack:
+            prefix, span = stack.pop()
+            if len(span) * reach[k - len(prefix)] < self.order:
+                continue
+            if len(prefix) == k:
+                yield prefix
+                continue
+            stack.extend((prefix + (e,), self._extend(span, e)) for e in reversed(candidate_ids[len(prefix)]))
+
 
 def generating_tuples_count(G: AbelianGroup, n: int) -> int:
     """Number of n-tuples over G whose components generate G, exactly."""
@@ -375,59 +398,31 @@ def aut_order_bruteforce(G: AbelianGroup) -> int:
     """#Aut(G) counted directly: images of the standard generators with
     compatible orders that together span G (no p-group formula involved)."""
     table = _GroupTable(G)
-    if table.order == 1:
-        return 1
-    candidate_ids = []
-    for m in table.factors:
-        candidate_ids.append(
-            [i for i, o in enumerate(table.orders) if m % o == 0]
-        )
-    return table.count_spanning_tuples(candidate_ids)
+    return table.count_spanning_tuples(table.endomorphism_images())
 
 
 def automorphism_maps(G: AbelianGroup) -> list[dict]:
     """All automorphisms of a small group, as element->element dicts of
-    exponent tuples.
-
-    Enumerated by depth-first choice of generator images (order-compatible,
-    jointly spanning); intended for small-census freeness checks.  The maps
-    hold #Aut(G) * |G| entries; above AUT_MAPS_CAP that raises up front.
-    """
+    exponent tuples, in the order `spanning_tuples` lists the generator
+    images (order-compatible, jointly spanning); intended for small-census
+    freeness checks.  The maps hold #Aut(G) * |G| entries; above
+    AUT_MAPS_CAP that raises up front."""
     if (aut := aut_order(G)) * G.order > AUT_MAPS_CAP:
         raise CapExceededError(f"{aut} automorphisms x order {G.order} exceed cap {AUT_MAPS_CAP}")
     table = _GroupTable(G)
-    k = len(table.factors)
-    if k == 0:
-        return [{(): ()}]
     elements, add = table.elements, table.add_table
     out: list[dict] = []
-
-    def multiples(b: int, m: int) -> list[int]:
-        mults = [0]
-        for _ in range(m - 1):
-            mults.append(add[mults[-1]][b])
-        return mults
-
-    def rec(i: int, images: list, span: frozenset):
-        remaining = math.prod(table.factors[i:])
-        if len(span) * remaining < table.order:
-            return
-        if i == k:
-            tables = [multiples(b, m) for b, m in zip(images, table.factors)]
-            mapping = {}
-            for x in elements:
-                img = 0
-                for xi, mults in zip(x, tables):
-                    img = add[img][mults[xi]]
-                mapping[x] = elements[img]
-            out.append(mapping)
-            return
-        m = table.factors[i]
-        for eid, o in enumerate(table.orders):
-            if m % o == 0:
-                rec(i + 1, images + [eid], table._extend(span, eid))
-
-    rec(0, [], frozenset([0]))
+    for images in table.spanning_tuples(table.endomorphism_images()):
+        # multiples[i][x]: x times the image of generator i
+        multiples = [list(itertools.accumulate(range(m - 1), lambda s, _, b=b: add[s][b], initial=0))
+                     for b, m in zip(images, table.factors)]
+        mapping = {}
+        for x in elements:
+            img = 0
+            for xi, mults in zip(x, multiples):
+                img = add[img][mults[xi]]
+            mapping[x] = elements[img]
+        out.append(mapping)
     return out
 
 

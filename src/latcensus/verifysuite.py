@@ -454,8 +454,7 @@ def check_census_equality():
     squarefree record's enumeration raises on a quotient of rank >= 2 at a
     squarefree index."""
     grid = [(n, range(1, vmax + 1)) for n, vmax in ((2, 150), (3, 40), (4, 20))]
-    oracle = lambda record, v: record.oracle(v, lattice.DEFAULT_ENUM_CAP)
-    _agree(_census_rows("counting.census-equality", grid, oracle))
+    _agree(_census_rows("counting.census-equality", grid, counting.Census.oracle))
 
 
 def check_class_count_multiplicativity():
@@ -537,7 +536,7 @@ def check_fact2_multiplicativity():
 
 def check_free_action():
     for G in groups.enumerate_groups(16):
-        autos = groups.automorphism_maps(G)
+        autos, table = groups.automorphism_maps(G), groups._GroupTable(G)
         if len(autos) != groups.aut_order(G):
             _fail("groups.automorphism-materialization", G.describe())
         for n in range(G.rank, 5):
@@ -547,7 +546,8 @@ def check_free_action():
             if total % len(autos):
                 _fail("groups.free-action-division", f"{G.describe()} n={n}")
             # explicit orbit partition: every orbit must have size #Aut
-            gen_tuples = set(_spanning_tuples(groups._GroupTable(G), n))
+            gen_tuples = {tuple(map(table.elements.__getitem__, t))
+                          for t in table.spanning_tuples([range(table.order)] * n)}
             orbits = 0
             seen: set = set()
             for tup in sorted(gen_tuples):
@@ -562,23 +562,6 @@ def check_free_action():
                 _fail("groups.free-action-count", f"{G.describe()} n={n}")
             if orbits != groups.primitive_class_count(G, n):
                 _fail("groups.class-count-vs-orbits", f"{G.describe()} n={n}")
-
-
-def _spanning_tuples(table, n):
-    """All generating n-tuples of a small group (as exponent tuples), by
-    literal recursion over element indices."""
-    out = []
-
-    def rec(i, prefix, span):
-        if i == n:
-            if len(span) == table.order:
-                out.append(tuple(table.elements[e] for e in prefix))
-            return
-        for e in range(table.order):
-            rec(i + 1, prefix + [e], table._extend(span, e))
-
-    rec(0, [], frozenset([0]))
-    return out
 
 
 def check_rank_census_cross_module():

@@ -140,7 +140,7 @@ def test_import_leaves_global_precision_alone():
             for code in ("import mpmath; mpmath.mp.prec = 77; " + zeta3 + "; print(mpmath.mp.prec)", zeta3)]
     assert runs[0][1] == "77"
     assert runs[0][0] == runs[1][0]
-    assert runs[1][0].startswith("{'value': '1.2020569031595942854'")
+    assert runs[1][0].startswith("{'value': '1.202056903159594285399738161511489'")
 
 
 REF = mpmath.MPContext()
@@ -210,7 +210,7 @@ def test_printed_interval_contains_the_proven_one():
 
     reached = set()
     for name in constants.CONSTANT_NAMES:
-        for tol in (1e-10, 1e-20, 1e-30):
+        for tol in (1e-10, 1e-20, 1e-25, 1e-30):
             try:
                 val, _ = constants.evaluate_constant(name, tol=tol, **_CONSTANT_ARGS.get(name, {}))
             except PrecisionError:
@@ -220,6 +220,7 @@ def test_printed_interval_contains_the_proven_one():
             mid, err = Fraction(doc["value"]), Fraction(doc["err"])
             value, half = _exact(val.value), _exact(val.err)
             assert mid - err <= value - half and value + half <= mid + err, (name, tol, doc)
+            assert err <= tol, (name, tol, doc)  # the value prints with the digits err asks for
     # every name but the one whose smallest reachable err is 2.7e-6 prints at 1e-10
     assert {name for name, tol in reached if tol == 1e-10} == set(constants.CONSTANT_NAMES) - {"landau-prime-sum"}
 
@@ -230,3 +231,13 @@ def test_printed_zeta3_interval_holds_zeta3(capsys):
     assert main(["constants", "--name", "zeta", "--k", "3", "--tol", "1e-30"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert abs(REF.mpf(doc["value"]) - REF.zeta(3)) <= REF.mpf(doc["err"])
+    assert Fraction(doc["err"]) <= 1e-30
+
+
+def test_constants_refuses_a_printed_err_above_tol(capsys, monkeypatch):
+    from latcensus import cli
+
+    monkeypatch.setattr(cli, "format_errbounded", lambda v: {"value": "1", "err": "2e-10"})
+    assert cli.main(["constants", "--name", "zeta", "--k", "3", "--tol", "1e-10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "prints err 2e-10, above tol 1e-10" in err

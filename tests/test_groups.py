@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -167,6 +169,37 @@ def test_automorphism_maps_are_automorphisms_of_tuples():
                 assert a[add(x, y)] == add(a[x], a[y])
 
 
+def test_spanning_tuples_are_the_tuples_the_dp_counts():
+    # the literal enumeration lists exactly the tuples the DP counts, for the
+    # endomorphism candidates and for every element at n = 1..3, each spanning G
+    for g in groups.enumerate_groups(16):
+        table = groups._GroupTable(g)
+        _, elements, add, zero = _naive_group(g)
+        spans = {}  # element set -> the size of its span
+        everything = range(table.order)
+        for cands in [table.endomorphism_images()] + [[everything] * n for n in (1, 2, 3)]:
+            tuples = list(table.spanning_tuples(cands))
+            assert len(tuples) == len(set(tuples)) == table.count_spanning_tuples(cands), (g, len(cands))
+            for tup in tuples:
+                assert all(e in c for e, c in zip(tup, cands)) and len(tup) == len(cands)
+                key = frozenset(tup)
+                if key not in spans:
+                    spans[key] = len(_naive_span([elements[e] for e in key], add, zero))
+                assert spans[key] == table.order, (g, tup)
+
+
+def test_automorphism_maps_are_pinned_to_order_24():
+    # the digest of every map, in order, as the depth-first image search listed them
+    digest, maps = hashlib.sha256(), 0
+    for g in groups.enumerate_groups(24):
+        for a in groups.automorphism_maps(g):
+            digest.update(repr(list(a.items())).encode())
+            maps += 1
+    assert maps == 21310
+    assert digest.hexdigest() == "90ca3e140e19619fb624e1bd0656c8392cb346fb2891d93a827155577629d22b"
+    assert groups.automorphism_maps(groups.AbelianGroup.trivial()) == [{(): ()}]
+
+
 def test_aut_order_qm():
     assert groups.aut_order_qm(2, 2) == 6
     assert groups.aut_order_qm(3, 2) == 48
@@ -259,6 +292,16 @@ def test_reciprocal_sum_is_the_literal_sum(ds):
     # the small range brings repeats and 1s; the empty list sums to 0
     assert groups._reciprocal_sum(ds) == sum((Fraction(1, d) for d in ds), Fraction(0))
     assert groups._reciprocal_sum([]) == 0
+
+
+def test_reciprocal_sum_merges_seeded_multisets_exactly():
+    # long multisets with many repeats and an odd number of distinct values:
+    # every level of the pairwise merge carries one unpaired term
+    rng = random.Random(2024)
+    for size in (0, 1, 2, 3, 1001, 4097):
+        ds = [rng.choice((1, 2, 6, rng.randrange(1, 50), rng.randrange(1, 10**12))) for _ in range(size)]
+        assert groups._reciprocal_sum(ds) == sum((Fraction(1, d) for d in ds), Fraction(0)), size
+    assert groups._reciprocal_sum([7] * 21) == 3
 
 
 def _literal_masses(V):
