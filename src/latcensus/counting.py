@@ -417,7 +417,7 @@ def _rank_counts(n: int, q: int) -> tuple[int, ...]:
         low = max([len(div) for _, div in divisible if len(div) < 2], default=0)
         high = [(p, div, [i for i in range(n) if i not in div]) for p, div in divisible if len(div) >= 2]
         if not high:  # no per-basis test; each basis is still built and counted
-            counts[low] += sum(1 for _ in bases)
+            counts[low] += sum(map(bool, bases))
         elif len(high) == 1:
             for r, c in Counter(map(p_rank, bases, *map(repeat, high[0]))).items():
                 counts[max(low, r)] += c

@@ -311,7 +311,7 @@ class _GroupTable:
         s = g
         while s not in H:  # s runs over the multiples of g outside H
             row = add[s]
-            new.update([row[h] for h in H])
+            new.update(map(row.__getitem__, H))
             s = row[g]
         return frozenset(new)
 

@@ -8,10 +8,10 @@ plain matrix equality.
 The quotient G = Z^n/L is classified by its invariant factors (Smith form),
 an increasing divisibility chain d_1 | d_2 | ... of entries >= 2, the trivial
 quotient being the empty chain; L is co-cyclic when it has at most one entry.
-The Smith form needs full rank and reuses the HNF kernel, alternated on B and
-its transpose.  is_cocyclic reads co-cyclicity from adj(B) instead (no Smith
-form), and the congruence lattice {x : a.x = 0 mod q} is written down from a
-Bezout chain of (a, q).
+The Smith form needs full rank and is its own pivot-by-pivot elimination;
+it shares only the two-row gcd step with the HNF.  is_cocyclic reads
+co-cyclicity from adj(B) (no Smith form), and the congruence lattice
+{x : a.x = 0 mod q} is written down from Bezout pairs (math.gcd and pow).
 Enumeration oracles use the F_p ranks of each basis: rank G = max_p dim G/pG.
 
 All arithmetic is exact (Python ints); no floating point enters here.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
@@ -36,16 +37,21 @@ DEFAULT_ENUM_CAP = 10**8  # lattices one enumeration may build or stream
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = ax + by and g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
+    """(g, x, y) with g = ax + by and g >= 0: x inverts a/g modulo |b|/g
+    (0 when that modulus is 1, sign(a) when b = 0)."""
+    g = math.gcd(a, b)
+    if not b:
+        return g, (a > 0) - (a < 0), 0
+    x = pow(a // g, -1, abs(b) // g)
+    return g, x, (g - a * x) // b
+
+
+def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Fresh int lists; TypeError for a non-integer entry, ValueError if ragged."""
+    a = [list(map(operator.index, r)) for r in rows]
+    if any(len(r) != len(a[0]) for r in a):
+        raise ValueError("rows must have equal length")
+    return a
 
 
 def _combine_rows(a: list[list[int]], r: int, i: int, j: int) -> None:
@@ -70,23 +76,21 @@ def _combine_rows(a: list[list[int]], r: int, i: int, j: int) -> None:
         ri[col] = p * v - q * u
 
 
-def _row_hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Hermite normal form of the row span of an m x n integer matrix.
+def _row_hnf(a: list[list[int]]) -> list[list[int]]:
+    """Hermite normal form of the row span of the int lists a, in place.
 
     Returns the nonzero rows: upper staircase, positive pivots, entries
     above each pivot reduced into [0, pivot).
     """
-    a = [[int(x) for x in row] for row in rows]
-    m = len(a)
     n = len(a[0]) if a else 0
     r = 0
     pivots: list[tuple[int, int]] = []
     for j in range(n):
-        piv = next((i for i in range(r, m) if a[i][j]), None)
+        piv = next((i for i in range(r, len(a)) if a[i][j]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, m):
+        for i in range(r + 1, len(a)):
             if a[i][j]:
                 _combine_rows(a, r, i, j)
         if a[r][j] < 0:
@@ -118,9 +122,9 @@ class HnfBasis:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(map(tuple, _int_rows(rows)))
         n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
+        if n < 1 or len(rows[0]) != n:
             raise ValueError("rows must form a square matrix")
         for i in range(n):
             if rows[i][i] < 1:
@@ -181,14 +185,14 @@ class HnfBasis:
 
 def hnf_canonicalize(rows: Sequence[Sequence[int]]) -> HnfBasis:
     """Canonical basis of the row span of a nonsingular square matrix."""
-    rows = [list(r) for r in rows]
+    rows = _int_rows(rows)
     n = len(rows)
-    if n < 1 or any(len(r) != n for r in rows):
+    if n < 1 or len(rows[0]) != n:
         raise ValueError("expected a square matrix")
     red = _row_hnf(rows)
     if len(red) < n:
         raise SingularMatrixError("matrix is singular")
-    return HnfBasis._raw(n, tuple(tuple(r) for r in red))
+    return HnfBasis._raw(n, tuple(map(tuple, red)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +233,24 @@ def smith_invariants(basis) -> InvariantFactors:
     """Invariant factors of Z^n/L for a full-rank basis (HnfBasis or row
     matrix; a rank-deficient or empty one raises SingularMatrixError).
 
-    Row HNFs of the matrix and of its transpose alternate until it is
-    diagonal, starting from the rows of an HnfBasis, which are a row HNF
-    already: each round clears the first row and column or replaces the
-    first pivot by a proper divisor.  Pairwise (gcd, lcm) of the diagonal
-    then gives the divisibility chain."""
-    a = basis.rows if isinstance(basis, HnfBasis) else _row_hnf(basis)
+    Pivot by pivot, two-row gcd steps clear column k below a[k][k], and the
+    matrix is transposed while row k has entries right of it (each gcd step
+    makes |a[k][k]| a proper divisor; divisible steps leave row k alone).
+    Pairwise (gcd, lcm) of |diagonal| then gives the divisibility chain."""
+    a = [list(r) for r in basis.rows] if isinstance(basis, HnfBasis) else _int_rows(basis)
     n = len(a[0]) if a else 0
-    if not a or len(a) < n:
+    a += ([0] * n for _ in range(n - len(a)))  # too few rows: a zero pivot below
+    for k in range(n):
+        while True:
+            for i in range(k + 1, len(a)):
+                if a[i][k]:
+                    _combine_rows(a, k, i, k)
+            if not any(a[k][k + 1 :]):
+                break
+            a = [list(c) for c in zip(*a)]
+    d = [abs(a[i][i]) for i in range(n)]
+    if not n or 0 in d:
         raise SingularMatrixError("basis does not have full rank")
-    while any(a[i][j] for i in range(n) for j in range(i + 1, n)):
-        a = _row_hnf(zip(*a))
-    d = [a[i][i] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             g = math.gcd(d[i], d[j])
@@ -364,12 +374,12 @@ class CongruenceVector(_Frozen):
     __slots__ = ("q", "a")
 
     def __init__(self, q: int, a: tuple[int, ...]):
-        if q < 1:
+        if (q := operator.index(q)) < 1:
             raise ValueError("modulus must be >= 1")
         if len(a) < 1:
             raise ValueError("vector must have at least one coordinate")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "a", tuple(int(x) % q for x in a))
+        object.__setattr__(self, "a", tuple(operator.index(x) % q for x in a))
 
     @property
     def n(self) -> int:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -76,7 +77,7 @@ def test_smith_examples():
 def test_smith_needs_full_rank():
     # regression: a rank-deficient matrix (Z^2/L infinite) and the empty one
     # used to get a finite chain
-    for rows in ([[2, 0]], []):
+    for rows in ([[2, 0]], [], [[]]):
         with pytest.raises(SingularMatrixError):
             lattice.smith_invariants(rows)
     # tall full-rank input spans a full-rank lattice: Z^2/L = Z/6
@@ -111,6 +112,23 @@ def _det(rows):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+def _determinantal_chain(rows):
+    """Reference Smith chain from the determinantal divisors: d_k is the gcd
+    of the k x k minors and s_k = d_k / d_(k-1).  None when d_n = 0, i.e.
+    the rows span less than rank n."""
+    m, n = len(rows), len(rows[0])
+    d = [1]
+    for k in range(1, n + 1):
+        d.append(math.gcd(*(
+            _det([[rows[i][j] for j in cols] for i in picked])
+            for picked in itertools.combinations(range(m), k)
+            for cols in itertools.combinations(range(n), k)
+        )))
+    if d[n] == 0:
+        return None
+    return tuple(s for s in (d[k] // d[k - 1] for k in range(1, n + 1)) if s != 1)
 
 
 _BIG_ENTRY = st.integers(-(2**64), 2**64)
@@ -170,13 +188,85 @@ def test_smith_order_with_entries_up_to_two_to_the_64(case):
     assert factors[-1] == abs(det) // math.gcd(*minors)
     # every determinantal divisor: s_1 ... s_k is the gcd of the k x k minors
     if n <= 4:
-        for k in range(1, n + 1):
-            d_k = math.gcd(*(
-                _det([[rows[i][j] for j in cols] for i in sel])
-                for sel in itertools.combinations(range(n), k)
-                for cols in itertools.combinations(range(n), k)
-            ))
-            assert math.prod(factors[:k]) == d_k
+        assert inv.chain == _determinantal_chain(rows)
+
+
+def test_smith_matches_the_determinantal_divisors():
+    rng = SplitMix64(2718)
+    entries = [0, 0, 0] + list(range(-6, 7))
+    raised = 0
+    for _ in range(600):
+        m, n = 1 + rng.randbelow(5), 1 + rng.randbelow(4)
+        rows = [[entries[rng.randbelow(len(entries))] for _ in range(n)] for _ in range(m)]
+        r, scale = rng.randbelow(m), (1, 2, 3, 4, 6)[rng.randbelow(5)]
+        rows[r] = [scale * x for x in rows[r]]  # a row factor gives longer chains
+        expected = _determinantal_chain(rows)
+        if expected is None:
+            raised += 1
+            with pytest.raises(SingularMatrixError):
+                lattice.smith_invariants(rows)
+        else:
+            assert lattice.smith_invariants(rows).chain == expected, rows
+    assert 100 < raised < 500  # both kinds of input are well represented
+
+
+def test_smith_of_a_40_by_40_matrix():
+    # alternating full row HNFs took 52 s here; pivot elimination takes ms
+    rng = SplitMix64(40)
+    rows = [[rng.randbelow(41) - 20 for _ in range(40)] for _ in range(40)]
+    det = _det(rows)
+    assert det != 0
+    start = time.perf_counter()
+    inv = lattice.smith_invariants(rows)
+    assert time.perf_counter() - start < 1.0
+    assert inv.order == abs(det)
+
+
+def test_xgcd_is_a_bezout_pair():
+    rng = SplitMix64(70)
+    values = [0, 1, -1, 2**70, -(2**70)]
+    values += [(rng.randbelow(2**71 + 1) - 2**70) >> rng.randbelow(71) for _ in range(400)]
+    pairs = list(itertools.product(values[:5], repeat=2))
+    pairs += [(values[rng.randbelow(len(values))], values[rng.randbelow(len(values))]) for _ in range(4000)]
+    for a, b in pairs:
+        g, x, y = lattice._xgcd(a, b)
+        assert g == math.gcd(a, b) and a * x + b * y == g, (a, b)
+
+
+_NON_INTEGERS = (0.9, 2.5, 2.0, Fraction(3, 2), Fraction(2), "3")
+
+
+def test_hnf_basis_takes_integers_only():
+    assert lattice.HnfBasis([[1, 1], [0, 2]]).rows == ((1, 1), (0, 2))
+    for x in _NON_INTEGERS:
+        with pytest.raises(TypeError):
+            lattice.HnfBasis([[1, x], [0, 2]])
+    with pytest.raises(ValueError):
+        lattice.HnfBasis([[1, 0], [0, 2, 5]])
+
+
+def test_hnf_canonicalize_takes_integers_only():
+    for x in _NON_INTEGERS:
+        with pytest.raises(TypeError):
+            lattice.hnf_canonicalize([[x, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        lattice.hnf_canonicalize([[1, 0], [0, 2, 5]])
+
+
+def test_smith_invariants_takes_integers_only():
+    for x in _NON_INTEGERS:
+        with pytest.raises(TypeError):
+            lattice.smith_invariants([[x, 0], [0, 1]])
+    with pytest.raises(ValueError):  # a ragged row used to lose its last entry
+        lattice.smith_invariants([[1, 0], [0, 2, 5]])
+
+
+def test_congruence_vector_takes_integers_only():
+    for x in _NON_INTEGERS:
+        with pytest.raises(TypeError):
+            lattice.CongruenceVector(6, (x, 1))
+        with pytest.raises(TypeError):
+            lattice.CongruenceVector(x, (1, 1))
 
 
 def test_invariant_factors_validation():
