@@ -13,11 +13,13 @@ the standard library.  Both sieves check their limit against SIEVE_CAP
 before anything is allocated; a larger request raises CapExceededError.
 `factorize` is trial division, which stops at TRIAL_DIVISION_LIMIT, so a
 number with a large cofactor raises CapExceededError instead of running for
-hours.
+hours.  `_order_walk`, the walk over the N <= V by prime factorization, is
+shared by the census's second route and both group-mass routes.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from array import array
@@ -63,6 +65,24 @@ def primes_upto(limit: int) -> list[int]:
             start = p * p // 2
             odd_prime[start::p] = bytes((half - start) // p + 1)
     return [2, *itertools.compress(range(1, limit + 1, 2), odd_prime)]
+
+
+def _order_walk(V: int, primes: list[int], root, child):
+    """Depth-first walk over the N <= V by prime factorization (`primes`: the
+    primes <= V, ascending), yielding (node, lo, hi) per N reached.  node is
+    child(node of M, p, e) for N = M p^e, p above M's largest prime (root at
+    N = 1); primes[lo:hi], hi >= lo, are the p above N's largest prime with
+    N p <= V < N p^2, the leaves N p that the caller takes as one batch."""
+    stack = [(1, root, 0)] if V >= 1 else []  # (N, node, index of the least prime allowed)
+    while stack:
+        N, node, j = stack.pop()
+        lo = max(j, bisect.bisect_right(primes, math.isqrt(V // N)))
+        yield node, lo, max(lo, bisect.bisect_right(primes, V // N))
+        for i in range(j, lo):
+            p, m, e = primes[i], N * primes[i], 1
+            while m <= V:
+                stack.append((m, child(node, p, e), i + 1))
+                m, e = m * p, e + 1
 
 
 class SieveTable:

@@ -67,10 +67,7 @@ def cmd_count(args) -> int:
 
     rungs = args.ladder or 1
     rows = []
-    for i in range(1, rungs + 1):
-        v = V * i // rungs
-        if v < 1:
-            continue
+    for v in sorted({V * i // rungs for i in range(1, rungs + 1)} - {0}):  # each bound once
         doc = {"n": n, "V": v, "mode": args.mode}
         if args.rank is not None:
             doc["rank"] = args.rank

@@ -14,11 +14,11 @@ three independent routes:
   estimated work is checked against DEFAULT_FLOOR_VALUE_CAP before anything
   is allocated, and CapExceededError is raised above it.  The same engine at
   n = 1 (T_1(x) = x) gives the abelian group class count of `groups`;
-* `sieve`, the second route: `_multiplicative_sum` sieves [1, V] and sums
-  its own prime-power local factors, the cotype counts (`_cotype_factor`),
-  in O(V) time and memory, for the tests and `verify`, memoized per
-  (n, k, squarefree, V), so the records of one (n, V) share each rank <= k
-  part;
+* `sieve`, the second route: `_multiplicative_sum` walks the q <= V
+  (`arith._order_walk`) and sums its own prime-power local factors, the
+  cotype counts (`_cotype_factor`), in O(V) time and pi(V) entries, no
+  V-entry table, for the tests and `verify`, memoized per
+  (n, k, squarefree, V), so the records of one (n, V) share each rank <= k part;
 * `oracle`, the enumeration: `_rank_counts(n, q)` streams the HNF bases of
   index q once and counts them by quotient rank from their F_p ranks
   (p | q), memoized per (n, q), so every record and every bound V share the
@@ -47,8 +47,8 @@ from typing import Callable, Optional
 from . import lattice
 from .arith import (
     SIEVE_CAP,
-    SieveTable,
     _aut_order_pgroup,
+    _order_walk,
     _partitions_of,
     bernoulli,
     ensure_factored,
@@ -233,24 +233,14 @@ def _cotype_factor(n: int, k: int, squarefree: bool) -> Callable[[int, int], int
 @cache
 def _multiplicative_sum(n: int, k: int, squarefree: bool, V: int) -> int:
     """Second route: sum of f(q) over q <= V for the multiplicative f with
-    f(p^e) = _cotype_factor(n, k, squarefree)(p, e), factoring each q with a
-    sieve of [1, V] (the local factor is memoized per prime power, at most V
-    entries like the sieve)."""
-    spf = SieveTable(max(V, 2)).spf
+    f(p^e) = _cotype_factor(n, k, squarefree)(p, e), by `arith._order_walk`:
+    each node N adds f(N) (1 + the sum of f(p) over its leaf primes, a
+    difference of prefix sums).  O(V) time, pi(V) entries, no V-entry table."""
+    primes = primes_upto(V)
     local = cache(_cotype_factor(n, k, squarefree))
-    total = 0
-    for q in range(1, V + 1):
-        k = q
-        a = 1
-        while k > 1 and a:
-            p = spf[k]
-            e = 0
-            while k % p == 0:
-                k //= p
-                e += 1
-            a *= local(p, e)
-        total += a
-    return total
+    prefix = list(accumulate(map(local.__wrapped__, primes, repeat(1)), initial=0))
+    walk = _order_walk(V, primes, 1, lambda f, p, e: f * local(p, e))
+    return sum(f * (1 + prefix[hi] - prefix[lo]) for f, lo, hi in walk)
 
 
 @cache

@@ -22,7 +22,8 @@ over powerful numbers in O(sqrt V) time under that engine's cap;
 The census assigns each group the mass 1/#Aut(G); totals are exact
 rationals up to 1e4 (unions of mass cells, `_cell_mass`, tallied from
 per-prime-power (rank, #Aut) pairs by `_aut_walk`) and error-bounded floats
-beyond.  Census sizes are checked against their caps before any work
+beyond (`_mass_terms`), both on `arith._order_walk`, the second census
+route's walk.  Census sizes are checked against their caps before any work
 (DEFAULT_CENSUS_CAP for the group enumeration and the mass walk,
 counting.DEFAULT_FLOOR_VALUE_CAP for the class count,
 arith.SIEVE_CAP for the float mass).  The explicit oracles are capped too:
@@ -33,19 +34,19 @@ AUT_MAPS_CAP on #Aut(G) x |G| for `automorphism_maps`, checked up front.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .arith import (
     _FLOAT_EPS,
     EXACT_SUM_LIMIT,
-    SIEVE_CAP,
     SieveTable,
     _aut_order_pgroup,
+    _order_walk,
     _partitions_of,
     _reciprocal_sum,
     factorize,
@@ -463,8 +464,6 @@ def cl_total_mass(V: int, exact_limit: int = EXACT_SUM_LIMIT):
     """
     if V < 1:
         raise ValueError("V must be >= 1")
-    if V > SIEVE_CAP:
-        raise CapExceededError(f"mass bound {V} exceeds the sieve cap {SIEVE_CAP}")
     if V <= exact_limit:
         return _cell_mass(V, lambda rank, squarefree, r: True)
     total = math.fsum(itertools.chain.from_iterable(_mass_terms(V)))
@@ -479,33 +478,18 @@ def _mass_terms(V: int) -> Iterator[Iterable[float]]:
     """The float masses of orders 1..V, in batches.  With P^e || n for the
     largest prime P | n, mass(n) = mass(n / P^e) * r(P, 1) * ... * r(P, e),
     r(p, k) = fl(mass(p^k) / mass(p^(k-1))), rounded product by product as a
-    sieve multiplying every multiple of p^k by r(p, k) would.  A depth-first
-    walk extends n by the primes p with n p^2 <= V; the larger primes with
-    n p <= V end their branch and come as one batch, mass(n) times r(p, 1)."""
+    sieve multiplying every multiple of p^k by r(p, k) would.  The orders
+    come from `arith._order_walk`, each node with its leaves n p, mass(n)
+    times r(p, 1), as one batch."""
     primes = primes_upto(V)
     r1 = [1 / (p - 1) for p in primes]  # mass(p): Z/p has p - 1 automorphisms
-    ratios = []
-    for p in primes[: bisect.bisect_right(primes, math.isqrt(V))]:
-        masses = [1.0]
-        while p ** len(masses) <= V:
-            masses.append(float(_pgroup_mass(p, len(masses))))
-        ratios.append([b / a for a, b in zip(masses, masses[1:])])
-    yield (1.0,)
-    stack = [(1, 1.0, 0)]  # (n, mass of n, index of the least prime allowed)
-    while stack:
-        n, mass, j = stack.pop()
-        top = V // n
-        deep = max(j, bisect.bisect_right(primes, math.isqrt(top)))
-        yield map(mass.__mul__, r1[deep : bisect.bisect_right(primes, top)])
-        for i in range(j, deep):
-            m, b = n, mass
-            for ratio in ratios[i]:
-                m *= primes[i]
-                if m > V:
-                    break
-                b *= ratio
-                yield (b,)
-                stack.append((m, b, i + 1))
+    ratios = {}
+    for p in itertools.takewhile(math.isqrt(V).__ge__, primes):
+        masses = [1.0] + [float(_pgroup_mass(p, k)) for k in range(1, V.bit_length()) if p**k <= V]
+        ratios[p] = [b / a for a, b in zip(masses, masses[1:])]
+    child = lambda mass, p, e: reduce(mul, ratios[p][:e], mass)
+    for mass, lo, hi in _order_walk(V, primes, 1.0, child):
+        yield itertools.chain((mass,), map(mass.__mul__, r1[lo:hi]))
 
 
 _mass_cells = lru_cache(maxsize=1)(lambda V: {})  # the last V's cells: (rank, squarefree) -> mass
@@ -515,9 +499,9 @@ def _aut_walk(V: int, want) -> dict[tuple[int, bool], list[int]]:
     """#Aut of every group of order <= V in the mass cells (rank, order
     squarefree) of `want`, by cell.  A group of order N takes one pair
     (l(lam), #Aut(G_lam)) per p^e || N, lam a partition of e (pairs memoized
-    per p^e): its rank is the largest l, its #Aut the product.  A depth-first
-    walk extends N by larger primes, each node holding its groups as rank ->
-    #Aut list; the primes p with N p^2 > V end their branch as one batch."""
+    per p^e): its rank is the largest l, its #Aut the product.  Each node of
+    `arith._order_walk` holds its groups as (order squarefree, rank -> #Aut
+    list); its leaves N p take the pair of p as one batch."""
     if V < 1:
         raise ValueError("V must be >= 1")
     if V > DEFAULT_CENSUS_CAP:
@@ -526,23 +510,18 @@ def _aut_walk(V: int, want) -> dict[tuple[int, bool], list[int]]:
     pairs = lru_cache(None)(lambda p, e: [(len(lam), _aut_order_pgroup(p, lam)) for lam in _partitions_of(e)])
     cells: dict[tuple[int, bool], list[int]] = {cell: [] for cell in want}
     tally = lambda cell, auts: cells[cell].extend(auts) if cell in cells else None
-    stack = [(1, 0, True, {0: [1]})]  # (N, index of the least prime allowed, squarefree, rank -> #Aut list)
-    while stack:
-        N, j, squarefree, node = stack.pop()
-        deep = max(j, bisect.bisect_right(primes, math.isqrt(V // N)))
-        tail = [b for p in primes[deep : bisect.bisect_right(primes, V // N)] for _, b in pairs(p, 1)]
+
+    def child(parent, p: int, e: int):
+        out: dict[int, list] = {}
+        for (l, b), (r, auts) in itertools.product(pairs(p, e), parent[1].items()):
+            out.setdefault(max(r, l), []).extend(map(b.__mul__, auts))
+        return parent[0] and e == 1, out
+
+    for (squarefree, node), lo, hi in _order_walk(V, primes, (True, {0: [1]}), child):
+        tail = [b for p in primes[lo:hi] for _, b in pairs(p, 1)]
         for r, auts in node.items():
             tally((r, squarefree), auts)
             tally((max(r, 1), squarefree), (a * b for b in tail for a in auts))  # unread when not wanted
-        for i in range(j, deep):
-            p, m, e = primes[i], N * primes[i], 1
-            while m <= V:
-                child: dict[int, list] = {}
-                for l, b in pairs(p, e):
-                    for r, auts in node.items():
-                        child.setdefault(max(r, l), []).extend(map(b.__mul__, auts))
-                stack.append((m, i + 1, squarefree and e == 1, child))
-                m, e = m * p, e + 1
     return cells
 
 

@@ -479,12 +479,23 @@ def check_divisor_resummation():
 
 
 def check_dirichlet_vs_sieve():
-    """Fast floor-value route equals the sieve route for every census
-    record, n in 2..6; the records of one (n, V) share each sieve sum."""
+    """Fast floor-value route equals the second route for every census
+    record, n in 2..6, then n = 2 at V = 2e6; the records of one (n, V)
+    share each second-route sum."""
     rng = SplitMix64(29)
     bounds = [1, 2, 16, 997, 3000, 10**5] + [1 + rng.randbelow(20000) for _ in range(3)]
-    grid = [(n, bounds) for n in range(2, 7)]
+    grid = [(n, bounds) for n in range(2, 7)] + [(2, [2 * 10**6])]
     _agree(_census_rows("counting.dirichlet-vs-sieve", grid, counting.Census.sieve))
+
+
+def check_local_factor_identity():
+    """The fast route's local factor equals the second route's cotype sum at
+    every p^e <= 1e12, p <= 1000, e <= 24, n = 2..8, k <= n (and squarefree at k = 1)."""
+    powers = [(p, e) for p in arith.primes_upto(1000) for e in range(1, 25) if p**e <= 10**12]
+    factors = [(n, k, sf) for n in range(2, 9) for k in range(1, n + 1) for sf in (False, True)[: 1 + (k == 1)]]
+    _agree(("counting.local-factor-identity", f"n={n} k={k} squarefree={sf} p^e={p}^{e}",
+            counting._local(n, k, sf)(p, e), counting._cotype_factor(n, k, sf)(p, e))
+           for n, k, sf in factors for p, e in powers)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +705,7 @@ CHECKS: dict[str, tuple[str, object]] = {
     "groups.total-mass-growth": ("masses", check_total_mass_growth),
     "lattice.sampler-uniformity": ("sampler", check_sampler_uniformity),
     "lattice.sampler-determinism": ("sampler", check_sampler_determinism),
+    "counting.local-factor-identity": ("formulas", check_local_factor_identity),
 }
 
 SUITES = tuple(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -254,3 +255,24 @@ def test_sieve_table_primes_are_primes_upto():
         primes = arith.SieveTable(limit).primes()
         assert primes == arith.primes_upto(limit)
         assert all(type(p) is int for p in primes)
+
+
+def test_order_walk_reaches_each_order_once():
+    # nodes and their leaf batches are 1..V, each once, also where V // N is
+    # below the next prime: an empty tail, lo == hi
+    for V in [*range(501), 10**5]:
+        primes = arith.primes_upto(V)
+        orders = []
+        for N, lo, hi in arith._order_walk(V, primes, 1, lambda N, p, e: N * p**e):
+            assert lo <= hi, (V, N)
+            orders += [N, *(N * p for p in primes[lo:hi])]
+        assert sorted(orders) == list(range(1, V + 1)), V
+
+
+def test_second_route_adds_nothing_for_an_empty_tail():
+    # the leaf batch is a prefix-sum difference, so an unclamped tail would subtract
+    for n in (2, 3):
+        classes = itertools.accumulate(counting.count_primitive_classes(n, q) for q in range(1, 200))
+        assert [counting._multiplicative_sum(n, 1, False, V) for V in range(1, 200)] == list(classes)
+    with pytest.raises(CapExceededError):
+        counting._multiplicative_sum(2, 1, False, arith.SIEVE_CAP + 1)

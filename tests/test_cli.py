@@ -61,6 +61,15 @@ def test_count_csv_ladder(capsys):
     assert lines[1].split(",")[0] == "10"
 
 
+def test_count_csv_ladder_prints_each_bound_once(capsys):
+    # ten rungs over V = 5: V*i//10 repeats every bound, and 0 is no bound
+    code, out, _ = run_cli(capsys, "count", "--n", "2", "--V", "5", "--format", "csv", "--ladder", "10")
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        ["1", "1"], ["2", "4"], ["3", "8"], ["4", "14"], ["5", "20"]
+    ]
+
+
 def test_count_csv_honours_method(capsys, monkeypatch):
     from latcensus import counting
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcensus import arith, counting, lattice
+from latcensus import arith, counting, lattice, verifysuite
 from latcensus.errors import CapExceededError
 
 
@@ -243,6 +243,54 @@ def test_verify_sees_a_wrong_rank_factor_at_n5(monkeypatch, capsys):
     assert main(["verify", "--suite", "formulas"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False and doc["failed"] == "counting.dirichlet-vs-sieve"
+
+
+def _wrong_rank_factor_at_two_to_the_17(rank_factor):
+    def mutant(n, m):
+        local = rank_factor(n, m)
+        return lambda p, e: local(p, e) + ((n, p, e) == (6, 2, 17))
+
+    return mutant
+
+
+# function name -> (patch of it, a public call whose answer the patch moves);
+# each patch is off by one only where no grid before its killing row reaches
+FAST_ROUTE_MUTANTS = {
+    "_power_sum": (lambda f: lambda j, m: f(j, m) + (m > 10**6), ("count_cocyclic", 2, 2 * 10**6)),
+    "_h_series": (
+        lambda f: lambda n, p, local, top: [h + (p > 1000 and e == 2) for e, h in enumerate(f(n, p, local, top))],
+        ("count_cocyclic", 2, 2 * 10**6),
+    ),
+}
+LOCAL_FACTOR_MUTANTS = {
+    "_rank_factor": (_wrong_rank_factor_at_two_to_the_17, ("count_by_rank", 6, 2, 2**17)),
+    "_prime_power_class_count": (
+        lambda f: lambda n, p, e: f(n, p, e) + (p > 320 and e >= 2),
+        ("count_primitive_classes", 2, 331**2),
+    ),
+}
+
+
+def _apply_mutant(monkeypatch, name, mutants):
+    patch, (public, *args) = mutants[name]
+    right = getattr(counting, public)(*args)
+    monkeypatch.setattr(counting, name, patch(getattr(counting, name)))
+    assert getattr(counting, public)(*args) != right
+
+
+@pytest.mark.parametrize("name", sorted(FAST_ROUTE_MUTANTS))
+def test_verify_sees_a_fast_route_wrong_above_one_million(monkeypatch, name):
+    # only the second route's n = 2 row at V = 2e6 reaches these arguments
+    _apply_mutant(monkeypatch, name, FAST_ROUTE_MUTANTS)
+    with pytest.raises(verifysuite.CheckFailure, match=r"^counting\.dirichlet-vs-sieve: .* V=2000000: "):
+        verifysuite.check_dirichlet_vs_sieve()
+
+
+@pytest.mark.parametrize("name", sorted(LOCAL_FACTOR_MUTANTS))
+def test_verify_sees_a_wrong_local_factor_beyond_the_census_grid(monkeypatch, name):
+    _apply_mutant(monkeypatch, name, LOCAL_FACTOR_MUTANTS)
+    with pytest.raises(verifysuite.CheckFailure, match=r"^counting\.local-factor-identity: "):
+        verifysuite.check_local_factor_identity()
 
 
 def test_cocyclic_share_at_desk_scale():
