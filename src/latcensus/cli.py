@@ -47,8 +47,6 @@ def cmd_count(args) -> int:
     n, V, csv, tol, cap = args.n, args.V, args.format == "csv", args.tol, args.enum_cap
     if V < 1:
         raise ValueError("--V must be >= 1")
-    if args.mode in ("cyclic", "squarefree") and n < 2:
-        raise ValueError(f"--mode {args.mode} requires --n >= 2")
     if args.ladder is not None and (args.ladder < 1 or not csv):
         raise ValueError("--ladder needs --format csv and at least one rung")
     try:
@@ -58,12 +56,10 @@ def cmd_count(args) -> int:
     density = record.density
     if (tol is not None and density is None) or (cap is not None and args.method == "formula"):
         raise ValueError("--tol needs a printed prediction, --enum-cap an enumerating --method")
-    tol = 1e-10 if tol is None else tol
+    tol = constants.DEFAULT_TOL if tol is None else tol
     second = lambda v: record.oracle(v, lattice.DEFAULT_ENUM_CAP if cap is None else cap)
     first = second if args.method == "bruteforce" else record.count
     leading = None if density is None else lambda v: density(tol) * ErrBoundedReal.exact(v**n) / n
-    # CSV rows scale one V = 1 prediction by V_i^n
-    unit = leading(1) if csv and leading is not None else None
 
     rungs = args.ladder or 1
     rows = []
@@ -84,7 +80,7 @@ def cmd_count(args) -> int:
                 print(f"mismatch at V={v}: count {count} vs oracle {check}", file=sys.stderr)
                 return EXIT_VERIFY
         if csv:
-            pred = float("nan" if unit is None else (unit * ErrBoundedReal.exact(v**n)).value)
+            pred = float("nan" if leading is None else leading(v).value)
             rows.append(f"{v},{count},{pred:.12g},{count / pred:.12g}")
             continue
         if leading is not None:
@@ -240,7 +236,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=("formula", "bruteforce", "both"), default="formula")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--ladder", type=int, help="emit a CSV ladder with this many rungs")
-    p.add_argument("--tol", type=float, help="prediction tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, help=f"prediction tolerance (default {constants.DEFAULT_TOL:g})")
     p.add_argument("--enum-cap", type=int, help="enumeration cap for --method bruteforce/both")
     p.set_defaults(func=cmd_count)
 

@@ -448,7 +448,7 @@ def gekeler_squarefree(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
 # ---------------------------------------------------------------------------
 
 
-def rank_prob(p: int, r: int, tol: float = 1e-10) -> ErrBoundedReal:
+def rank_prob(p: int, r: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Probability that a random abelian p-group (mass 1/#Aut) has rank r:
     p^(-r^2) prod_{i>=1} (1 - p^-i) / prod_{i=1}^r (1 - p^-i)^2."""
     if not is_prime(p):
@@ -474,7 +474,7 @@ def rank_prob(p: int, r: int, tol: float = 1e-10) -> ErrBoundedReal:
     return ErrBoundedReal.exact(value) * tail
 
 
-def delta_rank_at_most(r: int, tol: float = 1e-10) -> ErrBoundedReal:
+def delta_rank_at_most(r: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Census density of rank <= r: Xi_2^-1 prod_p sum_{k<=r} P(p, k)-local
     factors, evaluated as an accelerated Euler product."""
     return _delta_rank_at_most(r, tol)[0]
@@ -520,12 +520,12 @@ def delta_rank_at_least_bound(r: int) -> ErrBoundedReal:
 # ---------------------------------------------------------------------------
 
 
-def uniform_density_cyclic(tol: float = 1e-10) -> ErrBoundedReal:
+def uniform_density_cyclic(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Limit fraction of cyclic classes among all classes: 1/Xi_2 ~ 0.4358."""
     return 1 / xi_inf(2, _power_of_ten_below(tol / 5))
 
 
-def uniform_density_squarefree(tol: float = 1e-10) -> ErrBoundedReal:
+def uniform_density_squarefree(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Limit fraction of squarefree-order classes: 1/(zeta(2) Xi_2) ~ 0.2649."""
     return 1 / (zeta(2, tol / 100) * xi_inf(2, _power_of_ten_below(tol / 5)))
 

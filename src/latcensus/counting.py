@@ -266,12 +266,8 @@ def _power_sum(j: int, m: int) -> int:
     return acc // den
 
 
-def _check_census(name: str, n: int, V: int, n_min: int, walks: int) -> None:
-    """Argument and cap checks; `walks` counts the caller's _powerful_sum walks."""
-    if n < n_min:
-        raise ValueError(f"{name} requires n >= {n_min}")
-    if V < 1:
-        raise ValueError("V must be >= 1")
+def _check_census(n: int, V: int, walks: int) -> None:
+    """The floor-value work cap, V >= 1; `walks` counts the caller's _powerful_sum walks."""
     work = (n - 1) * math.isqrt(V) * math.isqrt(math.isqrt(V))  # ~V^(3/4) per level
     work += walks * 11 * math.isqrt(V)  # ~2.2 sqrt(V) powerful h, each ~5 steps' time
     if work > DEFAULT_FLOOR_VALUE_CAP:
@@ -417,8 +413,6 @@ def _rank_counts(n: int, q: int) -> tuple[int, ...]:
 
 
 def _guard_enumeration(n: int, V: int, cap: int) -> None:
-    if n < 1 or V < 1:
-        raise ValueError("need n >= 1 and V >= 1")
     if (total := total_count(n, V)) > cap:  # O(V^(3/4)) under its own cap; no (V+1)-entry table
         raise CapExceededError(f"enumerating {total} lattices exceeds cap {cap}")
 
@@ -435,32 +429,35 @@ class Census:
         self.mode, self.n, self.low, self.high = mode, n, low, high
         self.squarefree, self.density = squarefree, density
 
-    def _ends(self) -> tuple[int, ...]:
-        """(high, low - 1) clamped to n, or () when the interval is empty."""
+    def _ends(self, V: int) -> tuple[int, ...]:
+        """(high, low - 1) clamped to n, or () when the interval is empty.
+        Every route reads it first, so all three refuse V < 1 alike."""
+        if V < 1:
+            raise ValueError("V must be >= 1")
         high = min(self.high, self.n)
         low = min(self.low - 1, high)
         return (high, low) if low < high else ()
 
-    def _between(self, at_most: Callable[[int], int]) -> int:
+    def _between(self, ends: tuple[int, ...], at_most: Callable[[int], int]) -> int:
         """The census from at_most(k), 0 < k <= n; rank <= 0 is Z^n alone, rank <= -1 empty."""
-        parts = [at_most(k) if k > 0 else k + 1 for k in self._ends()]
+        parts = [at_most(k) if k > 0 else k + 1 for k in ends]
         return parts[0] - parts[1] if parts else 0
 
     def count(self, V: int) -> int:
         """Fast route: one floor-value table, and a powerful-number walk per part of rank 0 < k < n."""
-        n, ends = self.n, self._ends()
-        n_min = 2 if self.mode in ("cyclic", "squarefree") else 1
-        _check_census(f"the {self.mode} census", n, V, n_min, sum(0 < k < n for k in ends))
+        n, ends = self.n, self._ends(V)
+        _check_census(n, V, sum(0 < k < n for k in ends))
         table = _census_table(n, V) if any(k > 0 for k in ends) else None
         walk = lambda k: table(1) if k == n else _powerful_sum(n, V, _local(n, k, self.squarefree), table)
-        return self._between(walk)
+        return self._between(ends, walk)
 
     def sieve(self, V: int) -> int:
         """Second route: each part on `_multiplicative_sum`."""
-        return self._between(lambda k: _multiplicative_sum(self.n, k, self.squarefree, V))
+        return self._between(self._ends(V), lambda k: _multiplicative_sum(self.n, k, self.squarefree, V))
 
     def oracle(self, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
         """Enumeration: the strata of rank low..high, independent of every closed form."""
+        self._ends(V)  # the V check of count and sieve
         _guard_enumeration(self.n, V, cap)
         total = 0
         for q in range(1, V + 1):
@@ -478,7 +475,8 @@ def census(mode: str, n: int, m: Optional[int] = None) -> Census:
     """The census record of `mode`: "cyclic" (quotient rank <= 1; density
     theta_n), "squarefree" (rank <= 1 at squarefree index; rho_n), "all"
     (rank <= n; xi(2, n)) or "rank" (rank exactly m, given for this mode
-    alone; no density yet).  No density is given for n < 2."""
+    alone; no density yet).  No density is given for n < 2, and n below the
+    mode's least dimension (2 for cyclic and squarefree, else 1) raises."""
     if (mode == "rank") != (m is not None):
         raise ValueError("mode 'rank' needs a rank m, and no other mode takes one")
     if mode == "rank":
@@ -493,6 +491,8 @@ def census(mode: str, n: int, m: Optional[int] = None) -> Census:
         raise ValueError(f"unknown census mode {mode!r}")
     if low < 0:
         raise ValueError("rank must be >= 0")
+    if n < (n_min := 2 if mode in ("cyclic", "squarefree") else 1):
+        raise ValueError(f"the {mode} census requires n >= {n_min}")
     return Census(mode, n, low, high, squarefree, density if n >= 2 else None)
 
 

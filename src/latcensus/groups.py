@@ -183,14 +183,19 @@ class AbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_groups(V: int) -> Iterator[AbelianGroup]:
-    """All isomorphism classes of abelian groups of order <= V, ascending by
-    order, then lexicographic in (prime, partition) data: the product of the
-    p-part lists of each order, those of p^e, e >= 2, built once per call."""
+def _check_census_bound(V: int) -> None:
+    """1 <= V <= DEFAULT_CENSUS_CAP, the bound of the group enumeration and of the mass walk."""
     if V < 1:
         raise ValueError("V must be >= 1")
     if V > DEFAULT_CENSUS_CAP:
         raise CapExceededError(f"census bound {V} exceeds cap {DEFAULT_CENSUS_CAP}")
+
+
+def enumerate_groups(V: int) -> Iterator[AbelianGroup]:
+    """All isomorphism classes of abelian groups of order <= V, ascending by
+    order, then lexicographic in (prime, partition) data: the product of the
+    p-part lists of each order, those of p^e, e >= 2, built once per call."""
+    _check_census_bound(V)
     sieve = SieveTable(max(V, 2))
     memo: dict[tuple[int, int], tuple] = {}  # (p, e) -> ((p, partition of e), ...), e >= 2
 
@@ -210,7 +215,9 @@ def count_isomorphism_classes(V: int) -> int:
     local factor P(e), whose correction H_p = F_p(X) (1 - X) vanishes at
     p since P(1) = P(0).  A V whose estimated work exceeds
     counting.DEFAULT_FLOOR_VALUE_CAP raises CapExceededError before any work."""
-    _check_census("count_isomorphism_classes", 1, V, 1, 1)
+    if V < 1:
+        raise ValueError("V must be >= 1")
+    _check_census(1, V, 1)
     return _powerful_sum(1, V, lambda p, e: partition_count(e))
 
 
@@ -502,10 +509,7 @@ def _aut_walk(V: int, want) -> dict[tuple[int, bool], list[int]]:
     per p^e): its rank is the largest l, its #Aut the product.  Each node of
     `arith._order_walk` holds its groups as (order squarefree, rank -> #Aut
     list); its leaves N p take the pair of p as one batch."""
-    if V < 1:
-        raise ValueError("V must be >= 1")
-    if V > DEFAULT_CENSUS_CAP:
-        raise CapExceededError(f"census bound {V} exceeds cap {DEFAULT_CENSUS_CAP}")
+    _check_census_bound(V)
     primes = primes_upto(V)
     pairs = lru_cache(None)(lambda p, e: [(len(lam), _aut_order_pgroup(p, lam)) for lam in _partitions_of(e)])
     cells: dict[tuple[int, bool], list[int]] = {cell: [] for cell in want}
@@ -566,22 +570,3 @@ def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fracti
 def empirical_cyclic_fraction(V: int) -> Fraction:
     """(#cyclic classes of order <= V) / (#classes of order <= V), exactly."""
     return Fraction(V, count_isomorphism_classes(V))
-
-
-__all__ = [
-    "AbelianGroup",
-    "aut_order",
-    "aut_order_bruteforce",
-    "aut_order_pgroup",
-    "aut_order_qm",
-    "automorphism_maps",
-    "cl_predicate_mass",
-    "cl_total_mass",
-    "count_isomorphism_classes",
-    "empirical_cyclic_fraction",
-    "enumerate_groups",
-    "generating_tuples_count",
-    "pak_check",
-    "pak_hypothesis",
-    "primitive_class_count",
-]

@@ -415,10 +415,25 @@ def check_sampler_uniformity():
 
 
 def check_sampler_determinism():
+    """One seed gives one stream, and each draw replays the documented rule
+    (a chi-square at large q cannot see dropped draws): n residues mod q from
+    SplitMix64(seed) until primitive, then lattice_from_congruence.  The
+    replay fails as lattice.sampler-replay."""
     a = [b.to_json() for b in lattice.sample_cocyclic_stream(3, 36, 50, 99)]
     b = [b.to_json() for b in lattice.sample_cocyclic_stream(3, 36, 50, 99)]
     if a != b:
         _fail("lattice.sampler-determinism", "same seed produced different streams")
+
+    def replay(n, q, count, seed):
+        rng = SplitMix64(seed)
+        for _ in range(count):
+            while math.gcd(*(v := [rng.randbelow(q) for _ in range(n)]), q) != 1:
+                pass
+            yield lattice.lattice_from_congruence(lattice.CongruenceVector(q, v))
+
+    cases = [(2, 101, 50, seed) for seed in range(16)] + [(3, 2**61 - 1, 20, 3), (2, 2**64 + 1, 20, 5)]
+    _agree(("lattice.sampler-replay", f"n={n} q={q} seed={seed} draw {i}", got, want) for n, q, count, seed in cases
+           for i, (got, want) in enumerate(zip(lattice.sample_cocyclic_stream(n, q, count, seed), replay(n, q, count, seed))))
 
 
 # ---------------------------------------------------------------------------
@@ -489,13 +504,14 @@ def check_dirichlet_vs_sieve():
 
 
 def check_local_factor_identity():
-    """The fast route's local factor equals the second route's cotype sum at
-    every p^e <= 1e12, p <= 1000, e <= 24, n = 2..8, k <= n (and squarefree at k = 1)."""
+    """The fast route's local factor, and count_sublattices(n, p^e) at k = n, equal the second
+    route's cotype sum: p^e <= 1e12, p <= 1000, e <= 24, n = 2..8, k <= n, squarefree at k = 1."""
     powers = [(p, e) for p in arith.primes_upto(1000) for e in range(1, 25) if p**e <= 10**12]
     factors = [(n, k, sf) for n in range(2, 9) for k in range(1, n + 1) for sf in (False, True)[: 1 + (k == 1)]]
-    _agree(("counting.local-factor-identity", f"n={n} k={k} squarefree={sf} p^e={p}^{e}",
-            counting._local(n, k, sf)(p, e), counting._cotype_factor(n, k, sf)(p, e))
-           for n, k, sf in factors for p, e in powers)
+    sublattices = lambda n: lambda p, e: lattice.count_sublattices(n, p**e)
+    _agree(("counting.local-factor-identity", f"n={n} k={k} squarefree={sf} p^e={p}^{e}{tag}", route(p, e), cotype)
+           for n, k, sf in factors for p, e in powers for cotype in [counting._cotype_factor(n, k, sf)(p, e)]
+           for tag, route in (("", counting._local(n, k, sf)), (" sublattices", sublattices(n)))[: 1 + (k == n)])
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,14 @@ def test_count_usage_errors(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("mode, n", [("cyclic", 1), ("squarefree", 1), ("all", 0), ("rank", 0)])
+def test_count_refuses_a_dimension_below_the_mode(capsys, mode, n):
+    # census() states the least dimension; the CLI names --mode around it
+    rank = ["--rank", "0"] if mode == "rank" else []
+    code, out, err = run_cli(capsys, "count", "--n", str(n), "--V", "5", "--mode", mode, *rank)
+    assert code == 64 and out == "" and "--mode" in err
+
+
 def test_count_csv_ladder(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--n", "2", "--V", "40", "--format", "csv", "--ladder", "4"

@@ -3,6 +3,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -253,29 +254,44 @@ def _wrong_rank_factor_at_two_to_the_17(rank_factor):
     return mutant
 
 
-# function name -> (patch of it, a public call whose answer the patch moves);
-# each patch is off by one only where no grid before its killing row reaches
+# function name -> (its module, patch of it, a public call of that module
+# whose answer the patch moves); each patch is off by one (or doubles) only
+# where no grid before its killing row reaches
 FAST_ROUTE_MUTANTS = {
-    "_power_sum": (lambda f: lambda j, m: f(j, m) + (m > 10**6), ("count_cocyclic", 2, 2 * 10**6)),
+    "_power_sum": (counting, lambda f: lambda j, m: f(j, m) + (m > 10**6), ("count_cocyclic", 2, 2 * 10**6)),
     "_h_series": (
+        counting,
         lambda f: lambda n, p, local, top: [h + (p > 1000 and e == 2) for e, h in enumerate(f(n, p, local, top))],
         ("count_cocyclic", 2, 2 * 10**6),
     ),
 }
 LOCAL_FACTOR_MUTANTS = {
-    "_rank_factor": (_wrong_rank_factor_at_two_to_the_17, ("count_by_rank", 6, 2, 2**17)),
+    "_rank_factor": (counting, _wrong_rank_factor_at_two_to_the_17, ("count_by_rank", 6, 2, 2**17)),
     "_prime_power_class_count": (
+        counting,
         lambda f: lambda n, p, e: f(n, p, e) + (p > 320 and e >= 2),
         ("count_primitive_classes", 2, 331**2),
+    ),
+    # the memo is bypassed, so no wrong value outlives the patch
+    "_count_prime_power": (
+        lattice,
+        lambda f: lambda n, p, e: f.__wrapped__(n, p, e) + (n == 3 and p > 150 and e == 2),
+        ("count_sublattices", 3, 151**2),
+    ),
+    # the unmemoized order that _rank_factor reads, doubled at p > 400 for two parts
+    "_aut_order_pgroup": (
+        counting,
+        lambda f: SimpleNamespace(__wrapped__=lambda p, lam: f.__wrapped__(p, lam) * (1 + (p > 400 and len(lam) == 2))),
+        ("count_by_rank", 3, 2, 401**2),
     ),
 }
 
 
 def _apply_mutant(monkeypatch, name, mutants):
-    patch, (public, *args) = mutants[name]
-    right = getattr(counting, public)(*args)
-    monkeypatch.setattr(counting, name, patch(getattr(counting, name)))
-    assert getattr(counting, public)(*args) != right
+    module, patch, (public, *args) = mutants[name]
+    right = getattr(module, public)(*args)
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    assert getattr(module, public)(*args) != right
 
 
 @pytest.mark.parametrize("name", sorted(FAST_ROUTE_MUTANTS))
@@ -291,6 +307,31 @@ def test_verify_sees_a_wrong_local_factor_beyond_the_census_grid(monkeypatch, na
     _apply_mutant(monkeypatch, name, LOCAL_FACTOR_MUTANTS)
     with pytest.raises(verifysuite.CheckFailure, match=r"^counting\.local-factor-identity: "):
         verifysuite.check_local_factor_identity()
+
+
+def _answer(route, V):
+    try:
+        return route(V)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("mode", ["cyclic", "squarefree", "all", "rank"])
+def test_the_three_routes_of_a_record_refuse_alike(mode):
+    # census() refuses an n below the mode's least dimension, and one V check
+    # precedes count, sieve and oracle: the routes give one integer or all raise
+    least = 2 if mode in ("cyclic", "squarefree") else 1
+    for n in (-1, 0, 1, 2, 3):
+        for m in range(n + 2) if mode == "rank" else [None]:
+            try:
+                record = counting.census(mode, n, m)
+            except ValueError:
+                assert n < least, (n, m)
+                continue
+            assert n >= least, (n, m)
+            for V in (-5, 0, 1, 7):
+                answers = {_answer(route, V) for route in (record.count, record.sieve, record.oracle)}
+                assert len(answers) == 1 and (V < 1) == (answers == {ValueError}), (n, m, V, answers)
 
 
 def test_cocyclic_share_at_desk_scale():

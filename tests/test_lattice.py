@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from latcensus import arith, counting, lattice
+from latcensus import arith, counting, lattice, verifysuite
 from latcensus.errors import CapExceededError, NotPrimitiveError, SingularMatrixError
 from latcensus.rng import SplitMix64
 
@@ -541,6 +541,21 @@ def test_sampler_support_and_determinism():
     a = [b.to_json() for b in lattice.sample_cocyclic_stream(2, 12, 20, 77)]
     b = [b.to_json() for b in lattice.sample_cocyclic_stream(2, 12, 20, 77)]
     assert a == b
+
+
+def test_verify_sees_a_sampler_that_drops_draws(monkeypatch):
+    # dropping the draws with a[0] = 1 and a[-1] even, about half of those,
+    # moves each class's weight by at most 1/(2 phi(q)): no chi-square at
+    # large q sees it, while the replay sees the first draw that moved
+    def biased(n, q, rng):
+        while True:
+            a = tuple(rng.randbelow(q) for _ in range(n))
+            if math.gcd(*a, q) == 1 and not (a[0] == 1 and a[-1] % 2 == 0):
+                return lattice.lattice_from_congruence(lattice.CongruenceVector(q, a))
+
+    monkeypatch.setattr(lattice, "sample_cocyclic", biased)
+    with pytest.raises(verifysuite.CheckFailure, match=r"^lattice\.sampler-replay: n=2 q=101 "):
+        verifysuite.check_sampler_determinism()
 
 
 def test_json_round_trip():
