@@ -3,7 +3,7 @@
 Everything here is exact: counts are Python ints of arbitrary precision and
 ratios are `fractions.Fraction` in lowest terms.  Floating point appears only
 in the explicitly error-bounded large-argument paths of `landau_sum` /
-`ward_sum`, which return ErrBoundedReal.
+`ward_sum`, which return ErrBoundedReal (`errbound`, loaded on their first call).
 
 Prime lists come from `primes_upto`, a bytearray sieve of Eratosthenes.
 The factorization workhorse is a smallest-prime-factor table (`SieveTable`,
@@ -27,7 +27,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .errbound import ErrBoundedReal
+import latcensus
+
 from .errors import CapExceededError
 
 # Largest sieve limit: 80 MB of int32 entries, above the largest in-package
@@ -443,7 +444,7 @@ def landau_sum(t: int):
         return _reciprocal_sum(phi[1:])
     total = math.fsum(1 / v for v in phi[1:])
     # each 1/phi rounds within 1/2 ulp and fsum rounds once
-    return ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
+    return latcensus.ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
 
 
 def ward_sum(v: int):
@@ -459,7 +460,7 @@ def ward_sum(v: int):
     if v <= EXACT_SUM_LIMIT:
         return _reciprocal_sum([f for f, m in zip(phi[1:], mask[1:]) if m])
     total = math.fsum(1 / f for f, m in zip(phi[1:], mask[1:]) if m)
-    return ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
+    return latcensus.ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
 
 
 def squarefree_coprime_count(x: int, d) -> int:

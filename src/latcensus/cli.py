@@ -49,15 +49,18 @@ def cmd_count(args) -> int:
         raise ValueError("--V must be >= 1")
     if args.ladder is not None and (args.ladder < 1 or not csv):
         raise ValueError("--ladder needs --format csv and at least one rung")
+    if args.mode == "rank" and args.rank is None:
+        raise ValueError("--mode rank requires --rank")
     try:
         record = counting.census(args.mode, n, args.rank)
     except ValueError as exc:
-        raise ValueError(f"--mode {args.mode}, --rank {args.rank}: {exc}") from None
+        rank = "" if args.rank is None else f", --rank {args.rank}"
+        raise ValueError(f"--mode {args.mode}{rank}: {exc}") from None
     density = record.density
     if (tol is not None and density is None) or (cap is not None and args.method == "formula"):
         raise ValueError("--tol needs a printed prediction, --enum-cap an enumerating --method")
     tol = constants.DEFAULT_TOL if tol is None else tol
-    second = lambda v: record.oracle(v, lattice.DEFAULT_ENUM_CAP if cap is None else cap)
+    second = lambda v: record.oracle(v, cap)
     first = second if args.method == "bruteforce" else record.count
     leading = None if density is None else lambda v: density(tol) * ErrBoundedReal.exact(v**n) / n
 
@@ -167,8 +170,8 @@ def _mass_doc(mass) -> dict:
 def cmd_clmass(args) -> int:
     if args.V < 1:
         raise ValueError("--V must be >= 1")
-    if args.r is not None and args.predicate != "rank-at-most":
-        raise ValueError("--r goes with --predicate rank-at-most")
+    if (args.r is not None) != (args.predicate == "rank-at-most"):
+        raise ValueError("--predicate rank-at-most requires --r, and --r goes with it alone")
     doc = {"V": args.V, "total_mass": _mass_doc(groups.cl_total_mass(args.V))}
     if args.predicate:
         mass = groups.cl_predicate_mass(args.V, args.predicate, args.r)

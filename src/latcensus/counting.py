@@ -24,13 +24,15 @@ three independent routes:
   (p | q), memoized per (n, q), so every record and every bound V share the
   strata already computed; the count is checked against its cap first.
 
-The record's density c(n, tol) (`constants`) gives the leading term
-c V^n / n.  `count_cocyclic`, `count_squarefree`, `total_count`,
-`count_by_rank` and the `*_bruteforce` views read the records.  The class
-count at one index q, `count_primitive_classes`, has its own oracle,
-`count_primitive_classes_bruteforce` (primitive vectors mod q from the gcd
-distribution of the residues, over phi(q)); `primitive_class_representatives`
-serves the Paz-Schnorr bijection check and the sampler's support.
+The record's density c(n, tol) gives the leading term c V^n / n.  Its first
+call loads `constants` and the first oracle call `lattice`, both reached
+through the package namespace, so an exact count loads neither.
+`count_cocyclic`, `count_squarefree`, `total_count`, `count_by_rank` and the
+`*_bruteforce` views read the records.  The class count at one index q,
+`count_primitive_classes`, has its own oracle, `count_primitive_classes_bruteforce`
+(primitive vectors mod q from the gcd distribution of the residues, over
+phi(q)); `primitive_class_representatives` serves the Paz-Schnorr bijection
+check and the sampler's support.
 
 All counts are arbitrary-precision integers end to end.
 """
@@ -39,12 +41,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import accumulate, product, repeat
 from operator import mul
 from typing import Callable, Optional
 
-from . import lattice
+import latcensus
+
 from .arith import (
     SIEVE_CAP,
     _aut_order_pgroup,
@@ -56,9 +59,7 @@ from .arith import (
     is_squarefree,
     primes_upto,
 )
-from .constants import rho_n, theta_n, xi
 from .errors import CapExceededError
-from .lattice import DEFAULT_ENUM_CAP
 
 DEFAULT_MATERIALIZE_CAP = 10**7
 DEFAULT_FLOOR_VALUE_CAP = 10**8
@@ -397,8 +398,8 @@ def _rank_counts(n: int, q: int) -> tuple[int, ...]:
     (n, q), so any V reuses the strata of every smaller bound."""
     primes = [p for p, _ in ensure_factored(q).factors]
     counts = [0] * (n + 1)
-    p_rank = lattice._p_rank
-    for diag, bases in lattice._diagonal_blocks(n, q):
+    p_rank = latcensus.lattice._p_rank
+    for diag, bases in latcensus.lattice._diagonal_blocks(n, q):
         divisible = [(p, [i for i, d in enumerate(diag) if d % p == 0]) for p in primes]
         low = max([len(div) for _, div in divisible if len(div) < 2], default=0)
         high = [(p, div, [i for i in range(n) if i not in div]) for p, div in divisible if len(div) >= 2]
@@ -455,10 +456,10 @@ class Census:
         """Second route: each part on `_multiplicative_sum`."""
         return self._between(self._ends(V), lambda k: _multiplicative_sum(self.n, k, self.squarefree, V))
 
-    def oracle(self, V: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    def oracle(self, V: int, cap: Optional[int] = None) -> int:
         """Enumeration: the strata of rank low..high, independent of every closed form."""
         self._ends(V)  # the V check of count and sieve
-        _guard_enumeration(self.n, V, cap)
+        _guard_enumeration(self.n, V, latcensus.lattice.DEFAULT_ENUM_CAP if cap is None else cap)
         total = 0
         for q in range(1, V + 1):
             c = _rank_counts(self.n, q)
@@ -482,11 +483,11 @@ def census(mode: str, n: int, m: Optional[int] = None) -> Census:
     if mode == "rank":
         low, high, squarefree, density = m, m, False, None
     elif mode == "cyclic":
-        low, high, squarefree, density = 0, 1, False, partial(theta_n, n)
+        low, high, squarefree, density = 0, 1, False, lambda tol: latcensus.constants.theta_n(n, tol)
     elif mode == "squarefree":
-        low, high, squarefree, density = 0, 1, True, partial(rho_n, n)
+        low, high, squarefree, density = 0, 1, True, lambda tol: latcensus.constants.rho_n(n, tol)
     elif mode == "all":
-        low, high, squarefree, density = 0, n, False, partial(xi, 2, n)
+        low, high, squarefree, density = 0, n, False, lambda tol: latcensus.constants.xi(2, n, tol)
     else:
         raise ValueError(f"unknown census mode {mode!r}")
     if low < 0:

@@ -50,6 +50,16 @@ def test_count_usage_errors(capsys):
     assert exc.value.code == 64
 
 
+def test_count_usage_error_names_only_the_flags_given(capsys):
+    code, out, err = run_cli(capsys, "count", "--n", "1", "--V", "4", "--mode", "squarefree")
+    assert (code, out) == (64, "")
+    assert err == "usage error: --mode squarefree: the squarefree census requires n >= 2\n"
+    code, out, err = run_cli(capsys, "count", "--n", "2", "--V", "4", "--mode", "rank", "--rank", "-1")
+    assert (code, out, err) == (64, "", "usage error: --mode rank, --rank -1: rank must be >= 0\n")
+    code, out, err = run_cli(capsys, "count", "--n", "2", "--V", "4", "--mode", "rank")
+    assert (code, out, err) == (64, "", "usage error: --mode rank requires --rank\n")
+
+
 @pytest.mark.parametrize("mode, n", [("cyclic", 1), ("squarefree", 1), ("all", 0), ("rank", 0)])
 def test_count_refuses_a_dimension_below_the_mode(capsys, mode, n):
     # census() states the least dimension; the CLI names --mode around it
@@ -304,6 +314,12 @@ def test_clmass_exact(capsys):
 def test_ignored_parameters_are_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 64 and out == "" and "usage error" in err
+
+
+def test_clmass_rank_at_most_without_r_says_r_is_required(capsys):
+    code, out, err = run_cli(capsys, "clmass", "--V", "100", "--predicate", "rank-at-most")
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: --predicate rank-at-most requires --r")
 
 
 def test_groups_dump(capsys):

@@ -5,15 +5,19 @@ commands that print only exact values never load it, and no module loads
 `dataclasses`.
 
 `import latcensus` alone loads no layer module: each public name loads its
-home module on first access, so an exact count never loads `groups` and a
-constant never loads the census modules.
+home module on first access, so each call loads only the layers it runs:
+an exact count loads `counting`, `arith` and `errors` alone, and a constant
+never loads the census modules.
 
 Each of those checks runs a fresh interpreter; `-X importtime` lists on
 stderr every module the process imported.  `__init__.__getattr__` is the
 package's one deferred import and its one import made by a call: every
 other package import is a statement at module level, so the module graph
-stays acyclic and no load hides from `-X importtime`; `constants` imports
-none of the census modules."""
+stays acyclic and no load hides from `-X importtime`.  A layer that a module
+needs in only some calls is reached through the package namespace
+(`latcensus.lattice` after a module-level `import latcensus`), so its load
+also goes through `__getattr__`.  `constants` imports none of the census
+modules."""
 
 import ast
 import os
@@ -56,6 +60,27 @@ def test_import_latcensus_leaves_numpy_out():
     assert proc.returncode == 0, proc.stderr
     assert "latcensus.counting" in _imported(proc.stderr)
     assert not {"numpy", "mpmath", "dataclasses", "json", "latcensus.groups"} & _imported(proc.stderr)
+
+
+# (call through the package, the library modules it loads); mpmath loads with errbound
+@pytest.mark.parametrize(
+    "call, loads",
+    [
+        ("count_cocyclic(3, 10**5)", "counting arith errors"),
+        ("count_squarefree(3, 10**5)", "counting arith errors"),
+        ("total_count(3, 10**5)", "counting arith errors"),
+        ("census_cocyclic_bruteforce(3, 10)", "counting arith errors lattice rng"),
+        ("counting.census('cyclic', 3).density(1e-9)", "counting arith errors constants errbound"),
+        ("arith.landau_sum(latcensus.arith.EXACT_SUM_LIMIT + 1)", "arith errors errbound"),
+    ],
+    ids=["count_cocyclic", "count_squarefree", "total_count", "oracle", "density", "landau_sum-float"],
+)
+def test_each_call_loads_only_the_layers_it_runs(call, loads):
+    proc = _python("-c", f"import latcensus; latcensus.{call}")
+    assert proc.returncode == 0, proc.stderr
+    imported = {m for m in _imported(proc.stderr) if m.startswith("latcensus.") or m == "mpmath"}
+    expected = {f"latcensus.{m}" for m in loads.split()}
+    assert imported == expected | ({"mpmath"} if "latcensus.errbound" in expected else set())
 
 
 def test_a_constant_loads_no_census_module():
