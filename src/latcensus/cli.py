@@ -59,7 +59,7 @@ def cmd_count(args) -> int:
     density = record.density
     if (tol is not None and density is None) or (cap is not None and args.method == "formula"):
         raise ValueError("--tol needs a printed prediction, --enum-cap an enumerating --method")
-    tol = constants.DEFAULT_TOL if tol is None else tol
+    tol = constants.DEFAULT_TOL if tol is None else constants.check_tol(tol)
     second = lambda v: record.oracle(v, cap)
     first = second if args.method == "bruteforce" else record.count
     leading = None if density is None else lambda v: density(tol) * ErrBoundedReal.exact(v**n) / n

@@ -54,6 +54,13 @@ from .errors import PrecisionError
 DEFAULT_TOL = 1e-10
 
 
+def check_tol(tol: float) -> float:
+    """tol itself if it is a positive finite number (NaN fails both comparisons)."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
+    return tol
+
+
 def _euler_mascheroni() -> ErrBoundedReal:
     """Euler-Mascheroni constant to 20 digits (standard references), error below
     1e-19; built at first use, so that importing this module loads no mpmath."""
@@ -112,8 +119,7 @@ def zeta(k: int, tol: float = 1e-12) -> ErrBoundedReal:
     """
     if k < 2:
         raise ValueError("zeta requires k >= 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     N, M = _euler_maclaurin_plan(k, tol / 2)
     total = sum(Fraction(1, j**k) for j in range(2, N)) + 1
     total += Fraction(1, (k - 1) * N ** (k - 1)) + Fraction(1, 2 * N**k)
@@ -131,7 +137,7 @@ def zeta(k: int, tol: float = 1e-12) -> ErrBoundedReal:
 
 def _power_of_ten_below(x: float) -> float:
     """10^floor(log10 x): zeta tolerances on a coarse grid share cache entries."""
-    return 10.0 ** math.floor(math.log10(x))
+    return 10.0 ** math.floor(math.log10(check_tol(x)))
 
 
 def xi(m: int, n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
@@ -153,7 +159,7 @@ def xi_inf(m: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     bound sum_{k>K} log zeta(k) <= sum_{k>K} 2*2^-k = 2^(1-K) folded in."""
     if m < 2:
         raise ValueError("xi_inf requires m >= 2")
-    K = max(m + 1, math.ceil(math.log2(16.0 / tol)))
+    K = max(m + 1, math.ceil(math.log2(16.0 / check_tol(tol))))
     finite = xi(m, K, tol / 4)
     bound = errbound.load_mpmath().mpf(2) ** (1 - K)
     tail = ErrBoundedReal.from_interval(1, 1 + 2 * bound)  # e^x <= 1+2x, x<=1
@@ -276,8 +282,7 @@ def euler_product(N: Poly, D: Poly, tol: float) -> tuple[ErrBoundedReal, int]:
     """
     if not N or not D or N[0] != 1 or D[0] != 1:
         raise ValueError("local factor polynomials need constant term 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     if _zeta_exponents(N, D, 1)[1]:
         raise ValueError("local factor is 1 + c/p + O(p^-2) with c != 0: the product diverges")
     for P0, k_max in _P0_LADDER:
@@ -455,8 +460,7 @@ def rank_prob(p: int, r: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
         raise ValueError(f"{p} is not prime")
     if r < 0:
         raise ValueError("rank must be >= 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     # truncation depth: tail of the infinite product is >= 1 - p^-I/(p-1)
     I = 1
     tail_bound = 1.0 / (p * (p - 1))
@@ -546,7 +550,7 @@ def _prime_sum_tail(P: int) -> float:
 def prime_log_weight_sum(tol: float = 2e-5) -> ErrBoundedReal:
     """sum_p log p / (p^2 - p + 1), with the tail over p > P bounded by
     sum_{m>P} 1.25 log m / m^2 <= 1.25 (log P + 1)/P."""
-    P = next((c for c in _PRIME_SUM_CUTOFFS if _prime_sum_tail(c) <= tol / 2), None)
+    P = next((c for c in _PRIME_SUM_CUTOFFS if _prime_sum_tail(c) <= check_tol(tol) / 2), None)
     if P is None:
         reachable = 2 * _prime_sum_tail(_PRIME_SUM_CUTOFFS[-1])
         raise PrecisionError(
@@ -569,6 +573,7 @@ def landau_prediction(t: int, tol: float = 1e-4) -> ErrBoundedReal:
     """
     if t < 1:
         raise ValueError("landau_prediction requires t >= 1")
+    check_tol(tol)
     lt = math.log(t)
     log_t = ErrBoundedReal(lt, 4 * _FLOAT_EPS * max(1.0, lt))
     return theta() * (log_t + _euler_mascheroni() - prime_log_weight_sum(tol=tol / 4))
@@ -627,6 +632,7 @@ def evaluate_constant(name: str, *, k=None, n=None, m=None, r=None, p=None,
     result whose err exceeds tol PrecisionError naming the err that was
     reached.
     """
+    check_tol(tol)
     key = name.replace("_", "-")
     if key not in _EVALUATORS:
         raise KeyError(name)
