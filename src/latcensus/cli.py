@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 resource/cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,11 +209,8 @@ def cmd_groups(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    def progress(check_id: str) -> None:
-        print(f"running {check_id}", file=sys.stderr)
-
-    try:
-        executed = run_suite(args.suite, report=progress)
+    try:  # progress: "running <check id>" on stderr
+        executed = run_suite(args.suite, report=functools.partial(print, "running", file=sys.stderr))
     except CheckFailure as exc:
         message = str(exc)
         failed_id = message.split(":", 1)[0]

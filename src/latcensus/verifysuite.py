@@ -155,7 +155,9 @@ def check_refinement_nesting():
         (constants.xi_inf(2, 1e-7), constants.xi_inf(2, 1e-11)),
     ]
     for coarse, fine in pairs:
-        if not (fine.lower >= coarse.lower - slack and fine.upper <= coarse.upper + slack):
+        if not (
+            fine.lower >= coarse.lower - slack and fine.upper <= coarse.upper + slack
+        ):
             _fail("constants.refinement-nesting", f"{fine} not inside {coarse}")
 
 
@@ -347,8 +349,10 @@ def check_paz_schnorr():
             built = _congruence_lattices(n, q)
             enumerated = {b for b in lattice._enumerate_sublattices(n, q) if lattice.is_cocyclic(b)}
             if built != enumerated:
-                _fail("lattice.paz-schnorr-bijection",
-                      f"n={n} q={q}: {len(built)} built vs {len(enumerated)} enumerated")
+                _fail(
+                    "lattice.paz-schnorr-bijection",
+                    f"n={n} q={q}: {len(built)} built vs {len(enumerated)} enumerated",
+                )
 
 
 def check_orbit_sizes():
@@ -540,7 +544,10 @@ def check_fact2_multiplicativity():
                 continue
             product = groups.AbelianGroup(dict(g1.parts) | dict(g2.parts))
             if groups.aut_order_bruteforce(product) != bf(g1) * bf(g2):
-                _fail("groups.fact2-multiplicativity", f"{g1.describe()} x {g2.describe()}")
+                _fail(
+                    "groups.fact2-multiplicativity",
+                    f"{g1.describe()} x {g2.describe()}",
+                )
             tested += 1
     if tested < 40:
         _fail("groups.fact2-multiplicativity", f"only {tested} pairs tested")
@@ -713,16 +720,12 @@ SUITES = tuple(
 
 
 def _outcomes(ids):
-    """Yield None for each check of ids that passes, in order, and stop
-    after the first failure's message."""
+    """Yield None per passing check of ids, in order, then the first failure's message."""
     for check_id in ids:
         try:
             CHECKS[check_id][1]()
-        except CheckFailure as exc:
-            yield str(exc)
-            return
-        except Exception as exc:  # surface the failing invariant's id
-            yield f"{check_id}: unexpected error: {exc}"
+        except Exception as exc:  # any error but a CheckFailure surfaces under the check's id
+            yield str(exc) if isinstance(exc, CheckFailure) else f"{check_id}: unexpected error: {exc}"
             return
         yield None
 
