@@ -10,14 +10,14 @@ through `_agree`, one loop over (id, label, lhs, rhs) rows.  The census
 checks are clients of the `counting.Census` records: each compares a
 record's fast route `count` with its `sieve` or its `oracle`, for every
 record of a dimension, and holds no census logic of its own.  run_suite
-spreads a suite over w forked workers, w the smaller of its number of checks
-and the CPUs in the process's affinity mask (in-process when w is 1), with no
-flag.  It reports in CHECKS order, so the output does not depend on w, and
-progress lines appear as results are in, no longer as checks start.
+runs a suite on min(checks, CPUs in the affinity mask) forked workers, with
+no flag, and reports in CHECKS order as results arrive, no longer as checks
+start, so the output does not depend on the CPUs (one: no worker).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import marshal
@@ -730,45 +730,45 @@ def _outcomes(ids):
         yield None
 
 
-def _forked_outcomes(ids, w: int) -> list:
-    """The outcomes of ids from w forked workers, worker j running ids[j::w]
-    and sending one marshaled list down its pipe."""
-    pids, pipes = [], []
+def _forked_outcomes(ids, w: int):
+    """Yield the outcomes of ids in order from w forked workers, worker j running
+    ids[j::w]; closing the generator kills and reaps every worker."""
+    workers = []  # (pid, read end of its pipe)
     try:
         for j in range(w):
             r, wr = os.pipe()
-            pipes.append(r)
             if (pid := os.fork()) == 0:  # leaves only by os._exit, flushing no inherited buffer
                 try:
-                    with os.fdopen(wr, "wb") as out:
-                        out.write(marshal.dumps(list(_outcomes(ids[j::w]))))
+                    for message in _outcomes(ids[j::w]):
+                        os.write(wr, marshal.dumps(message))
                 finally:
                     os._exit(0)
-            pids.append(pid)
+            workers.append((pid, os.fdopen(r, "rb")))
             os.close(wr)
-        sent = [b"".join(iter(functools.partial(os.read, r, 1 << 16), b"")) for r in pipes]
-    finally:  # a worker whose list is in has exited or is about to, so the kill stops only stragglers
-        for pid in pids:
+        for k, check_id in enumerate(ids):
+            try:
+                yield marshal.load(workers[k % w][1])
+            except (EOFError, ValueError):  # the worker died before this check's whole outcome
+                yield f"{check_id}: unexpected error: its worker sent no result"
+    finally:  # a worker whose outcomes are in has exited or is about to, so the kill stops only stragglers
+        for pid, pipe in workers:
             os.kill(pid, 9)  # SIGKILL; the signal module would add about 1 ms to every command
             os.waitpid(pid, 0)
-        for r in pipes:
-            os.close(r)
-    outcomes = {i: m for j, data in enumerate(sent) if data for i, m in zip(ids[j::w], marshal.loads(data))}
-    return [outcomes.get(i, f"{i}: unexpected error: its worker sent no result") for i in ids]
+            pipe.close()
 
 
 def run_suite(name: str, report=None) -> list[str]:
-    """Run every check in a suite; returns the executed check ids.  Calls
-    `report(check_id)` (progress hook) for each check in CHECKS order once
-    its result is in, and raises CheckFailure on the first failure."""
+    """Run a suite, calling report(check_id) in CHECKS order as each result arrives;
+    returns the check ids, or raises CheckFailure on the first failure."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     ids = [check_id for check_id, (suite, _) in CHECKS.items() if name in ("all", suite)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     w = min(len(ids), cpus) if hasattr(os, "fork") else 1
-    for check_id, message in zip(ids, _forked_outcomes(ids, w) if w > 1 else _outcomes(ids)):
-        if report is not None:
-            report(check_id)
-        if message is not None:
-            raise CheckFailure(message)
+    with contextlib.closing(_forked_outcomes(ids, w) if w > 1 else _outcomes(ids)) as outcomes:
+        for check_id, message in zip(ids, outcomes):
+            if report is not None:
+                report(check_id)
+            if message is not None:
+                raise CheckFailure(message)
     return ids
