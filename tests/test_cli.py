@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import signal
 import time
 
 import pytest
@@ -544,3 +546,116 @@ def test_mass_and_class_counts_hit_caps_quickly(capsys, command):
     code, _, err = run_cli(capsys, command, "--V", str(V))
     assert code == 2 and "cap" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "2", "--V", "10", "--tol", "inf"],
+    ["count", "--n", "2", "--V", "10", "--tol", "nan"],
+    ["count", "--n", "2", "--V", "10", "--tol", "0"],
+    ["constants", "--name", "zeta", "--k", "2", "--tol", "nan"],
+    ["constants", "--name", "zeta", "--k", "2", "--tol", "inf"],
+    ["constants", "--name", "rank-prob", "--p", "2", "--r", "1", "--tol", "nan"],
+    ["constants", "--name", "gamma", "--tol=-inf"],
+], ids=" ".join)
+def test_a_tol_that_is_not_positive_and_finite_exits_64(capsys, argv):
+    # inf died in an OverflowError traceback (exit 1) or, capped, printed a value;
+    # NaN passed `tol <= 0` and exited 2 with a PrecisionError
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (64, "", "usage error: tol must be a positive finite number\n")
+
+
+# ---------------------------------------------------------------------------
+# verify's forked workers
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@needs_fork
+@pytest.mark.parametrize("suite", ["bijection", "sampler", "census"])
+def test_verify_output_does_not_depend_on_the_cpus(capsys, monkeypatch, suite):
+    every = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    runs = []
+    for count in (1, max(2, every)):  # at least two, so one-CPU hosts run the workers too
+        _cpus(monkeypatch, count)
+        runs.append(run_cli(capsys, "verify", "--suite", suite))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2].count("running ") == len(json.loads(runs[0][1])["passed"])
+
+
+def _stub_suite(monkeypatch, tmp_path, failing, nap=0.0):
+    """Replace the bijection suite's four checks by stubs that log their pid
+    to tmp_path, sleep nap seconds, and fail (the later failure first) when
+    their index is in failing; returns the check ids in CHECKS order."""
+    import latcensus.verifysuite as vs
+
+    ids = [check_id for check_id, (suite, _) in vs.CHECKS.items() if suite == "bijection"]
+    for i, check_id in enumerate(ids):
+        def stub(i=i, check_id=check_id):
+            (tmp_path / f"{i}.pid").write_text(str(os.getpid()))
+            time.sleep(nap)
+            if i in failing:
+                time.sleep(0.2 * (max(failing) - i))  # the later id reaches the pipe first
+                vs._fail(check_id, f"stub {i}")
+
+        monkeypatch.setitem(vs.CHECKS, check_id, ("bijection", stub))
+    return ids
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_verify_reports_the_first_failure_in_check_order(capsys, monkeypatch, tmp_path, cpus):
+    ids = _stub_suite(monkeypatch, tmp_path, failing={1, 2})
+    _cpus(monkeypatch, cpus)
+    code, out, err = run_cli(capsys, "verify", "--suite", "bijection")
+    assert code == 1 and json.loads(out) == {"ok": False, "failed": ids[1], "message": f"{ids[1]}: stub 1"}
+    assert err == f"running {ids[0]}\nrunning {ids[1]}\n"
+    pid = {int(path.stem): int(path.read_text()) for path in tmp_path.glob("*.pid")}
+    if cpus > 1:  # ids[j::cpus] go to worker j, so the two failures ran in different workers
+        assert pid[1] != pid[2] and os.getpid() not in pid.values()
+    else:  # in-process, stopping at the first failure
+        assert pid == {0: os.getpid(), 1: os.getpid()}
+
+
+@needs_fork
+@pytest.mark.parametrize("case", ["passing", "failing", "report raises", "interrupted while reading"])
+def test_verify_leaves_no_worker_behind(monkeypatch, tmp_path, case):
+    import latcensus.verifysuite as vs
+
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    _stub_suite(monkeypatch, tmp_path, failing={2} if case == "failing" else set(),
+                nap=30.0 if case == "interrupted while reading" else 0.0)
+    _cpus(monkeypatch, 2)
+
+    def interrupt(*_):
+        raise KeyboardInterrupt
+
+    expected = {"passing": None, "failing": vs.CheckFailure}.get(case, KeyboardInterrupt)
+    report = interrupt if case == "report raises" else None
+    start, handler = time.monotonic(), signal.signal(signal.SIGALRM, interrupt)
+    try:
+        if case == "interrupted while reading":  # Ctrl-C while the workers sleep: the parent kills them
+            signal.setitimer(signal.ITIMER_REAL, 0.5)  # a forked child inherits no timer
+        if expected is None:
+            vs.run_suite("bijection", report=report)
+        else:  # excinfo, a local to the end, keeps run_suite's frame and its generator alive
+            with pytest.raises(expected) as excinfo:
+                vs.run_suite("bijection", report=report)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert len(forked) == 2 and time.monotonic() - start < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

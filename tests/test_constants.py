@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from latcensus import arith, constants
+from latcensus import arith, constants, counting
 from latcensus.errors import PrecisionError
 
 PI = 3.14159265358979323846
@@ -349,3 +350,46 @@ def test_evaluate_constant_registry():
         constants.evaluate_constant("no-such-constant")
     with pytest.raises(ValueError):
         constants.evaluate_constant("zeta")  # missing k
+
+
+_TOL_TAKERS = {
+    "zeta": lambda tol: constants.zeta(2, tol),
+    "xi": lambda tol: constants.xi(2, 4, tol),
+    "xi_inf": lambda tol: constants.xi_inf(2, tol),
+    "euler_product": lambda tol: constants.euler_product(*constants.THETA_FACTOR, tol),
+    "theta": constants.theta,
+    "theta_product": constants.theta_product,
+    "theta_n": lambda tol: constants.theta_n(3, tol),
+    "rho": constants.rho,
+    "rho_n_product": lambda tol: constants.rho_n_product(3, tol),
+    "rho_n": lambda tol: constants.rho_n(3, tol),
+    "density_cocyclic_limit": constants.density_cocyclic_limit,
+    "density_squarefree_limit": constants.density_squarefree_limit,
+    "gekeler_cyclic": constants.gekeler_cyclic,
+    "gekeler_squarefree": constants.gekeler_squarefree,
+    "rank_prob": lambda tol: constants.rank_prob(2, 1, tol),
+    "delta_rank_at_most": lambda tol: constants.delta_rank_at_most(2, tol),
+    "uniform_density_cyclic": constants.uniform_density_cyclic,
+    "uniform_density_squarefree": constants.uniform_density_squarefree,
+    "prime_log_weight_sum": constants.prime_log_weight_sum,
+    "landau_prediction": lambda tol: constants.landau_prediction(10, tol),
+    "census_density": lambda tol: counting.census("cyclic", 3).density(tol),
+}
+_PARAMS = {"k": 2, "m": 2, "n": 3, "r": 1, "p": 2}
+for _name in constants.CONSTANT_NAMES:  # every name, also those whose value ignores tol
+    _kwargs = {x: _PARAMS[x] for x in constants._EVALUATORS[_name][0]}
+    _TOL_TAKERS[f"evaluate_constant[{_name}]"] = functools.partial(constants.evaluate_constant, _name, **_kwargs)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-12], ids=repr)
+@pytest.mark.parametrize("name", sorted(_TOL_TAKERS))
+def test_a_tol_that_is_not_positive_and_finite_is_refused_before_any_work(monkeypatch, name, tol):
+    # NaN passed `tol <= 0` and reached PrecisionError; inf overflowed in
+    # _power_of_ten_below or was capped by min(tol, 1e-12) into an answer
+    def work(*args, **kwargs):
+        raise AssertionError("evaluation started before tol was checked")
+
+    for helper in ("_euler_maclaurin_plan", "_explicit_product", "_zeta_exponents", "primes_upto"):
+        monkeypatch.setattr(constants, helper, work)
+    with pytest.raises(ValueError, match="^tol must be a positive finite number$"):
+        _TOL_TAKERS[name](tol=tol)
