@@ -34,8 +34,8 @@ _EXPORTS = {
     "rng": "SplitMix64",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_HOME.update({module: module for module in _EXPORTS}, EULER_MASCHERONI="constants")
-__all__ = sorted(_HOME.keys() - {"EULER_MASCHERONI"})
+_HOME.update({module: module for module in _EXPORTS})
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -434,17 +434,22 @@ def _reciprocal_sum(ds) -> Fraction:
     return Fraction(*terms[0]) if terms else Fraction(0)
 
 
-def landau_sum(t: int):
-    """sum_{d<=t} 1/phi(d): exact Fraction for t <= EXACT_SUM_LIMIT, else an
-    ErrBoundedReal from correctly-rounded float accumulation."""
-    if t < 1:
-        raise ValueError("landau_sum requires t >= 1")
-    phi = totient_table(t)
+def _phi_reciprocal_sum(t: int, phis):
+    """sum of 1/f over the totients phis of d <= t: exact Fraction for
+    t <= EXACT_SUM_LIMIT, else an ErrBoundedReal from correctly-rounded float
+    accumulation."""
     if t <= EXACT_SUM_LIMIT:
-        return _reciprocal_sum(phi[1:])
-    total = math.fsum(1 / v for v in phi[1:])
+        return _reciprocal_sum(phis)
+    total = math.fsum(1 / f for f in phis)
     # each 1/phi rounds within 1/2 ulp and fsum rounds once
     return latcensus.ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
+
+
+def landau_sum(t: int):
+    """sum_{d<=t} 1/phi(d); exact up to EXACT_SUM_LIMIT (_phi_reciprocal_sum)."""
+    if t < 1:
+        raise ValueError("landau_sum requires t >= 1")
+    return _phi_reciprocal_sum(t, totient_table(t)[1:])
 
 
 def ward_sum(v: int):
@@ -455,12 +460,7 @@ def ward_sum(v: int):
     """
     if v < 1:
         raise ValueError("ward_sum requires v >= 1")
-    phi = totient_table(v)
-    mask = squarefree_mask(v)
-    if v <= EXACT_SUM_LIMIT:
-        return _reciprocal_sum([f for f, m in zip(phi[1:], mask[1:]) if m])
-    total = math.fsum(1 / f for f, m in zip(phi[1:], mask[1:]) if m)
-    return latcensus.ErrBoundedReal(total, 2 * _FLOAT_EPS * total)
+    return _phi_reciprocal_sum(v, itertools.compress(totient_table(v)[1:], squarefree_mask(v)[1:]))
 
 
 def squarefree_coprime_count(x: int, d) -> int:

@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     except (CapExceededError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -63,17 +63,8 @@ def check_tol(tol: float) -> float:
 
 def _euler_mascheroni() -> ErrBoundedReal:
     """Euler-Mascheroni constant to 20 digits (standard references), error below
-    1e-19; built at first use, so that importing this module loads no mpmath."""
-    g = globals()
-    if "EULER_MASCHERONI" not in g:
-        g["EULER_MASCHERONI"] = ErrBoundedReal("0.57721566490153286061", "1e-19")
-    return g["EULER_MASCHERONI"]
-
-
-def __getattr__(name: str):  # PEP 562: called only while the global is unset
-    if name == "EULER_MASCHERONI":
-        return _euler_mascheroni()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    1e-19; built per call, so that importing this module loads no mpmath."""
+    return ErrBoundedReal("0.57721566490153286061", "1e-19")
 
 
 Poly = tuple[int, ...]  # integer coefficients of 1, x, x^2, ... with x = 1/p
@@ -161,8 +152,7 @@ def xi_inf(m: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
         raise ValueError("xi_inf requires m >= 2")
     K = max(m + 1, math.ceil(math.log2(16.0 / check_tol(tol))))
     finite = xi(m, K, tol / 4)
-    bound = errbound.load_mpmath().mpf(2) ** (1 - K)
-    tail = ErrBoundedReal.from_interval(1, 1 + 2 * bound)  # e^x <= 1+2x, x<=1
+    tail = ErrBoundedReal.from_interval(1, 1 + Fraction(4, 2**K))  # e^x <= 1+2x, x<=1
     return finite * tail
 
 
@@ -251,11 +241,6 @@ def _at_prime(poly: Poly, p: int) -> int:
     return acc
 
 
-def _ratio(num: int, den: int) -> ErrBoundedReal:
-    v = errbound.load_mpmath().fdiv(num, den)  # one rounding of the exact quotient
-    return ErrBoundedReal(v, abs(v) * errbound._EPS)
-
-
 @lru_cache(maxsize=None)
 def _explicit_product(N: Poly, D: Poly, P0: int) -> ErrBoundedReal:
     """prod_{p<=P0} N(1/p)/D(1/p), from exact integer products."""
@@ -268,7 +253,7 @@ def _explicit_product(N: Poly, D: Poly, P0: int) -> ErrBoundedReal:
             num *= p**shift
         elif shift < 0:
             den *= p**-shift
-    return _ratio(num, den)
+    return ErrBoundedReal(Fraction(num, den))  # one rounding of the exact quotient
 
 
 @lru_cache(maxsize=None)
@@ -475,7 +460,10 @@ def rank_prob(p: int, r: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
         denom *= (1 - Fraction(1, p**i)) ** 2
     value = Fraction(1, p ** (r * r)) * finite / denom
     tail = ErrBoundedReal.from_interval(1 - Fraction(1, p**I * (p - 1)), 1)
-    return ErrBoundedReal.exact(value) * tail
+    out = ErrBoundedReal.exact(value) * tail
+    if out.err > tol:  # I stops at 400, and the 120-bit rounding floor is ~1e-36 relative
+        raise PrecisionError(f"rank_prob({p}, {r}) did not reach tol={tol}")
+    return out
 
 
 def delta_rank_at_most(r: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:

@@ -434,11 +434,6 @@ def automorphism_maps(G: AbelianGroup) -> list[dict]:
     return out
 
 
-def pak_hypothesis(G: AbelianGroup, n: int, k: int) -> bool:
-    """Hypothesis of the generation bound: n > (k+1) log2(#G) + 2."""
-    return n > (k + 1) * math.log2(G.order) + 2
-
-
 def pak_check(G: AbelianGroup, n: int, k: int) -> bool:
     """True iff the generating fraction of uniform n-tuples is at least
     1 - #G^-k, compared exactly in rational arithmetic."""
@@ -565,8 +560,3 @@ def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fracti
     if predicate != "rank-at-most" and r is not None:
         raise ValueError(f"r goes with rank-at-most, not {predicate!r}")
     return _cell_mass(V, _PREDICATES[predicate], r)
-
-
-def empirical_cyclic_fraction(V: int) -> Fraction:
-    """(#cyclic classes of order <= V) / (#classes of order <= V), exactly."""
-    return Fraction(V, count_isomorphism_classes(V))

@@ -230,6 +230,18 @@ def test_constants_unknown_name(capsys):
     assert code == 64 and "unknown constant" in err
 
 
+def test_an_internal_key_error_is_not_a_usage_error(monkeypatch):
+    # only cmd_constants turns a KeyError (an unknown name) into a usage error
+    from latcensus import cli
+
+    def broken(args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "cmd_groups", broken)
+    with pytest.raises(KeyError):
+        main(["groups", "--V", "10"])
+
+
 def test_sample_deterministic_and_valid(capsys):
     code, out1, _ = run_cli(
         capsys, "sample", "--n", "2", "--q", "2", "--seed", "1", "--count", "3"
@@ -475,6 +487,25 @@ def test_verify_sees_a_wrong_aut_order_of_a_power_of_a_cyclic(capsys, monkeypatc
     doc = json.loads(out)
     assert doc["ok"] is False and doc["failed"] == "groups.aut-qm"
     assert "q=4 m=2" in doc["message"]
+
+
+def test_verify_sees_cyclic_groups_that_generate_too_rarely(capsys, monkeypatch):
+    # 10% fewer generating tuples for cyclic groups of order > 30: the other
+    # groups checks stop at order 30, so only pak-direction (q up to 50) sees it
+    from latcensus import groups
+
+    real = groups.generating_tuples_count
+
+    def undercount(G, n):
+        count = real(G, n)
+        return count - count // 10 if G.rank == 1 and G.order > 30 else count
+
+    monkeypatch.setattr(groups, "generating_tuples_count", undercount)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "groups")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["failed"] == "groups.pak-direction"
+    assert doc["message"] == "groups.pak-direction: q=31 n=12"
 
 
 def test_verify_sees_a_wrong_divisor_mobius_sum(capsys, monkeypatch):

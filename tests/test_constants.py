@@ -378,7 +378,20 @@ _TOL_TAKERS = {
 _PARAMS = {"k": 2, "m": 2, "n": 3, "r": 1, "p": 2}
 for _name in constants.CONSTANT_NAMES:  # every name, also those whose value ignores tol
     _kwargs = {x: _PARAMS[x] for x in constants._EVALUATORS[_name][0]}
+    if _name == "delta-rank-ge-bound":
+        _kwargs["r"] = 2  # the bound takes r >= 2
     _TOL_TAKERS[f"evaluate_constant[{_name}]"] = functools.partial(constants.evaluate_constant, _name, **_kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_TAKERS))
+def test_a_tol_below_the_120_bit_floor_is_met_or_refused(name):
+    # rank_prob returned err 3.5e-36 here, the floor of its 120-bit product
+    try:
+        out = _TOL_TAKERS[name](tol=1e-37)
+    except PrecisionError:
+        return
+    value = out[0] if isinstance(out, tuple) else out
+    assert value.err <= 1e-37
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-12], ids=repr)

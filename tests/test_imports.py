@@ -141,8 +141,14 @@ def test_public_names_are_the_home_modules_objects():
         assert star[name] is getattr(latcensus, name) is getattr(home, name), name
     for module in PUBLIC:
         assert star[module] is latcensus.__dict__[module] is sys.modules[f"latcensus.{module}"]
-    assert latcensus.EULER_MASCHERONI is latcensus.constants.EULER_MASCHERONI
-    assert "EULER_MASCHERONI" not in latcensus.__all__
+
+
+def test_init_holds_the_only_module_level_getattr():
+    # one deferred-load hook: no other module answers a missing name with a PEP 562 __getattr__
+    hooks = [path.name for path in sorted(Path(SRC, "latcensus").glob("*.py"))
+             if any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+                    for node in ast.parse(path.read_text()).body)]
+    assert hooks == ["__init__.py"]
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "_rank_counts", "evaluate_constant"])
