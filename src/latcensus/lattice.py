@@ -10,8 +10,9 @@ an increasing divisibility chain d_1 | d_2 | ... of entries >= 2, the trivial
 quotient being the empty chain; L is co-cyclic when it has at most one entry.
 The Smith form needs full rank and is its own pivot-by-pivot elimination;
 it shares only the two-row gcd step with the HNF.  is_cocyclic reads
-co-cyclicity from adj(B) (no Smith form), and the congruence lattice
-{x : a.x = 0 mod q} is written down from Bezout pairs (math.gcd and pow).
+co-cyclicity from adj(B) (no Smith form), and the HNF of the congruence
+lattice {x : a.x = 0 mod q} is written down entry by entry from suffix gcds
+and one modular inverse per pivot above 1 (no row reduction).
 Enumeration oracles use the F_p ranks of each basis: rank G = max_p dim G/pG.
 
 All arithmetic is exact (Python ints); no floating point enters here.
@@ -152,21 +153,19 @@ class HnfBasis:
     @property
     def index(self) -> int:
         """[Z^n : L], the product of the pivots."""
-        out = 1
-        for i in range(self.n):
-            out *= self.rows[i][i]
-        return out
+        return math.prod(map(operator.getitem, self.rows, range(self.n)))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "rows": [list(r) for r in self.rows]}
 
     def to_json(self) -> str:
-        import json  # only the JSON round trip loads it
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """json.dumps(self.to_json_dict(), separators=(",", ":")), written directly."""
+        rows = "],[".join([",".join(map(str, r)) for r in self.rows])
+        return f'{{"n":{self.n},"rows":[[{rows}]]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "HnfBasis":
-        import json
+        import json  # only reading a basis back loads it
         doc = json.loads(text)
         basis = cls(doc["rows"])
         if basis.n != doc["n"]:
@@ -379,7 +378,7 @@ class CongruenceVector(_Frozen):
         if len(a) < 1:
             raise ValueError("vector must have at least one coordinate")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "a", tuple(operator.index(x) % q for x in a))
+        object.__setattr__(self, "a", tuple([operator.index(x) % q for x in a]))
 
     @property
     def n(self) -> int:
@@ -393,58 +392,58 @@ class CongruenceVector(_Frozen):
         return tuple((lam * x) % self.q for x in self.a)
 
 
-def _bezout_chain(a: Sequence[int], q: int) -> tuple[list[int], list[list[int]]]:
-    """Suffix gcds g[k] = gcd(a_k, ..., a_{n-1}, q), g[n] = q, and rows u[k]
-    with sum_{j>=k} a_j u[k][j-k] = g[k] mod q, built right to left."""
-    n = len(a)
-    g, u = [0] * n + [q], [[]] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        g[k], x, y = _xgcd(a[k], g[k + 1])
-        u[k] = [x % q] + [y * c % q for c in u[k + 1]]
-    return g, u
-
-
 def are_equivalent(u: CongruenceVector, v: CongruenceVector) -> bool:
-    """True iff u = lam * v mod q for some unit lam mod q.  With g = gcd(v, q)
-    and q' = q/g the only candidate is lam = c.(u/g) mod q', c.(v/g) = 1 mod q';
-    it is a unit mod q' when gcd(u, q) = g too, and lifts to one mod q."""
+    """True iff u = lam * v mod q for some unit lam mod q: iff gcd(u, q) =
+    gcd(v, q) = g and u/g, v/g have the same congruence lattice mod q/g (two
+    primitive vectors are unit multiples exactly when their kernels agree)."""
     if u.q != v.q:
         raise ValueError("moduli differ")
     if len(u.a) != len(v.a):
         raise ValueError("dimensions differ")
     q = u.q
-    (g, *_), (c, *_) = _bezout_chain(v.a, q)
-    qq = q // g
-    lam = sum(ci * (x // g) for ci, x in zip(c, u.a)) % qq
-    return math.gcd(*u.a, q) == g and all((x - lam * y) // g % qq == 0 for x, y in zip(u.a, v.a))
+    g = math.gcd(*v.a, q)
+    if math.gcd(*u.a, q) != g:
+        return False
+    return _congruence_basis([x // g for x in u.a], q // g) == _congruence_basis([x // g for x in v.a], q // g)
 
 
 def lattice_from_congruence(v: CongruenceVector) -> HnfBasis:
     """The index-q sublattice {x : a.x = 0 mod q} of a primitive vector.
 
     The quotient is cyclic of order q; equivalent vectors give the same
-    basis and inequivalent primitive vectors give distinct bases.  Row i:
-    pivot g_{i+1}/g_i, tail -(a_i/g_i) u_{i+1} reduced by the later rows.
+    basis and inequivalent primitive vectors give distinct bases.
     """
     if not v.is_primitive:
         raise NotPrimitiveError(f"gcd of {v.a} with modulus {v.q} exceeds 1")
     return _congruence_basis(v.a, v.q)
 
 
-def _congruence_basis(a: tuple[int, ...], q: int) -> HnfBasis:
-    """lattice_from_congruence for residues a in [0, q) already known primitive."""
+def _congruence_basis(a: Sequence[int], q: int) -> HnfBasis:
+    """lattice_from_congruence for residues a in [0, q) already known primitive.
+
+    With suffix gcds g_k = gcd(a_k, ..., a_{n-1}, q), g_n = q, row i has pivot
+    d_i = g_{i+1}/g_i and the tail t_j in [0, d_j) solving
+    sum_{j>i} a_j t_j = -a_i d_i mod q, one column at a time, left to right:
+    with r the part still to solve (r = 0 mod g_j), t_j = (r/g_j) (a_j/g_j)^-1
+    mod d_j and r -= a_j t_j, leaving r = 0 mod g_{j+1}.  Columns with d_j = 1
+    keep t_j = 0.  The rows are written right to left, with the gcds.
+    """
     n = len(a)
-    if q == 1:
-        return HnfBasis.identity(n)
-    g, u = _bezout_chain(a, q)
     rows: list = [None] * n
+    cols = []  # (j, g_j, a_j, d_j, (a_j/g_j)^-1 mod d_j) per pivot d_j > 1, right to left
+    h = q  # g_{i+1}
     for i in range(n - 1, -1, -1):
-        m = -(a[i] // g[i])
-        row = [0] * i + [g[i + 1] // g[i]] + [m * c % q for c in u[i + 1]]
-        for j in range(i + 1, n):
-            if c := row[j] // rows[j][j]:
-                row = [x - c * y for x, y in zip(row, rows[j])]
+        g = math.gcd(a[i], h)
+        d = h // g
+        row = [0] * n
+        row[i], r = d, -a[i] * d
+        for j, gj, aj, dj, inv in reversed(cols):
+            row[j] = t = r // gj * inv % dj
+            r -= aj * t
         rows[i] = tuple(row)
+        if d > 1:
+            cols.append((i, g, a[i], d, pow(a[i] // g, -1, d)))
+        h = g
     basis = HnfBasis._raw(n, tuple(rows))
     assert basis.index == q
     return basis
@@ -460,15 +459,15 @@ def sample_cocyclic(n: int, q: int, seed) -> HnfBasis:
     """
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
-    randbelow = (seed if isinstance(seed, SplitMix64) else SplitMix64(int(seed))).randbelow
+    randbelow = (seed if isinstance(seed, SplitMix64) else SplitMix64(operator.index(seed))).randbelow
     while True:
-        a = tuple([randbelow(q) for _ in range(n)])
+        a = [randbelow(q) for _ in range(n)]
         if math.gcd(*a, q) == 1:
             return _congruence_basis(a, q)
 
 
 def sample_cocyclic_stream(n: int, q: int, count: int, seed: int) -> Iterator[HnfBasis]:
     """Deterministic stream of `count` uniform co-cyclic draws."""
-    rng = SplitMix64(int(seed))
+    rng = SplitMix64(operator.index(seed))
     for _ in range(count):
         yield sample_cocyclic(n, q, rng)

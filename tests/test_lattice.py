@@ -472,6 +472,15 @@ def _congruence_vectors(draw):
     return lattice.CongruenceVector(q, tuple(k * m for k, m in draw(st.tuples(*[coords] * n))))
 
 
+@settings(deadline=None, max_examples=200)
+@given(_congruence_vectors(), st.integers(0, 2**100))
+def test_are_equivalent_to_a_multiple_iff_the_multiplier_is_a_unit_mod_q_over_g(v, lam):
+    # with g = gcd(v, q), lam v = mu v for a unit mu iff lam = mu mod q/g,
+    # and the units mod q/g are exactly the residues of the units mod q
+    u = lattice.CongruenceVector(v.q, v.scaled(lam))
+    assert lattice.are_equivalent(u, v) == (math.gcd(lam, v.q // math.gcd(*v.a, v.q)) == 1)
+
+
 @settings(deadline=None, max_examples=400)
 @given(_congruence_vectors())
 def test_congruence_hnf_matches_the_generator_construction(v):
@@ -565,6 +574,25 @@ def test_json_round_trip():
     assert json.loads(doc) == {"n": 3, "rows": [[1, 1, 0], [0, 2, 1], [0, 0, 3]]}
     with pytest.raises(ValueError):
         lattice.HnfBasis.from_json('{"n": 2, "rows": [[1, 0], [1, 2]]}')
+
+
+def test_to_json_is_the_compact_json_dump():
+    rng = SplitMix64(2718)
+    bases = list(lattice.enumerate_sublattices(3, 12))
+    for q in (1, 2**61 - 1, 2**64 + 1, 2**100 + 277):
+        bases += [lattice.sample_cocyclic(n, q, rng) for n in range(1, 7) for _ in range(3)]
+    for b in bases:
+        assert b.to_json() == json.dumps(b.to_json_dict(), separators=(",", ":"))
+        assert lattice.HnfBasis.from_json(b.to_json()) == b
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "1"], ids=["float", "integral-float", "str"])
+def test_sampler_seed_must_be_an_integer(seed):
+    # regression: int() truncated 1.5 to seed 1 and parsed "1" as 1
+    with pytest.raises(TypeError):
+        lattice.sample_cocyclic(2, 12, seed)
+    with pytest.raises(TypeError):
+        next(lattice.sample_cocyclic_stream(2, 12, 3, seed))
 
 
 def test_sampler_index_above_two_to_the_64():
