@@ -45,7 +45,7 @@ def _emit(doc) -> None:
 
 
 def cmd_count(args) -> int:
-    n, V, csv, tol, cap = args.n, args.V, args.format == "csv", args.tol, args.enum_cap
+    n, V, csv, tol = args.n, args.V, args.format == "csv", args.tol
     if V < 1:
         raise ValueError("--V must be >= 1")
     if args.ladder is not None and (args.ladder < 1 or not csv):
@@ -58,11 +58,10 @@ def cmd_count(args) -> int:
         rank = "" if args.rank is None else f", --rank {args.rank}"
         raise ValueError(f"--mode {args.mode}{rank}: {exc}") from None
     density = record.density
-    if (tol is not None and density is None) or (cap is not None and args.method == "formula"):
-        raise ValueError("--tol needs a printed prediction, --enum-cap an enumerating --method")
+    if tol is not None and density is None:
+        raise ValueError("--tol needs a printed prediction")
     tol = constants.DEFAULT_TOL if tol is None else constants.check_tol(tol)
-    second = lambda v: record.oracle(v, cap)
-    first = second if args.method == "bruteforce" else record.count
+    first = record.oracle if args.method == "bruteforce" else record.count
     leading = None if density is None else lambda v: density(tol) * ErrBoundedReal.exact(v**n) / n
 
     rungs = args.ladder or 1
@@ -75,7 +74,7 @@ def cmd_count(args) -> int:
         count = first(v)
         doc["count"] = str(count)
         if args.method == "both":
-            check = second(v)
+            check = record.oracle(v)
             doc["oracle_count"] = str(check)
             if check != count:
                 doc["mismatch"] = True
@@ -145,7 +144,7 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         _emit({"n": args.n, "q": args.q, "count": str(lattice.count_sublattices(args.n, args.q))})
         return EXIT_OK
-    for basis in lattice.enumerate_sublattices(args.n, args.q, args.cap):
+    for basis in lattice.enumerate_sublattices(args.n, args.q):
         print(basis.to_json())
     return EXIT_OK
 
@@ -238,7 +237,6 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--ladder", type=int, help="emit a CSV ladder with this many rungs")
     p.add_argument("--tol", type=float, help=f"prediction tolerance (default {constants.DEFAULT_TOL:g})")
-    p.add_argument("--enum-cap", type=int, help="enumeration cap for --method bruteforce/both")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("constants", help="error-bounded named constants")
@@ -261,9 +259,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="all sublattices of one index (JSON lines)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    listing = p.add_mutually_exclusive_group()  # --cap bounds a listing, which --count-only skips
-    listing.add_argument("--cap", type=int, default=lattice.DEFAULT_ENUM_CAP)
-    listing.add_argument("--count-only", action="store_true")
+    p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("clmass", help="census masses (weight 1/#Aut)")

@@ -15,9 +15,9 @@ Zeta values.  ``zeta(k, tol)`` is Euler-Maclaurin summation: the terms
 j < N, the integral and half-term at N, and M Bernoulli corrections, summed
 as one exact rational, with the remainder bounded by
 2 zeta(2M+1) (2 pi)^-(2M+1) |f^(2M)(N)| for f(x) = x^-k.  (N, M) is the
-first pair, on a doubling ladder of N, whose remainder is below tol/2.  The
-only rounding is the final conversion to 120 bits (~1e-36 relative), so a
-tolerance below that raises PrecisionError.
+first pair, on a doubling ladder of N, whose remainder is below tol/2; for
+k >= 3 with 2^-k <= tol it is the bracket [1 + 2^-k, 1 + 2^(1-k)].  The one
+rounding is to 120 bits (~1e-36 relative): a lower tol raises PrecisionError.
 
 Euler products.  ``euler_product(N, D, tol)`` takes the local factor
 f = N/D as two integer polynomials in x = 1/p with N(0) = D(0) = 1.  With
@@ -107,20 +107,24 @@ def zeta(k: int, tol: float = 1e-12) -> ErrBoundedReal:
     zeta(k) = sum_{j<N} j^-k + N^(1-k)/(k-1) + N^-k/2
               + sum_{i<=M} B_2i/(2i)! k(k+1)...(k+2i-2) N^(-k-2i+1) + R,
     |R| <= 2 zeta(3) (2 pi)^-(2M+1) k(k+1)...(k+2M-1) N^(-k-2M).
+    For k >= 3 with 2^-k <= tol, the bracket [1 + 2^-k, 1 + 2^(1-k)] instead:
+    sum_{j>=3} j^-k <= int_2^oo x^-k dx = 2^(1-k)/(k-1) <= 2^-k.
     """
     if k < 2:
         raise ValueError("zeta requires k >= 2")
-    check_tol(tol)
-    N, M = _euler_maclaurin_plan(k, tol / 2)
-    total = sum(Fraction(1, j**k) for j in range(2, N)) + 1
-    total += Fraction(1, (k - 1) * N ** (k - 1)) + Fraction(1, 2 * N**k)
-    rising = k  # k (k+1) ... (k+2i-2)
-    for i in range(1, M + 1):
-        total += bernoulli(2 * i) * rising / (math.factorial(2 * i) * N ** (k + 2 * i - 1))
-        rising *= (k + 2 * i - 1) * (k + 2 * i)
-    rising //= k + 2 * M  # k (k+1) ... (k+2M-1)
-    remainder = _TWO_ZETA3_UPPER * rising / ((2 * _PI_LOWER) ** (2 * M + 1) * N ** (k + 2 * M))
-    value = ErrBoundedReal(total, remainder)
+    if 2.0**-k <= check_tol(tol) and k >= 3:
+        value = ErrBoundedReal.from_interval(1 + Fraction(1, 2**k), 1 + Fraction(2, 2**k))
+    else:
+        N, M = _euler_maclaurin_plan(k, tol / 2)
+        total = sum(Fraction(1, j**k) for j in range(2, N)) + 1
+        total += Fraction(1, (k - 1) * N ** (k - 1)) + Fraction(1, 2 * N**k)
+        rising = k  # k (k+1) ... (k+2i-2)
+        for i in range(1, M + 1):
+            total += bernoulli(2 * i) * rising / (math.factorial(2 * i) * N ** (k + 2 * i - 1))
+            rising *= (k + 2 * i - 1) * (k + 2 * i)
+        rising //= k + 2 * M  # k (k+1) ... (k+2M-1)
+        remainder = _TWO_ZETA3_UPPER * rising / ((2 * _PI_LOWER) ** (2 * M + 1) * N ** (k + 2 * M))
+        value = ErrBoundedReal(total, remainder)
     if value.err > tol:
         raise PrecisionError(f"zeta({k}) did not reach tol={tol}")
     return value

@@ -413,7 +413,8 @@ def _rank_counts(n: int, q: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _guard_enumeration(n: int, V: int, cap: int) -> None:
+def _guard_enumeration(n: int, V: int) -> None:
+    cap = latcensus.lattice.DEFAULT_ENUM_CAP
     if (total := total_count(n, V)) > cap:  # O(V^(3/4)) under its own cap; no (V+1)-entry table
         raise CapExceededError(f"enumerating {total} lattices exceeds cap {cap}")
 
@@ -456,10 +457,10 @@ class Census:
         """Second route: each part on `_multiplicative_sum`."""
         return self._between(self._ends(V), lambda k: _multiplicative_sum(self.n, k, self.squarefree, V))
 
-    def oracle(self, V: int, cap: Optional[int] = None) -> int:
+    def oracle(self, V: int) -> int:
         """Enumeration: the strata of rank low..high, independent of every closed form."""
         self._ends(V)  # the V check of count and sieve
-        _guard_enumeration(self.n, V, latcensus.lattice.DEFAULT_ENUM_CAP if cap is None else cap)
+        _guard_enumeration(self.n, V)
         total = 0
         for q in range(1, V + 1):
             c = _rank_counts(self.n, q)

@@ -16,10 +16,10 @@ All evaluation runs in the private mpmath context ``CTX``: the package
 neither reads nor writes the caller's global ``mpmath.mp`` precision, so a
 caller lowering ``mp.prec`` cannot make a bound unsound.
 
-mpmath is imported here, on first use (only verify's chi-square p-value
-imports it elsewhere): ``load_mpmath`` creates ``CTX`` and the names that
-depend on it, and ``_to_mpf``, the entry of every interval construction,
-runs it first.  Exact counts build no interval, so they never load mpmath.
+mpmath is imported here, on first use: ``load_mpmath`` creates ``CTX`` and
+the names that depend on it; ``_to_mpf``, the entry of every interval, runs
+it first, and ``constants.inv_zeta2`` and verify's ``_plain_euler_product``
+call it.  Exact counts build no interval, so they never load mpmath.
 """
 
 from __future__ import annotations

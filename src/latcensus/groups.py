@@ -20,8 +20,8 @@ over powerful numbers in O(sqrt V) time under that engine's cap;
 `enumerate_groups` is its oracle.
 
 The census assigns each group the mass 1/#Aut(G); totals are exact
-rationals up to 1e4 (unions of mass cells, `_cell_mass`, tallied from
-per-prime-power (rank, #Aut) pairs by `_aut_walk`) and error-bounded floats
+rationals up to 1e4 (sums over `_mass_cells`, one table per V from one
+`_aut_walk` of per-prime-power (rank, #Aut) pairs) and error-bounded floats
 beyond (`_mass_terms`), both on `arith._order_walk`, the second census
 route's walk.  Census sizes are checked against their caps before any work
 (DEFAULT_CENSUS_CAP for the group enumeration and the mass walk,
@@ -458,7 +458,7 @@ def _pgroup_mass(p: int, k: int) -> Fraction:
 def cl_total_mass(V: int, exact_limit: int = EXACT_SUM_LIMIT):
     """Total mass of the census of order <= V.
 
-    Exact Fraction for V <= exact_limit: every mass cell (`_cell_mass`).
+    Exact Fraction for V <= exact_limit: the sum of `_mass_cells`.
     Above that, an error-bounded float: the fsum of the float masses of
     orders 1..V (`_mass_terms`, the mass of order n is the product of its
     prime-power masses).  That walk holds the primes up to V, so V above
@@ -467,7 +467,7 @@ def cl_total_mass(V: int, exact_limit: int = EXACT_SUM_LIMIT):
     if V < 1:
         raise ValueError("V must be >= 1")
     if V <= exact_limit:
-        return _cell_mass(V, lambda rank, squarefree, r: True)
+        return sum(_mass_cells(V).values())
     total = math.fsum(itertools.chain.from_iterable(_mass_terms(V)))
     # term n takes one ratio fl(fl(cur) / fl(prev)) and one multiply per
     # prime-power divisor p^k | n, at most floor(log2 V) of them: 4 roundings
@@ -494,21 +494,17 @@ def _mass_terms(V: int) -> Iterator[Iterable[float]]:
         yield itertools.chain((mass,), map(mass.__mul__, r1[lo:hi]))
 
 
-_mass_cells = lru_cache(maxsize=1)(lambda V: {})  # the last V's cells: (rank, squarefree) -> mass
-
-
-def _aut_walk(V: int, want) -> dict[tuple[int, bool], list[int]]:
-    """#Aut of every group of order <= V in the mass cells (rank, order
-    squarefree) of `want`, by cell.  A group of order N takes one pair
-    (l(lam), #Aut(G_lam)) per p^e || N, lam a partition of e (pairs memoized
-    per p^e): its rank is the largest l, its #Aut the product.  Each node of
-    `arith._order_walk` holds its groups as (order squarefree, rank -> #Aut
-    list); its leaves N p take the pair of p as one batch."""
+def _aut_walk(V: int) -> dict[tuple[int, bool], list[int]]:
+    """#Aut of every group of order <= V, by mass cell (rank, order
+    squarefree).  A group of order N takes one pair (l(lam), #Aut(G_lam)) per
+    p^e || N, lam a partition of e (pairs memoized per p^e): its rank is the
+    largest l, its #Aut the product.  Each node of `arith._order_walk` holds
+    its groups as (order squarefree, rank -> #Aut list); its leaves N p take
+    the pair of p as one batch."""
     _check_census_bound(V)
     primes = primes_upto(V)
     pairs = lru_cache(None)(lambda p, e: [(len(lam), _aut_order_pgroup(p, lam)) for lam in _partitions_of(e)])
-    cells: dict[tuple[int, bool], list[int]] = {cell: [] for cell in want}
-    tally = lambda cell, auts: cells[cell].extend(auts) if cell in cells else None
+    cells: dict[tuple[int, bool], list[int]] = {}
 
     def child(parent, p: int, e: int):
         out: dict[int, list] = {}
@@ -519,22 +515,16 @@ def _aut_walk(V: int, want) -> dict[tuple[int, bool], list[int]]:
     for (squarefree, node), lo, hi in _order_walk(V, primes, (True, {0: [1]}), child):
         tail = [b for p in primes[lo:hi] for _, b in pairs(p, 1)]
         for r, auts in node.items():
-            tally((r, squarefree), auts)
-            tally((max(r, 1), squarefree), (a * b for b in tail for a in auts))  # unread when not wanted
+            cells.setdefault((r, squarefree), []).extend(auts)
+            cells.setdefault((max(r, 1), squarefree), []).extend(a * b for b in tail for a in auts)
     return cells
 
 
-def _cell_mass(V: int, keep, r: Optional[int] = None) -> Fraction:
-    """Exact mass of the cells (rank, order squarefree) of order <= V that
-    keep(rank, squarefree, r) holds: (0), (1, squarefree), (1, not), ranks 2..log2(V).
-    The cells not yet known come from one `_aut_walk`, each a _reciprocal_sum."""
-    cells = [(0, True), (1, True), (1, False)] + [(k, False) for k in range(2, V.bit_length())]
-    need = [c for c in cells if keep(*c, r)]
-    known = _mass_cells(V)
-    missing = [c for c in need if c not in known]
-    if missing:
-        known.update((c, _reciprocal_sum(auts)) for c, auts in _aut_walk(V, missing).items())
-    return sum(known[c] for c in need)
+@lru_cache(maxsize=1)
+def _mass_cells(V: int) -> dict[tuple[int, bool], Fraction]:
+    """Exact mass of each cell (rank, order squarefree) of order <= V: one
+    `_aut_walk`, one _reciprocal_sum per cell.  The last V's table is kept."""
+    return {cell: _reciprocal_sum(auts) for cell, auts in _aut_walk(V).items()}
 
 
 # predicate -> keep(rank, squarefree, r), a test on mass cells
@@ -548,7 +538,7 @@ _PREDICATES = {
 def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fraction:
     """Exact census mass restricted to a predicate: 'cyclic',
     'squarefree-order', or 'rank-at-most' (with r, and only there): the sum
-    of the mass cells the predicate keeps (`_cell_mass`).
+    of the mass cells the predicate keeps (`_mass_cells`).
 
     By construction the cyclic mass equals the totient-reciprocal sum
     (arith.landau_sum) and the squarefree mass equals arith.ward_sum.
@@ -559,4 +549,5 @@ def cl_predicate_mass(V: int, predicate: str, r: Optional[int] = None) -> Fracti
         raise ValueError("rank-at-most needs r >= 0")
     if predicate != "rank-at-most" and r is not None:
         raise ValueError(f"r goes with rank-at-most, not {predicate!r}")
-    return _cell_mass(V, _PREDICATES[predicate], r)
+    keep = _PREDICATES[predicate]
+    return sum(mass for cell, mass in _mass_cells(V).items() if keep(*cell, r))

@@ -311,7 +311,7 @@ def _ordered_factorizations(q: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (d,) + rest
 
 
-def enumerate_sublattices(n: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Iterator[HnfBasis]:
+def enumerate_sublattices(n: int, q: int) -> Iterator[HnfBasis]:
     """Yield every sublattice of Z^n of index exactly q, exactly once.
 
     Order: lexicographic in (diagonal, above-diagonal entries), the entries
@@ -320,11 +320,8 @@ def enumerate_sublattices(n: int, q: int, cap: int = DEFAULT_ENUM_CAP) -> Iterat
     """
     if n < 1 or q < 1:
         raise ValueError("need n >= 1 and q >= 1")
-    total = count_sublattices(n, q)
-    if total > cap:
-        raise CapExceededError(
-            f"enumeration of {total} sublattices exceeds cap {cap}"
-        )
+    if (total := count_sublattices(n, q)) > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"enumeration of {total} sublattices exceeds cap {DEFAULT_ENUM_CAP}")
     return _enumerate_sublattices(n, q)
 
 

@@ -5,14 +5,14 @@ the message) on the first violation and returns quietly otherwise.  A check
 takes no parameter: its one scale (grid, seed, tolerance) is written once,
 inside it.  The CLI `verify` subcommand runs a suite of these, and the
 acceptance tests call the same checks rather than restating them, so the
-two surfaces read one scale.  Every pointwise comparison of two routes goes
-through `_agree`, one loop over (id, label, lhs, rhs) rows.  The census
-checks are clients of the `counting.Census` records: each compares a
-record's fast route `count` with its `sieve` or its `oracle`, for every
-record of a dimension, and holds no census logic of its own.  run_suite
-runs a suite on min(checks, CPUs in the affinity mask) forked workers, with
-no flag, and reports in CHECKS order as results arrive, so the output does
-not depend on the CPUs (one: no worker).
+two surfaces read one scale.  Every pointwise comparison of two exact routes
+goes through `_agree`, one loop over (id, label, lhs, rhs) rows; the five of
+two interval routes ask `overlaps`.  The census checks are clients of the
+`counting.Census` records: each compares a record's fast route `count` with
+its `sieve` or its `oracle`, for every record of a dimension, and holds no
+census logic of its own.  run_suite runs a suite on min(checks, CPUs in the
+affinity mask) forked workers, with no flag, and reports in CHECKS order as
+results arrive, so the output does not depend on the CPUs (one: no worker).
 """
 
 from __future__ import annotations

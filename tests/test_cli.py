@@ -93,7 +93,7 @@ def test_count_csv_ladder_prints_each_bound_once(capsys):
 def test_count_csv_honours_method(capsys, monkeypatch):
     from latcensus import counting
 
-    monkeypatch.setattr(counting.Census, "oracle", lambda self, V, cap: 0)
+    monkeypatch.setattr(counting.Census, "oracle", lambda self, V: 0)
     argv = ("count", "--n", "2", "--V", "10", "--format", "csv", "--ladder", "2", "--method")
     code, out, err = run_cli(capsys, *argv, "both")
     assert code == 1 and out == "" and "mismatch at V=5" in err
@@ -108,7 +108,7 @@ def test_count_rank_runs_the_shared_loop(capsys, monkeypatch):
                            "--rank", "2", "--format", "csv", "--ladder", "3", "--method", "both")
     assert code == 0
     assert out == "V,count,prediction,ratio\n10,62,nan,nan\n20,657,nan,nan\n30,1789,nan,nan\n"
-    monkeypatch.setattr(counting.Census, "oracle", lambda self, V, cap: 0)
+    monkeypatch.setattr(counting.Census, "oracle", lambda self, V: 0)
     code, out, err = run_cli(capsys, "count", "--n", "2", "--V", "10", "--mode", "rank", "--rank",
                              "1", "--method", "both")
     assert code == 1 and "mismatch at V=10" in err
@@ -135,8 +135,8 @@ def test_count_refuses_ignored_flags(capsys, extra):
     [
         "count --n 2 --V 10 --mode rank --rank 1 --tol 1e-5",  # rank prints no prediction
         "count --n 1 --V 10 --mode all --tol 1e-5",  # nor does n = 1
-        "count --n 2 --V 10 --enum-cap 5",  # the formula route enumerates nothing
-        "enumerate --n 2 --q 4 --cap 5 --count-only",  # nothing is listed
+        "count --n 2 --V 10 --enum-cap 5",  # the enumeration cap is fixed: no such flag
+        "enumerate --n 2 --q 4 --cap 5 --count-only",  # nor this one
     ],
 )
 def test_ignored_flags_exit_64(capsys, argv):
@@ -149,8 +149,8 @@ def test_ignored_flags_exit_64(capsys, argv):
 
 
 def test_flags_in_use_are_accepted(capsys):
-    code, out, _ = run_cli(capsys, "count", "--n", "2", "--V", "10", "--enum-cap", "5",
-                           "--method", "bruteforce")
+    # 6.6e11 lattices of index <= 10^4 in Z^3: refused at once at the fixed enumeration cap
+    code, out, _ = run_cli(capsys, "count", "--n", "3", "--V", "10000", "--method", "bruteforce")
     assert code == 2 and out == ""  # the cap is honoured
     code, out, _ = run_cli(capsys, "count", "--n", "2", "--V", "10", "--tol", "1e-5")
     assert code == 0 and float(json.loads(out)["prediction"]["err"]) <= 1e-5
@@ -223,6 +223,12 @@ def test_constants_density(capsys):
     code, out, _ = run_cli(capsys, "constants", "--name", "density-cocyclic")
     assert code == 0
     assert json.loads(out)["value"].startswith("0.8469")
+
+
+def test_constants_xi_to_3000_returns(capsys):
+    # the zeta factors with 2^-k below their tol are bracketed, not summed term by term
+    code, out, _ = run_cli(capsys, "constants", "--name", "xi", "--m", "2", "--n", "3000")
+    assert code == 0 and float(json.loads(out)["err"]) <= 1e-10
 
 
 def test_constants_unknown_name(capsys):
@@ -305,7 +311,7 @@ def test_enumerate_stdout_is_pinned(capsys):
 
 
 def test_enumerate_cap_exit_code(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--q", "60", "--cap", "10")
+    code, _, err = run_cli(capsys, "enumerate", "--n", "4", "--q", "10000")  # 3.8e12 lattices
     assert code == 2 and "cap" in err.lower()
 
 

@@ -248,6 +248,16 @@ def test_euler_maclaurin_zeta_against_mpmath():
         assert _holds(z, REF.zeta(k)), k
 
 
+@pytest.mark.parametrize("k", [40, 64, 200, 3000])
+def test_large_k_zeta_bracket_holds_the_reference(k):
+    z = constants.zeta(k, 1e-12)  # 2^-k <= tol: the bracket [1 + 2^-k, 1 + 2^(1-k)]
+    assert z.err <= 1e-12 and _holds(z, REF.zeta(k)), k
+
+
+def test_xi_to_3000_overlaps_xi_inf():
+    assert constants.xi(2, 3000, 1e-10).overlaps(constants.xi_inf(2, 1e-12))
+
+
 def test_euler_products_at_1e30_hold_references():
     z = REF.zeta
     closed = [(constants.theta_product(1e-30), z(2) * z(3) / z(6))]

@@ -417,16 +417,18 @@ def test_correction_must_vanish_at_primes():
         counting._powerful_sum(2, 100, lambda p, e: 1)
 
 
-def test_enumeration_guard_counts_like_the_table():
+def test_enumeration_guard_counts_like_the_table(monkeypatch):
     for n in range(1, 5):
         prefix = 0
         for V in range(1, 201):
             prefix += lattice.count_sublattices(n, V)
             assert counting.total_count(n, V) == prefix, (n, V)
     total = counting.total_count(3, 200)
-    counting._guard_enumeration(3, 200, total)
+    monkeypatch.setattr(lattice, "DEFAULT_ENUM_CAP", total)
+    counting._guard_enumeration(3, 200)
+    monkeypatch.setattr(lattice, "DEFAULT_ENUM_CAP", total - 1)
     with pytest.raises(CapExceededError):
-        counting._guard_enumeration(3, 200, total - 1)
+        counting._guard_enumeration(3, 200)
 
 
 def test_census_oracles_squarefree_and_total():

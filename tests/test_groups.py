@@ -339,7 +339,7 @@ def walks(monkeypatch):
     """The bounds V of every census walk, from a cleared mass memo."""
     seen = []
     aut_walk = groups._aut_walk
-    monkeypatch.setattr(groups, "_aut_walk", lambda V, want: seen.append(V) or aut_walk(V, want))
+    monkeypatch.setattr(groups, "_aut_walk", lambda V: seen.append(V) or aut_walk(V))
     groups._mass_cells.cache_clear()
     yield seen
     groups._mass_cells.cache_clear()
@@ -354,7 +354,7 @@ def test_exact_masses_above_the_census_cap_refuse_before_walking(walks, monkeypa
         with pytest.raises(CapExceededError, match=f"census bound {V} exceeds cap"):
             groups.cl_predicate_mass(V, predicate, r)
     # each mass asks the walk, which refuses before it sieves; no cell is kept
-    assert walks == [V] * 4 and groups._mass_cells(V) == {}
+    assert walks == [V] * 4 and groups._mass_cells.cache_info().currsize == 0
 
 
 def test_one_walk_serves_every_mass_of_the_oracle_job(walks):
@@ -376,6 +376,16 @@ def test_predicate_masses_share_their_walk(walks):
     assert groups.cl_predicate_mass(10**4, "cyclic") == arith.landau_sum(10**4)
     assert groups.cl_predicate_mass(10**4, "squarefree-order") == arith.ward_sum(10**4)
     assert walks == [10**4]
+
+
+def test_every_exact_mass_at_one_V_costs_one_walk_in_any_order(walks):
+    # the cyclic mass first, then the total and the other predicates: one table serves them all
+    V = 3000
+    assert groups.cl_predicate_mass(V, "cyclic") == arith.landau_sum(V)
+    total = groups.cl_total_mass(V)
+    assert groups.cl_predicate_mass(V, "squarefree-order") == arith.ward_sum(V)
+    assert groups.cl_predicate_mass(V, "rank-at-most", 2) < total
+    assert walks == [V]
 
 
 def test_verify_sees_a_wrong_aut_order_in_a_mass_cell(walks, capsys, monkeypatch):

@@ -402,7 +402,7 @@ def test_p_rank_of_a_prime_below_two_pivots_is_its_pivot_count(n, top):
 
 def test_enumerate_cap():
     with pytest.raises(CapExceededError):
-        list(lattice.enumerate_sublattices(4, 60, cap=10))
+        list(lattice.enumerate_sublattices(4, 10**4))  # 3.8e12 lattices, above DEFAULT_ENUM_CAP
 
 
 def test_congruence_vector_basics():
