@@ -502,12 +502,15 @@ def delta_rank_factor(r: int) -> tuple[Poly, Poly]:
     return _poly_mul(tuple(num), (1, -1)), den
 
 
-def delta_rank_at_least_bound(r: int) -> ErrBoundedReal:
+def delta_rank_at_least_bound(r: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Explicit upper bound for the census density of rank >= r, evaluated
-    as 1 - exp(-8 (zeta(r^2) - 1)); decreasing in r and ~ 8 * 2^(-r^2)."""
+    as 1 - exp(-8 (zeta(r^2) - 1)); decreasing in r and ~ 8 * 2^(-r^2).
+    zeta(r^2) is asked to min(1e-14, tol / 16), since exp(-8 x) < 1 takes
+    x's err times at most 8: every tol >= 1.6e-13 gets the same interval."""
+    check_tol(tol)
     if r < 2:
         raise ValueError("r must be >= 2")
-    z = zeta(r * r, 1e-14)
+    z = zeta(r * r, min(1e-14, tol / 16))
     return 1 - ((z - 1) * (-8)).exp()
 
 
@@ -608,7 +611,7 @@ _EVALUATORS = {
     "uniform-squarefree": ((), lambda tol: (uniform_density_squarefree(min(tol, DEFAULT_TOL)), None)),
     "rank-prob": (("p", "r"), lambda p, r, tol: (rank_prob(p, r, tol), None)),
     "delta-rank-le": (("r",), _delta_rank_at_most),
-    "delta-rank-ge-bound": (("r",), lambda r, tol: (delta_rank_at_least_bound(r), None)),
+    "delta-rank-ge-bound": (("r",), lambda r, tol: (delta_rank_at_least_bound(r, tol), None)),
 }
 
 CONSTANT_NAMES = tuple(_EVALUATORS)

@@ -400,9 +400,13 @@ def _rank_counts(n: int, q: int) -> tuple[int, ...]:
     counts = [0] * (n + 1)
     p_rank = latcensus.lattice._p_rank
     for diag, bases in latcensus.lattice._diagonal_blocks(n, q):
-        divisible = [(p, [i for i, d in enumerate(diag) if d % p == 0]) for p in primes]
-        low = max([len(div) for _, div in divisible if len(div) < 2], default=0)
-        high = [(p, div, [i for i in range(n) if i not in div]) for p, div in divisible if len(div) >= 2]
+        low, high = 0, []
+        for p in primes:
+            div = [i for i, d in enumerate(diag) if d % p == 0]
+            if len(div) < 2:
+                low = max(low, len(div))
+            else:
+                high.append((p, div, [i for i in range(n) if i not in div]))
         if not high:  # no per-basis test; each basis is still built and counted
             counts[low] += sum(map(bool, bases))
         elif len(high) == 1:

@@ -10,8 +10,9 @@ subgroup lattice) is kept as its oracle.
 The explicit machinery (`_GroupTable`) numbers the elements 0..|G|-1 with
 a precomputed addition table; subgroups are frozensets of indices, and the
 join table (subgroup, element) -> subgroup, filled as the DP reads it with one
-extension per coset, drives the exact generating-tuple DP behind the oracle
-and the class counts.  `spanning_tuples` lists the tuples it counts, one by one.
+extension per generator class of <H, e>/H, drives the exact generating-tuple
+DP behind the oracle and the class counts.  `spanning_tuples` lists the
+tuples it counts, one by one.
 
 The number of classes of order <= V is not enumerated: its Dirichlet
 series prod_k zeta(ks) has local factors sum_e P(e) X^e (P the partition
@@ -276,8 +277,8 @@ class _GroupTable:
     their sum, and subgroups are frozensets of indices.  The addition table
     is |G| lists of |G| shared ints: about 0.14 GB at the default cap.  The
     join table of `count_spanning_tuples` has one such row per subgroup the
-    DP leaves; before each new row, (subgroups found) x |G| above LATTICE_CAP
-    raises.
+    DP leaves, filled one generator class of <H, e>/H per extension; before
+    each new row, (subgroups found) x |G| above LATTICE_CAP raises.
     """
 
     __slots__ = ("factors", "order", "elements", "orders", "add_table")
@@ -331,9 +332,10 @@ class _GroupTable:
     def count_spanning_tuples(self, candidate_ids: Sequence[Sequence[int]]) -> int:
         """Tuples (one entry per candidate list, in order) whose entries
         generate the whole group; exact DP over the subgroup lattice.  The
-        join <H, e> is computed the first time the DP reads it, with one
-        extension per coset e + H; rows of subgroups the DP never leaves
-        are never built."""
+        join K = <H, e> is computed the first time the DP reads it, with one
+        extension per generator class of the cyclic K/H: it is written for
+        every x in k e + H, gcd(k, |K/H|) = 1, the x with <H, x> = K.  Rows
+        of subgroups the DP never leaves are never built."""
         add, order = self.add_table, self.order
         subs = {frozenset([0]): 0}
         sub_list = list(subs)
@@ -355,9 +357,13 @@ class _GroupTable:
                         key = subs.setdefault(H2, len(sub_list))
                         if key == len(sub_list):
                             sub_list.append(H2)
-                        shift = add[eid]
-                        for h in H:  # <H, e + h> = <H, e>
-                            row[shift[h]] = key
+                        m, s = len(H2) // len(H), eid
+                        for k in range(1, m + 1):  # <H, x> = <H, e> for x in k e + H, gcd(k, m) = 1
+                            if math.gcd(k, m) == 1:
+                                shift = add[s]
+                                for h in H:
+                                    row[shift[h]] = key
+                            s = add[s][eid]
                     new[key] = new.get(key, 0) + cnt
             f = new
         return sum(cnt for sid, cnt in f.items() if len(sub_list[sid]) == order)

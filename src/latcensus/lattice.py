@@ -303,12 +303,19 @@ def count_sublattices(n: int, q) -> int:
 
 
 def _ordered_factorizations(q: int, n: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        yield (q,)
-        return
-    for d in factorize(q).divisors():
-        for rest in _ordered_factorizations(q // d, n - 1):
-            yield (d,) + rest
+    """The ordered n-tuples with product q, lexicographic: q's divisors are
+    listed once (n > 1) and filtered down to each sub-quotient's, ascending."""
+
+    def walk(r: int, k: int, divs: list[int]) -> Iterator[tuple[int, ...]]:
+        for d in divs:
+            s = r // d
+            if k == 2:
+                yield (d, s)
+            else:
+                for rest in walk(s, k - 1, [x for x in divs if s % x == 0]):
+                    yield (d,) + rest
+
+    yield from walk(q, n, factorize(q).divisors()) if n > 1 else [(q,)]
 
 
 def enumerate_sublattices(n: int, q: int) -> Iterator[HnfBasis]:

@@ -254,6 +254,15 @@ def test_large_k_zeta_bracket_holds_the_reference(k):
     assert z.err <= 1e-12 and _holds(z, REF.zeta(k)), k
 
 
+@pytest.mark.parametrize("r", [2, 3, 5, 7, 9])
+def test_delta_rank_ge_bound_meets_a_tight_tol(r):
+    # zeta(r^2) is asked to tol / 16; at r = 3 and tol 1e-14 this exited 2 (err 3.5e-14)
+    ref = 1 - REF.exp(-8 * (REF.zeta(r * r) - 1))
+    for tol in (1e-14, 1e-20, 1e-30):
+        val, _ = constants.evaluate_constant("delta-rank-ge-bound", r=r, tol=tol)
+        assert val.err <= tol and _holds(val, ref), (r, tol)
+
+
 def test_xi_to_3000_overlaps_xi_inf():
     assert constants.xi(2, 3000, 1e-10).overlaps(constants.xi_inf(2, 1e-12))
 
@@ -298,8 +307,6 @@ def test_zeta_built_constants_meet_tight_tol():
 def test_fixed_precision_constants_refuse_a_tighter_tol():
     with pytest.raises(PrecisionError, match="1e-19"):
         constants.evaluate_constant("gamma", tol=1e-20)
-    with pytest.raises(PrecisionError):
-        constants.evaluate_constant("delta-rank-ge-bound", r=2, tol=1e-20)
     with pytest.raises(PrecisionError, match="reachable"):
         constants.evaluate_constant("landau-prime-sum")  # default tol 1e-10
 
@@ -379,6 +386,7 @@ _TOL_TAKERS = {
     "gekeler_squarefree": constants.gekeler_squarefree,
     "rank_prob": lambda tol: constants.rank_prob(2, 1, tol),
     "delta_rank_at_most": lambda tol: constants.delta_rank_at_most(2, tol),
+    "delta_rank_at_least_bound": lambda tol: constants.delta_rank_at_least_bound(2, tol),
     "uniform_density_cyclic": constants.uniform_density_cyclic,
     "uniform_density_squarefree": constants.uniform_density_squarefree,
     "prime_log_weight_sum": constants.prime_log_weight_sum,

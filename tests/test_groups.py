@@ -169,15 +169,24 @@ def test_automorphism_maps_are_automorphisms_of_tuples():
                 assert a[add(x, y)] == add(a[x], a[y])
 
 
+# (group, n values): every group of order <= 16, and groups above 16 whose
+# joins <H, e>/H run through composite cyclic orders (join fills of several classes)
+_DP_REFERENCE_GRID = [(g, (1, 2, 3)) for g in groups.enumerate_groups(16)] + [
+    (groups.AbelianGroup.cyclic(36), (1, 2)),
+    (groups.AbelianGroup.cyclic(60), (1, 2)),
+    (groups.AbelianGroup.from_invariant_factors((4, 12)), (1, 2)),
+]
+
+
 def test_spanning_tuples_are_the_tuples_the_dp_counts():
     # the literal enumeration lists exactly the tuples the DP counts, for the
-    # endomorphism candidates and for every element at n = 1..3, each spanning G
-    for g in groups.enumerate_groups(16):
+    # endomorphism candidates and for every element at each n, each spanning G
+    for g, ns in _DP_REFERENCE_GRID:
         table = groups._GroupTable(g)
         _, elements, add, zero = _naive_group(g)
         spans = {}  # element set -> the size of its span
         everything = range(table.order)
-        for cands in [table.endomorphism_images()] + [[everything] * n for n in (1, 2, 3)]:
+        for cands in [table.endomorphism_images()] + [[everything] * n for n in ns]:
             tuples = list(table.spanning_tuples(cands))
             assert len(tuples) == len(set(tuples)) == table.count_spanning_tuples(cands), (g, len(cands))
             for tup in tuples:
@@ -186,6 +195,26 @@ def test_spanning_tuples_are_the_tuples_the_dp_counts():
                 if key not in spans:
                     spans[key] = len(_naive_span([elements[e] for e in key], add, zero))
                 assert spans[key] == table.order, (g, tup)
+
+
+def test_the_dp_extends_once_per_generator_class(monkeypatch):
+    # <H, e> is written for every x in k e + H, gcd(k, |<H, e>/H|) = 1, so each
+    # generator class of the cyclic quotient costs one extension
+    calls = []
+    real = groups._GroupTable._extend
+    monkeypatch.setattr(groups._GroupTable, "_extend", lambda self, H, g: calls.append(g) or real(self, H, g))
+
+    def extensions(route, *args):
+        calls.clear()
+        route(*args)
+        return len(calls)
+
+    z97, z60 = groups.AbelianGroup.cyclic(97), groups.AbelianGroup.cyclic(60)
+    assert extensions(groups.generating_tuples_count, z97, 1) == 2  # 97, one per coset
+    assert extensions(groups.generating_tuples_count, z97, 2) == 3  # 98
+    assert extensions(groups.generating_tuples_count, z60, 2) == 54  # 168
+    # in (Z/2)^5 every quotient <H, e>/H has order 2 and one generator class
+    assert extensions(groups.aut_order_bruteforce, groups.AbelianGroup({2: (1,) * 5})) == 2450
 
 
 def test_automorphism_maps_are_pinned_to_order_24():

@@ -330,6 +330,17 @@ def test_enumerate_complete_and_duplicate_free():
             assert len(seen) == lattice.count_sublattices(n, q)
 
 
+def test_ordered_factorizations_are_lexicographic():
+    # enumerate prints its diagonals in this order, and the benchmark hashes
+    # its output: the ordered n-tuples of divisors of q with product q
+    for q in range(1, 201):
+        divisors = [d for d in range(1, q + 1) if q % d == 0]
+        for n in range(1, 5):
+            heads = itertools.product(divisors, repeat=n - 1)  # lexicographic
+            expected = [h + (q // math.prod(h),) for h in heads if q % math.prod(h) == 0]
+            assert list(lattice._ordered_factorizations(q, n)) == expected, (q, n)
+
+
 def _odometer_enumeration(n, q):
     # reference: a template-copy odometer over the above-diagonal positions,
     # row-major, written independently of the enumerator's per-row tuples
