@@ -399,7 +399,9 @@ def abelian_group_count(n) -> int:
 
 
 def totient_table(limit: int) -> list[int]:
-    """phi(0..limit) as a list (phi(0) set to 0)."""
+    """phi(0..limit) as a list (phi(0) set to 0); limit above SIEVE_CAP is
+    refused before allocating."""
+    _check_sieve_limit(limit)
     phi = list(range(limit + 1))
     for p in primes_upto(limit):
         phi[p::p] = [v // p * (p - 1) for v in phi[p::p]]
@@ -407,7 +409,9 @@ def totient_table(limit: int) -> list[int]:
 
 
 def squarefree_mask(limit: int) -> bytearray:
-    """mask[k] == 1 iff k is squarefree (mask[0] == 0)."""
+    """mask[k] == 1 iff k is squarefree (mask[0] == 0); limit above
+    SIEVE_CAP is refused before allocating."""
+    _check_sieve_limit(limit)
     mask = bytearray(b"\x01") * (limit + 1)
     mask[0] = 0
     for p in primes_upto(math.isqrt(limit)):

@@ -148,7 +148,6 @@ def xi(m: int, n: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     return out
 
 
-@lru_cache(maxsize=None)
 def xi_inf(m: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Infinite product prod_{k>=m} zeta(k), truncated at K with the log-tail
     bound sum_{k>K} log zeta(k) <= sum_{k>K} 2*2^-k = 2^(1-K) folded in."""
@@ -165,15 +164,6 @@ def xi_inf(m: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
 # ---------------------------------------------------------------------------
 
 _P0_LADDER = ((97, 16), (997, 40))  # (P0, largest K tried with it)
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
 
 
 def _power_sums(poly: Poly, K: int) -> list[int]:
@@ -204,7 +194,7 @@ def _zeta_exponents(N: Poly, D: Poly, K: int) -> tuple[int, ...]:
 
 def _abs_tail(poly: Poly, q: int) -> Fraction:
     """sum_{i>=1} |a_i| q^-i, the largest |poly(x) - 1| on the disc |x| <= 1/q."""
-    return sum(Fraction(abs(a), q**i) for i, a in enumerate(poly) if i and a)
+    return Fraction(_at_prime((0, *map(abs, poly[1:])), q), q ** (len(poly) - 1))
 
 
 @lru_cache(maxsize=None)
@@ -247,22 +237,19 @@ def _at_prime(poly: Poly, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _explicit_product(N: Poly, D: Poly, P0: int) -> ErrBoundedReal:
-    """prod_{p<=P0} N(1/p)/D(1/p), from exact integer products."""
+    """prod_{p<=P0} N(1/p)/D(1/p), from exact integer products; N and D are
+    padded to one length, so the factors p^deg cancel."""
+    width = max(len(N), len(D))
+    N, D = N + (0,) * (width - len(N)), D + (0,) * (width - len(D))
     num = den = 1
-    shift = len(D) - len(N)  # p^deg N(1/p) / p^deg D(1/p) needs p^(deg D - deg N)
     for p in primes_upto(P0):
         num *= _at_prime(N, p)
         den *= _at_prime(D, p)
-        if shift > 0:
-            num *= p**shift
-        elif shift < 0:
-            den *= p**-shift
     return ErrBoundedReal(Fraction(num, den))  # one rounding of the exact quotient
 
 
-@lru_cache(maxsize=None)
 def euler_product(N: Poly, D: Poly, tol: float) -> tuple[ErrBoundedReal, int]:
-    """prod_p N(1/p)/D(1/p) with err <= tol, as (value, P0), memoized.
+    """prod_p N(1/p)/D(1/p) with err <= tol, as (value, P0).
 
     N and D are integer coefficient tuples (constant term first) with
     N(0) = D(0) = 1 and equal x-coefficients (else the product diverges).
@@ -333,7 +320,6 @@ def rho_n_factor(n: int) -> tuple[Poly, Poly]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def theta(tol: float = 1e-12) -> ErrBoundedReal:
     """zeta(2) zeta(3) / zeta(6) = 1.9435964..., the limit of theta_n.
 
@@ -374,13 +360,11 @@ def theta_sandwich(n: int) -> tuple[ErrBoundedReal, ErrBoundedReal]:
     return lower, upper
 
 
-@lru_cache(maxsize=None)
 def rho(tol: float = 1e-12) -> ErrBoundedReal:
     """prod_p (1 + 1/(p^2 - 1)) = zeta(2), by the closed form; err <= tol."""
     return zeta(2, tol / 5)
 
 
-@lru_cache(maxsize=None)
 def inv_zeta2() -> ErrBoundedReal:
     """6/pi^2, the density of squarefree integers."""
     ctx = errbound.load_mpmath()
@@ -409,13 +393,11 @@ def _rho_n(n: int, tol: float) -> tuple[ErrBoundedReal, int]:
     return inv_zeta2() * val, P
 
 
-@lru_cache(maxsize=None)
 def density_cocyclic_limit(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Large-n limit of the co-cyclic density: 1/(zeta(6) Xi_4) ~ 0.8469."""
     return 1 / (zeta(6, tol / 100) * xi_inf(4, _power_of_ten_below(tol / 5)))
 
 
-@lru_cache(maxsize=None)
 def density_squarefree_limit(tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """The squarefree-index limit constant 1/Xi_3 ~ 0.7168."""
     return 1 / xi_inf(3, _power_of_ten_below(tol / 5))
@@ -472,12 +454,17 @@ def rank_prob(p: int, r: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
 
 def delta_rank_at_most(r: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Census density of rank <= r: Xi_2^-1 prod_p sum_{k<=r} P(p, k)-local
-    factors, evaluated as an accelerated Euler product."""
+    factors, evaluated as an accelerated Euler product; once the bound t of
+    delta_rank_at_least_bound(r + 1) is at most tol, as [1 - t, 1] instead."""
     return _delta_rank_at_most(r, tol)[0]
 
 
-@lru_cache(maxsize=None)
-def _delta_rank_at_most(r: int, tol: float) -> tuple[ErrBoundedReal, int]:
+def _delta_rank_at_most(r: int, tol: float) -> tuple[ErrBoundedReal, int | None]:
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    t = delta_rank_at_least_bound(r + 1, tol).upper
+    if t <= tol:
+        return ErrBoundedReal.from_interval(1 - t, 1), None
     prod, P = euler_product(*delta_rank_factor(r), tol / 2)
     return prod / xi_inf(2, tol / 8), P
 
@@ -488,25 +475,25 @@ def delta_rank_factor(r: int) -> tuple[Poly, Poly]:
     over the common denominator D = prod_{i<=r} (1 - x^i)^2."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    squares = [_poly_mul(f, f) for f in ((1,) + (0,) * (i - 1) + (-1,) for i in range(1, r + 1))]
-    num = [0] * (1 + r * (r + 1))
-    for k in range(r + 1):
-        term = (0,) * (k * k) + (1,)
-        for sq in squares[k:]:
-            term = _poly_mul(term, sq)
-        for i, a in enumerate(term):
-            num[i] += a
-    den = (1,)
-    for sq in squares:
-        den = _poly_mul(den, sq)
-    return _poly_mul(tuple(num), (1, -1)), den
+    num, suffix = [0] * (1 + r * (r + 1)), [1] + [0] * (r * (r + 1))
+    for k in range(r, -1, -1):  # suffix = prod_{k<i<=r} (1 - x^i)^2
+        num[k * k :] = [a + b for a, b in zip(num[k * k :], suffix)]
+        for _ in range(2 if k else 0):  # suffix times (1 - x^k), in place
+            suffix[k:] = [a - b for a, b in zip(suffix[k:], suffix)]
+    return tuple(a - b for a, b in zip(num + [0], [0] + num)), tuple(suffix)  # num times (1 - x)
 
 
 def delta_rank_at_least_bound(r: int, tol: float = DEFAULT_TOL) -> ErrBoundedReal:
     """Explicit upper bound for the census density of rank >= r, evaluated
     as 1 - exp(-8 (zeta(r^2) - 1)); decreasing in r and ~ 8 * 2^(-r^2).
     zeta(r^2) is asked to min(1e-14, tol / 16), since exp(-8 x) < 1 takes
-    x's err times at most 8: every tol >= 1.6e-13 gets the same interval."""
+    x's err times at most 8: every tol >= 1.6e-13 gets the same interval.
+
+    Proof: P(p, k) <= p^(-k^2) / eta_2 <= 3.47 p^(-k^2), eta_2 = prod_{i>=1}
+    (1 - 2^-i), and p^(-k^2) falls by p^-(2k+1) <= 1/32 from k >= r >= 2 on,
+    so T_p = sum_{k>=r} P(p, k) <= 4 p^(-r^2) <= 1/2.  The density of rank
+    <= r - 1 is prod_p (1 - T_p) >= exp(-sum_p 2 T_p) >= exp(-8 (zeta(r^2) - 1)),
+    as log(1 - t) >= -2t for 0 <= t <= 1/2."""
     check_tol(tol)
     if r < 2:
         raise ValueError("r must be >= 2")

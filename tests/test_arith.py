@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -230,6 +233,32 @@ def test_sieve_cap_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(arith, "SIEVE_CAP", 1000)
     with pytest.raises(CapExceededError):
         arith.SieveTable(1001)
+
+
+_TABLE_CAP_CHILD = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from latcensus import arith
+from latcensus.errors import CapExceededError
+for call in ("landau_sum(10**9)", "ward_sum(10**9)", "squarefree_coprime_count(10**10, 6)",
+             "totient_table(3 * 10**7)", "squarefree_mask(3 * 10**7)"):
+    start = time.perf_counter()
+    try:
+        eval("arith." + call)
+    except CapExceededError:
+        print(call, time.perf_counter() - start)
+"""
+
+
+def test_table_builders_refuse_above_the_cap_before_allocating():
+    # under a 1 GiB address-space limit these raised MemoryError (totient_table(3e7) after 2.5 s)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _TABLE_CAP_CHILD], capture_output=True, text=True,
+                         env=env, timeout=60)
+    lines = out.stdout.splitlines()
+    assert len(lines) == 5, out.stdout + out.stderr
+    for line in lines:
+        assert float(line.rsplit(" ", 1)[1]) < 0.1, line
 
 
 def test_primes_upto_matches_trial_division():

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -696,3 +698,18 @@ def test_verify_leaves_no_worker_behind(monkeypatch, tmp_path, case):
     assert len(forked) == 2 and time.monotonic() - start < 10
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("count --n 2000 --V 1000", 2),  # the Faulhaber setup, ~n^3, was not charged
+    ("count --n 100000 --V 2", 2),
+    ("constants --name delta-rank-le --r 200", 0),  # a degree-40200 factor, now the tail bound
+])
+def test_former_hang_inputs_finish(argv, code):
+    # each ran past 15 s; a child with a timeout fails fast if one hangs again
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "latcensus.cli", *argv.split()], capture_output=True,
+                          text=True, env=env, timeout=5)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert float(json.loads(proc.stdout)["err"]) <= 1e-10

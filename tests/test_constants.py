@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ import mpmath
 import pytest
 
 from latcensus import arith, constants, counting
+from latcensus.errbound import ErrBoundedReal
 from latcensus.errors import PrecisionError
 
 PI = 3.14159265358979323846
@@ -287,6 +289,76 @@ def test_euler_products_at_1e30_hold_references():
         assert val.err <= 1e-30 and _holds(val, ref), r
 
 
+def _poly_mul(a, b):
+    return _series_mul(list(a), list(b), len(a) + len(b) - 1)
+
+
+def test_delta_rank_factor_matches_the_literal_r_pass_sum():
+    # (1 - x) sum_{k<=r} x^(k^2) prod_{k<i<=r} (1 - x^i)^2 over prod_{i<=r} (1 - x^i)^2,
+    # each term multiplied out on its own
+    for r in range(1, 13):
+        squares = [_poly_mul(f, f) for f in ([1] + [0] * (i - 1) + [-1] for i in range(1, r + 1))]
+        num = [0] * (1 + r * (r + 1))
+        for k in range(r + 1):
+            term = functools.reduce(_poly_mul, squares[k:], [0] * (k * k) + [1])
+            num = [a + b for a, b in zip(num, term + [0] * len(num))]
+        den = functools.reduce(_poly_mul, squares, [1])
+        assert constants.delta_rank_factor(r) == (tuple(_poly_mul(num, [1, -1])), tuple(den)), r
+
+
+def _accelerated_vs_plain_factors():
+    """The local factors of verify's constants.accelerated-vs-plain check."""
+    factors = [constants.THETA_FACTOR, constants.GEKELER_CYCLIC_FACTOR, constants.GEKELER_SQUAREFREE_FACTOR]
+    factors += [constants.theta_n_factor(n) for n in range(2, 17)]
+    factors += [constants.rho_n_factor(n) for n in range(2, 17)]
+    return factors + [constants.delta_rank_factor(r) for r in range(1, 5)]
+
+
+def test_abs_tail_is_the_sum_of_its_terms():
+    for poly in itertools.chain.from_iterable(_accelerated_vs_plain_factors()):
+        for q in (2, 3, 5, 97):
+            expected = sum(Fraction(abs(a), q**i) for i, a in enumerate(poly) if i)
+            assert constants._abs_tail(poly, q) == expected, (poly, q)
+
+
+@pytest.mark.parametrize("factor", [
+    constants.THETA_FACTOR[::-1],  # N shorter than D
+    ((1, 0, -1), (1, -1, 1)),  # as long as D
+    constants.GEKELER_SQUAREFREE_FACTOR,  # longer than D
+    constants.delta_rank_factor(3),
+], ids=["shorter", "equal", "longer", "delta-rank-3"])
+def test_explicit_product_is_the_per_prime_fraction_product(factor):
+    N, D = factor
+    at = lambda poly, p: sum(Fraction(a, p**i) for i, a in enumerate(poly))
+    for P0 in (2, 97):
+        ref = math.prod((at(N, p) / at(D, p) for p in arith.primes_upto(P0)), start=Fraction(1))
+        got = constants._explicit_product(N, D, P0)
+        assert (got.value, got.err) == (ErrBoundedReal(ref).value, ErrBoundedReal(ref).err)
+
+
+def test_rank_at_least_bound_covers_the_product_tail():
+    # 1 - delta_rank_at_most(r) lies below delta_rank_at_least_bound(r + 1) at every r, with the
+    # product evaluated to 1e-30 (the bound is 2.3 to 3.2 times the tail there)
+    for r in range(1, 10):
+        prod = constants.euler_product(*constants.delta_rank_factor(r), 5e-31)[0] / constants.xi_inf(2, 1.25e-31)
+        bound = constants.delta_rank_at_least_bound(r + 1, 1e-30)
+        assert 1 - prod.lower <= bound.upper and prod.upper <= 1, r
+        assert 0.3 <= float((1 - prod.value) / bound.value) <= 0.45, r
+
+
+def test_delta_rank_le_answers_from_the_tail_bound_once_it_meets_tol():
+    # r = 6 printed a centre above 1 (1.00000000000068 +- 4.5e-12) from the product at P0 = 97
+    val, cutoff = constants.evaluate_constant("delta-rank-le", r=6)
+    t = constants.delta_rank_at_least_bound(7).upper
+    assert cutoff is None and val.lower <= 1 - t and 0 <= val.upper - 1 < 1e-35 and float(val.err) < 1.5e-14
+    assert constants.evaluate_constant("delta-rank-le", r=5)[1] == 97  # bound(6) ~ 1.2e-10 > tol
+    # the product would build a degree-40200 factor
+    val, cutoff = constants.evaluate_constant("delta-rank-le", r=200)
+    assert cutoff is None and val.err <= constants.DEFAULT_TOL
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        constants.delta_rank_at_most(0)
+
+
 def test_zeta_built_constants_meet_tight_tol():
     z = REF.zeta
     xi = {m: REF.fprod(z(k) for k in range(m, 400)) for m in (2, 3, 4)}
@@ -321,6 +393,7 @@ def test_refinement_nests_from_1e8_to_1e30():
         constants.gekeler_cyclic,
         constants.gekeler_squarefree,
         lambda t: constants.delta_rank_at_most(2, t),
+        lambda t: constants.delta_rank_at_most(6, t),  # the tail bound at 1e-8 and 1e-12, then the product
     ]
     for route in routes:
         vals = [route(t) for t in tols]
